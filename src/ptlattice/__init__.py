@@ -18,7 +18,6 @@ from .dynamics import (
     power,
     prepare_band_state,
     project_onto_band,
-    rhs,
     transition_probability,
 )
 from .errors import ConfigError, DegenerateBandError, ParameterError, PhaseError
@@ -88,7 +87,6 @@ __all__ = [
     "prepare_band_state",
     "project_onto_band",
     "pt_phase",
-    "rhs",
     "symmetrize",
     "transition_probability",
     "two_mode_eigenvalues",

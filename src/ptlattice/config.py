@@ -7,6 +7,7 @@ configuration (defaults included) is what run outputs embed as metadata.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +37,8 @@ def _section(raw: dict, name: str, allowed: dict, where: str) -> dict:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value}")
     return float(value)
 
 

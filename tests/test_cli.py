@@ -241,7 +241,7 @@ class TestCli:
             "kind": "evolve",
             "lattice": {"v_real": 0.2, "v_imag": 0.1, "l_max": 4},
             "drive": {"rate": 0.3, "q_start": 0.0, "q_stop": 1.8},
-            "integrator": {"step": 0.05, "convergence_check": True},
+            "integrator": {"step": 0.2, "convergence_check": True},
         }
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
@@ -251,6 +251,26 @@ class TestCli:
         # the artifact is still written, with the warning recorded
         table = load_csv(out.with_suffix(".csv"))
         assert table.metadata["warnings"]
+
+    def test_nan_lattice_amplitude_exits_2(self, tmp_path, capsys):
+        doc = bands_doc()
+        doc["lattice"]["v_real"] = math.nan
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["bands", "--config", str(cfg)]) == 2
+        assert "lattice.v_real" in capsys.readouterr().err
+
+    def test_infinite_step_exits_2(self, tmp_path, capsys):
+        doc = {
+            "kind": "evolve",
+            "lattice": {"v_real": 0.2, "v_imag": 0.1, "l_max": 4},
+            "drive": {"rate": 0.3, "q_start": 0.0, "q_stop": 1.8},
+            "integrator": {"step": math.inf},
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["evolve", "--config", str(cfg)]) == 2
+        assert "integrator.step" in capsys.readouterr().err
 
     def test_preset_name_resolution(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

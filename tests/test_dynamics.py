@@ -1,4 +1,4 @@
-"""Driven propagation: preparation, derivative, power, projection, transitions."""
+"""Driven propagation: preparation, kernel step, power, projection, transitions."""
 
 import math
 
@@ -12,14 +12,15 @@ from ptlattice import (
     LatticeParams,
     ModeVector,
     ParameterError,
+    build_hamiltonian,
     evolve,
     power,
     prepare_band_state,
     project_onto_band,
-    rhs,
     transition_probability,
 )
-from ptlattice.dynamics import _crossings_between, default_step, plateau_averages
+from ptlattice import dynamics
+from ptlattice.dynamics import _crossings_between, _integrate, default_step, plateau_averages
 
 
 class TestPrepare:
@@ -51,30 +52,55 @@ class TestPrepare:
             prepare_band_state(LatticeParams(0.2, 0.0), 0.0, 0)
 
 
-class TestRhs:
+def one_step(params, a, q=0.3, dz=0.1):
+    """Amplitudes after one kernel step of length dz from q (drive rate 1)."""
+    drive = DriveParams(1.0, q, q + dz)
+    y, _, _, n_steps = _integrate(a, params, drive, drive.duration, None)
+    assert n_steps == 1
+    return y
+
+
+class TestKernelStep:
     def test_single_mode_pure_phase_rotation(self):
         params = LatticeParams(0.0, 0.0)
         state = prepare_band_state(params, 0.0, 1)
-        deriv = rhs(params, DriveParams(0.0, 0.0, 0.0), 0.0, state)
-        # d|a0|^2/dz = 2 Re(conj(a0) da0/dz) = 0 for a pure phase rotation
-        assert abs(2 * np.real(np.conj(state.amplitudes) @ deriv)) < 1e-15
+        y = one_step(params, state.amplitudes)
+        center = params.l_max
+        assert abs(y[center]) == pytest.approx(1.0, abs=1e-15)
+        assert np.max(np.abs(np.delete(y, center))) == 0.0
 
-    def test_hermitian_power_is_conserved_analytically(self):
+    def test_hermitian_step_conserves_power(self):
         params = LatticeParams(0.2, 0.0)
         rng = np.random.default_rng(3)
         a = rng.normal(size=25) + 1j * rng.normal(size=25)
-        state = ModeVector(a, 0.2)
-        deriv = rhs(params, DriveParams(0.0, 0.2, 0.2), 1.3, state)
-        assert abs(2 * np.real(np.conj(a) @ deriv)) < 1e-12
+        y = one_step(params, a, q=1.3)
+        assert np.sum(np.abs(y) ** 2) == pytest.approx(np.sum(np.abs(a) ** 2), rel=1e-12)
 
     def test_sub_coupling_vanishes_at_criticality(self):
         params = LatticeParams(0.2, 0.2)
         a = np.zeros(25, complex)
         a[12] = 1.0  # populate l = 0 only
-        deriv = rhs(params, DriveParams(0.0, 0.3, 0.3), 0.0, ModeVector(a, 0.3))
-        # row l = 1 reads its lower neighbour with weight v_real - v_imag = 0
-        assert deriv[13] == 0.0
-        assert deriv[11] != 0.0
+        y = one_step(params, a)
+        # row l = 1 reads its lower neighbour with weight v_real - v_imag = 0,
+        # so the coupling exponential is upper triangular
+        assert y[13] == 0.0
+        assert y[11] != 0.0
+
+    def test_fourth_order_convergence(self):
+        from scipy.integrate import solve_ivp
+
+        params = LatticeParams(0.2, 0.15, l_max=4)
+        drive = DriveParams(0.3, 0.0, 1.8)
+        a0 = prepare_band_state(params, 0.0, 1).amplitudes.astype(complex)
+
+        def deriv(z, a):
+            return -1j * (build_hamiltonian(params, drive.rate * z).dense() @ a)
+
+        ref = solve_ivp(deriv, (0.0, drive.duration), a0, method="DOP853",
+                        rtol=1e-13, atol=1e-13).y[:, -1]
+        errs = [np.linalg.norm(_integrate(a0, params, drive, h, None)[0] - ref)
+                for h in (0.1, 0.05)]
+        assert math.log2(errs[0] / errs[1]) == pytest.approx(4.0, abs=0.3)
 
 
 class TestPowerAndProjection:
@@ -125,11 +151,19 @@ class TestDrive:
         assert _crossings_between(1.0, 3.0) == 0  # endpoints excluded
         assert _crossings_between(0.5, 5.2) == 3
 
-    def test_step_default_has_stability_guard(self):
-        params = LatticeParams(0.2, 0.1, l_max=20)
-        drive = DriveParams(0.05, 0.0, 1.0)
-        step = default_step(params, drive)
-        assert (2 * params.l_max + 1.0) ** 2 * step <= 2.5 + 1e-12
+    def test_step_default_ignores_basis_size(self):
+        drive = DriveParams(0.05, 0.0, 1.5)
+        steps = {default_step(LatticeParams(0.2, 0.1, l_max=m), drive) for m in (4, 12, 40)}
+        assert steps == {0.01 / 1.5**2}
+
+    @pytest.mark.parametrize("l_max, step", [(12, 0.2), (40, 0.05)])
+    def test_coarse_hermitian_run_conserves_power(self, l_max, step):
+        # each factor of the step is unitary, whatever the largest diagonal
+        params = LatticeParams(0.2, 0.0, l_max=l_max)
+        drive = DriveParams(0.03, 0.0, 1.8)
+        cfg = IntegratorConfig(step=step)
+        trace = evolve(prepare_band_state(params, 0.0, 1), params, drive, cfg)
+        assert np.max(np.abs(trace.power - 1.0)) < 1e-12
 
 
 class TestEvolve:
@@ -160,9 +194,33 @@ class TestEvolve:
     def test_accuracy_warning_on_coarse_step(self):
         params = LatticeParams(0.2, 0.1, l_max=4)
         drive = DriveParams(0.3, 0.0, 1.8)
-        cfg = IntegratorConfig(step=0.05, convergence_check=True)
+        cfg = IntegratorConfig(step=0.2, convergence_check=True)
         trace = evolve(prepare_band_state(params, 0.0, 1), params, drive, cfg)
         assert trace.metadata["warnings"]
+
+    def test_degenerate_projection_is_counted(self):
+        # at the critical point the operator is triangular with eigenvalues
+        # (2l + q)^2, which coincide in pairs at integer q: bands 2 and 3 at
+        # q = 0, bands 1 and 2 at q = 1
+        params = LatticeParams(0.2, 0.2)
+        drive = DriveParams(0.1, 0.0, 1.0)
+        cfg = IntegratorConfig(sample_stride=100)
+        trace = evolve(prepare_band_state(params, 0.0, 1), params, drive, cfg)
+        assert trace.q[0] == 0.0 and trace.q[-1] == 1.0
+        nan1, nan2 = np.isnan(trace.band1_prob), np.isnan(trace.band2_prob)
+        assert list(np.flatnonzero(nan1)) == [10]
+        assert list(np.flatnonzero(nan2)) == [0, 10]
+        assert trace.metadata["projection_failures"] == 3
+
+    def test_other_projection_errors_propagate(self, monkeypatch):
+        def broken(*args):
+            raise np.linalg.LinAlgError("eigensolver failed")
+
+        monkeypatch.setattr(dynamics, "project_onto_band", broken)
+        params = LatticeParams(0.2, 0.1)
+        drive = DriveParams(0.1, 0.0, 1.5)
+        with pytest.raises(np.linalg.LinAlgError):
+            evolve(prepare_band_state(params, 0.0, 1), params, drive)
 
     def test_adiabatic_band_following(self):
         # slow Hermitian sweep through the avoided crossing keeps band 1 occupied
