@@ -82,8 +82,8 @@ class IntegratorConfig:
     convergence_check: bool = False
 
     def __post_init__(self):
-        if self.step is not None and self.step <= 0:
-            raise ParameterError("step must be positive")
+        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
+            raise ParameterError(f"step must be finite and positive, got {self.step}")
         if self.sample_stride is not None and self.sample_stride < 1:
             raise ParameterError("sample_stride must be >= 1")
 

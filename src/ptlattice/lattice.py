@@ -82,6 +82,8 @@ class LatticeParams:
     l_max: int = DEFAULT_L_MAX
 
     def __post_init__(self):
+        if not (math.isfinite(self.v_real) and math.isfinite(self.v_imag)):
+            raise ParameterError("v_real and v_imag must be finite")
         if self.v_real < 0:
             raise ParameterError("v_real must be non-negative")
         if int(self.l_max) != self.l_max or self.l_max < 4:

@@ -9,6 +9,7 @@ runs produce byte-identical files.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,6 +24,19 @@ def _format_cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
+
+
+# columns of one exact built-in type skip _format_cell's dispatch, same text
+_COLUMN_FORMATTERS = {float: float.__repr__, int: int.__repr__}
+# rows formatted at once; bounds the memory of the text being written
+_BLOCK_ROWS = 4096
+
+
+def _format_column(values: tuple) -> Iterator[str]:
+    """Format one column's cells as _format_cell does, choosing the formatter once."""
+    kinds = set(map(type, values))
+    fmt = _COLUMN_FORMATTERS.get(kinds.pop()) if len(kinds) == 1 else None
+    return map(fmt or _format_cell, values)
 
 
 @dataclass
@@ -42,11 +56,12 @@ class ResultTable:
 
     def write_csv(self, path) -> Path:
         path = Path(path)
-        lines = ["# " + json.dumps(self.metadata, sort_keys=True, separators=(",", ":"))]
-        lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(_format_cell(v) for v in row))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with path.open("w", encoding="utf-8") as f:
+            f.write("# " + json.dumps(self.metadata, sort_keys=True, separators=(",", ":")) + "\n")
+            f.write(",".join(self.columns) + "\n")
+            for i in range(0, len(self.rows), _BLOCK_ROWS):
+                columns = map(_format_column, zip(*self.rows[i : i + _BLOCK_ROWS]))
+                f.write("\n".join(map(",".join, zip(*columns))) + "\n")
         return path
 
 

@@ -87,10 +87,11 @@ def render_line_chart(
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    def px(x: float) -> float:
+    # pixel coordinates of scalars or, in one pass, of whole arrays
+    def px(x):
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -152,7 +153,7 @@ def render_line_chart(
     for i, (s, x, y) in enumerate(cleaned):
         color = PALETTE[i % len(PALETTE)]
         xv = np.log10(x) if x_log else x
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(xv, y))
+        pts = " ".join(map("{:.2f},{:.2f}".format, px(xv).tolist(), py(y).tolist()))
         dash = ' stroke-dasharray="6,4"' if s.dashed else ""
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>'

@@ -92,6 +92,19 @@ class TestResultTable:
         assert back.rows == [(1.5, 2), (0.25, -3)]
         assert back.metadata == {"config": {"x": 1}, "warnings": []}
 
+    def test_csv_cell_bytes(self, tmp_path):
+        rows = [
+            (True, np.bool_(False), 3, np.int64(-4), 0.1, np.float64(1e-300), "x", 2.5),
+            (False, np.bool_(True), -7, np.int32(5), np.float32(0.5), -0.0, "y z", 1 / 3),
+        ]
+        path = ResultTable(list("abcdefgh"), rows).write_csv(tmp_path / "t.csv")
+        assert path.read_bytes() == (
+            b"# {}\n"
+            b"a,b,c,d,e,f,g,h\n"
+            b"True,False,3,-4,0.1,1e-300,x,2.5\n"
+            b"False,True,-7,5,0.5,-0.0,y z,0.3333333333333333\n"
+        )
+
     def test_rows_must_be_rectangular(self):
         with pytest.raises(ValueError):
             ResultTable(["a", "b"], [(1,)])

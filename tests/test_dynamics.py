@@ -151,6 +151,11 @@ class TestDrive:
         assert _crossings_between(1.0, 3.0) == 0  # endpoints excluded
         assert _crossings_between(0.5, 5.2) == 3
 
+    @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -0.01])
+    def test_invalid_step_rejected(self, step):
+        with pytest.raises(ParameterError):
+            IntegratorConfig(step=step)
+
     def test_step_default_ignores_basis_size(self):
         drive = DriveParams(0.05, 0.0, 1.5)
         steps = {default_step(LatticeParams(0.2, 0.1, l_max=m), drive) for m in (4, 12, 40)}

@@ -102,6 +102,12 @@ class TestHamiltonian:
         with pytest.raises(ParameterError):
             LatticeParams(0.2, 0.0, l_max=3)
 
+    @pytest.mark.parametrize("v_real, v_imag", [(math.nan, 0.1), (math.inf, 0.1),
+                                                (0.2, math.nan), (0.2, -math.inf)])
+    def test_non_finite_lattice_params(self, v_real, v_imag):
+        with pytest.raises(ParameterError):
+            LatticeParams(v_real, v_imag)
+
     def test_non_finite_momentum(self):
         with pytest.raises(ParameterError):
             build_hamiltonian(LatticeParams(0.2, 0.0), math.inf)
