@@ -59,22 +59,22 @@ def main(argv=None) -> int:
         if args.jobs is not None:
             if args.jobs < 1:
                 raise ConfigError("--jobs must be >= 1")
-            cfg.jobs = args.jobs
+            cfg.doc["jobs"] = args.jobs
         if args.svg:
-            cfg.svg = True
+            cfg.doc["svg"] = True
         if args.out is not None:
-            cfg.out = args.out
+            cfg.doc["out"] = args.out
         table = RUNNERS[cfg.kind](cfg)
     except (ConfigError, ParameterError, PhaseError, DegenerateBandError) as exc:
         print(f"ptlattice: error: {exc}", file=sys.stderr)
         return 2
 
-    prefix = cfg.out or cfg.kind
+    prefix = cfg.doc["out"] or cfg.kind
     csv_path = Path(f"{prefix}.csv")
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     table.write_csv(csv_path)
     print(f"wrote {csv_path}")
-    if cfg.svg:
+    if cfg.doc["svg"]:
         svg_path = Path(f"{prefix}.svg")
         render_chart(cfg, table, svg_path)
         print(f"wrote {svg_path}")

@@ -1,7 +1,9 @@
 """Experiment configuration: one JSON document per run, parsed fail-fast.
 
-Unknown fields anywhere in the document are errors.  The fully resolved
-configuration (defaults included) is what run outputs embed as metadata.
+Each kind is one table, {field: (checker, default)}, with nested sections as
+nested tables.  One walker rejects unknown and missing fields, type-checks
+every value (numbers finite, integers not booleans) and fills the defaults.
+The filled document is what run outputs embed as metadata.
 """
 
 from __future__ import annotations
@@ -11,27 +13,13 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .dynamics import DriveParams, IntegratorConfig
 from .errors import ConfigError, ParameterError
 from .lattice import DEFAULT_L_MAX, LatticeParams
 from .twomode import TwoModeParams
 
-KINDS = ("bands", "evolve", "sweep", "multicross", "twomode")
-
-
-def _section(raw: dict, name: str, allowed: dict, where: str) -> dict:
-    """Validate keys of a config section against {key: required} and fill defaults."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: expected an object")
-    unknown = set(raw) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown field(s) {sorted(unknown)}")
-    missing = [k for k, required in allowed.items() if required and k not in raw]
-    if missing:
-        raise ConfigError(f"{where}: missing required field(s) {missing}")
-    return raw
+# default marker of a field that must be given
+_REQUIRED = object()
 
 
 def _number(value, where: str) -> float:
@@ -42,149 +30,136 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    start: float
-    stop: float
-    count: int
-    spacing: str = "linear"
-
-    def values(self) -> np.ndarray:
-        if self.spacing == "linear":
-            return np.linspace(self.start, self.stop, self.count)
-        if self.spacing == "log":
-            if self.start <= 0 or self.stop <= 0:
-                raise ConfigError("log spacing needs positive endpoints")
-            return np.geomspace(self.start, self.stop, self.count)
-        raise ConfigError(f"unknown spacing {self.spacing!r}")
+def _check(test, label: str):
+    """Checker that passes the values for which test(value) holds."""
+    def check(value, where: str):
+        if not test(value):
+            raise ConfigError(f"{where}: expected {label}")
+        return value
+    return check
 
 
-def _parse_grid(raw: dict, where: str, allow_log: bool = False) -> GridSpec:
-    fields = {"start": True, "stop": True, "count": True}
-    if allow_log:
-        fields["spacing"] = False
-    raw = _section(raw, where, fields, where)
-    count = raw["count"]
-    if not isinstance(count, int) or count < 1:
-        raise ConfigError(f"{where}.count: expected a positive integer")
-    return GridSpec(
-        start=_number(raw["start"], f"{where}.start"),
-        stop=_number(raw["stop"], f"{where}.stop"),
-        count=count,
-        spacing=raw.get("spacing", "log" if allow_log else "linear"),
-    )
+def _optional(check):
+    """Checker that also accepts null."""
+    return lambda value, where: None if value is None else check(value, where)
+
+
+_boolean = _check(lambda v: isinstance(v, bool), "a boolean")
+_string = _check(lambda v: isinstance(v, str), "a string")
+# type() and not isinstance(): JSON true/false are bools, and bool subclasses int
+_count = _check(lambda v: type(v) is int and v >= 1, "a positive integer")
+
+_LATTICE = {
+    "v_real": (_number, _REQUIRED),
+    "v_imag": (_number, _REQUIRED),
+    "l_max": (_count, DEFAULT_L_MAX),
+}
+_DRIVE = {
+    "rate": (_number, _REQUIRED),
+    "q_start": (_number, _REQUIRED),
+    "q_stop": (_number, _REQUIRED),
+}
+_INTEGRATOR = {
+    "step": (_optional(_number), None),
+    "sample_stride": (_optional(_count), None),
+    "convergence_check": (_boolean, False),
+}
+_COMMON = {
+    "kind": (_string, _REQUIRED),
+    "jobs": (_count, 1),
+    "svg": (_boolean, False),
+    "out": (_optional(_string), None),
+}
+_DRIVEN = _COMMON | {
+    "lattice": (_LATTICE, _REQUIRED),
+    "drive": (_DRIVE, _REQUIRED),
+    "integrator": (_INTEGRATOR, {}),
+}
+
+# one field table per kind; the table order is the order of the filled document
+_SCHEMAS = {
+    "bands": _COMMON | {
+        "lattice": (_LATTICE, _REQUIRED),
+        "q_grid": ({
+            "start": (_number, _REQUIRED),
+            "stop": (_number, _REQUIRED),
+            "count": (_count, _REQUIRED),
+        }, _REQUIRED),
+        "band_count": (_count, 4),
+    },
+    "evolve": _DRIVEN,
+    "sweep": _COMMON | {
+        "lattice": (_LATTICE, _REQUIRED),
+        "integrator": (_INTEGRATOR, {}),
+        "sweep": ({
+            "rate_min": (_number, _REQUIRED),
+            "rate_max": (_number, _REQUIRED),
+            "count": (_count, _REQUIRED),
+            "spacing": (_check(lambda v: v in ("log", "linear"), "'log' or 'linear'"), "log"),
+            "q_start": (_number, _REQUIRED),
+            "q_stop": (_number, _REQUIRED),
+        }, _REQUIRED),
+    },
+    "multicross": _DRIVEN,
+    "twomode": _COMMON | {
+        "twomode": ({
+            "coupling": (_number, _REQUIRED),
+            "skew": (_number, _REQUIRED),
+            "rate": (_number, _REQUIRED),
+        }, _REQUIRED),
+        "t_max": (_optional(_number), None),
+    },
+}
+KINDS = tuple(_SCHEMAS)
+
+# filled sections that become typed parameter objects
+_TYPED = {
+    "lattice": LatticeParams,
+    "drive": DriveParams,
+    "integrator": IntegratorConfig,
+    "twomode": TwoModeParams,
+}
+
+
+def _walk(table: dict, raw, where: str) -> dict:
+    """Check raw against a field table; return it filled with defaults, in table order."""
+    name = where or "config"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name}: expected an object")
+    unknown = set(raw) - set(table)
+    if unknown:
+        raise ConfigError(f"{name}: unknown field(s) {sorted(unknown)}")
+    missing = [k for k, (_, default) in table.items() if default is _REQUIRED and k not in raw]
+    if missing:
+        raise ConfigError(f"{name}: missing required field(s) {missing}")
+    filled = {}
+    for key, (check, default) in table.items():
+        value = raw.get(key, default)
+        path = f"{where}.{key}" if where else key
+        filled[key] = _walk(check, value, path) if isinstance(check, dict) else check(value, path)
+    return filled
 
 
 @dataclass
 class ExperimentConfig:
-    kind: str
+    """A parsed run: the filled document and the typed objects built from its sections.
+
+    The command line writes its jobs, svg and out overrides into doc.
+    """
+
+    doc: dict
     lattice: LatticeParams | None = None
     drive: DriveParams | None = None
-    integrator: IntegratorConfig = IntegratorConfig()
-    q_grid: GridSpec | None = None
-    rate_grid: GridSpec | None = None
-    sweep_span: tuple[float, float] | None = None
+    integrator: IntegratorConfig | None = None
     twomode: TwoModeParams | None = None
-    t_max: float | None = None
-    band_count: int = 4
-    jobs: int = 1
-    svg: bool = False
-    out: str | None = None
+
+    @property
+    def kind(self) -> str:
+        return self.doc["kind"]
 
     def resolved(self) -> dict:
         """Full configuration, defaults included, for output metadata."""
-        doc: dict = {"kind": self.kind, "jobs": self.jobs, "svg": self.svg,
-                     "out": self.out or self.kind}
-        if self.lattice is not None:
-            doc["lattice"] = {
-                "v_real": self.lattice.v_real,
-                "v_imag": self.lattice.v_imag,
-                "l_max": self.lattice.l_max,
-            }
-        if self.drive is not None:
-            doc["drive"] = {
-                "rate": self.drive.rate,
-                "q_start": self.drive.q_start,
-                "q_stop": self.drive.q_stop,
-            }
-        if self.kind in ("evolve", "sweep", "multicross"):
-            doc["integrator"] = {
-                "step": self.integrator.step,
-                "sample_stride": self.integrator.sample_stride,
-                "convergence_check": self.integrator.convergence_check,
-            }
-        if self.q_grid is not None:
-            doc["q_grid"] = {
-                "start": self.q_grid.start, "stop": self.q_grid.stop, "count": self.q_grid.count,
-            }
-            doc["band_count"] = self.band_count
-        if self.rate_grid is not None:
-            doc["sweep"] = {
-                "rate_min": self.rate_grid.start,
-                "rate_max": self.rate_grid.stop,
-                "count": self.rate_grid.count,
-                "spacing": self.rate_grid.spacing,
-                "q_start": self.sweep_span[0],
-                "q_stop": self.sweep_span[1],
-            }
-        if self.twomode is not None:
-            doc["twomode"] = {
-                "coupling": self.twomode.coupling,
-                "skew": self.twomode.skew,
-                "rate": self.twomode.rate,
-                "detuning_offset": self.twomode.detuning_offset,
-            }
-            doc["t_max"] = self.t_max
-        return doc
-
-
-def _parse_lattice(raw: dict) -> LatticeParams:
-    raw = _section(raw, "lattice", {"v_real": True, "v_imag": True, "l_max": False}, "lattice")
-    l_max = raw.get("l_max", DEFAULT_L_MAX)
-    if not isinstance(l_max, int):
-        raise ConfigError("lattice.l_max: expected an integer")
-    try:
-        return LatticeParams(
-            v_real=_number(raw["v_real"], "lattice.v_real"),
-            v_imag=_number(raw["v_imag"], "lattice.v_imag"),
-            l_max=l_max,
-        )
-    except ParameterError as exc:
-        raise ConfigError(f"lattice: {exc}") from exc
-
-
-def _parse_drive(raw: dict, need_rate: bool = True) -> DriveParams:
-    fields = {"rate": need_rate, "q_start": True, "q_stop": True}
-    raw = _section(raw, "drive", fields, "drive")
-    try:
-        return DriveParams(
-            rate=_number(raw.get("rate", 1.0), "drive.rate"),
-            q_start=_number(raw["q_start"], "drive.q_start"),
-            q_stop=_number(raw["q_stop"], "drive.q_stop"),
-        )
-    except ParameterError as exc:
-        raise ConfigError(f"drive: {exc}") from exc
-
-
-def _parse_integrator(raw: dict) -> IntegratorConfig:
-    raw = _section(
-        raw, "integrator",
-        {"step": False, "sample_stride": False, "convergence_check": False},
-        "integrator",
-    )
-    step = raw.get("step")
-    if step is not None:
-        step = _number(step, "integrator.step")
-    stride = raw.get("sample_stride")
-    if stride is not None and (not isinstance(stride, int) or stride < 1):
-        raise ConfigError("integrator.sample_stride: expected a positive integer")
-    check = raw.get("convergence_check", False)
-    if not isinstance(check, bool):
-        raise ConfigError("integrator.convergence_check: expected a boolean")
-    try:
-        return IntegratorConfig(step=step, sample_stride=stride, convergence_check=check)
-    except ParameterError as exc:
-        raise ConfigError(f"integrator: {exc}") from exc
+        return {**self.doc, "out": self.doc["out"] or self.kind}
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -193,85 +168,23 @@ def parse_config(doc: dict) -> ExperimentConfig:
     kind = doc.get("kind")
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
+    doc = _walk(_SCHEMAS[kind], doc, "")
 
-    top = {"kind": True, "out": False, "svg": False, "jobs": False}
-    if kind == "bands":
-        top |= {"lattice": True, "q_grid": True, "band_count": False}
-    elif kind in ("evolve", "multicross"):
-        top |= {"lattice": True, "drive": True, "integrator": False}
-    elif kind == "sweep":
-        top |= {"lattice": True, "sweep": True, "integrator": False}
-    else:  # twomode
-        top |= {"twomode": True, "t_max": False}
-    doc = _section(doc, "config", top, "config")
+    typed = {}
+    for name, build in _TYPED.items():
+        if name in doc:
+            try:
+                typed[name] = build(**doc[name])
+            except ParameterError as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
+    cfg = ExperimentConfig(doc, **typed)
 
-    cfg = ExperimentConfig(kind=kind)
-    cfg.out = doc.get("out")
-    if cfg.out is not None and not isinstance(cfg.out, str):
-        raise ConfigError("out: expected a string")
-    svg = doc.get("svg", False)
-    if not isinstance(svg, bool):
-        raise ConfigError("svg: expected a boolean")
-    cfg.svg = svg
-    jobs = doc.get("jobs", 1)
-    if not isinstance(jobs, int) or jobs < 1:
-        raise ConfigError("jobs: expected a positive integer")
-    cfg.jobs = jobs
-
-    if kind == "bands":
-        cfg.lattice = _parse_lattice(doc["lattice"])
-        cfg.q_grid = _parse_grid(doc["q_grid"], "q_grid")
-        band_count = doc.get("band_count", 4)
-        if not isinstance(band_count, int) or not 1 <= band_count <= cfg.lattice.size:
-            raise ConfigError(f"band_count: expected an integer in 1..{cfg.lattice.size}")
-        cfg.band_count = band_count
-    elif kind in ("evolve", "multicross"):
-        cfg.lattice = _parse_lattice(doc["lattice"])
-        cfg.drive = _parse_drive(doc["drive"])
-        if cfg.drive.rate == 0.0:
-            raise ConfigError("drive.rate must be non-zero")
-        cfg.integrator = _parse_integrator(doc.get("integrator", {}))
-    elif kind == "sweep":
-        cfg.lattice = _parse_lattice(doc["lattice"])
-        raw = _section(
-            doc["sweep"], "sweep",
-            {"rate_min": True, "rate_max": True, "count": True, "spacing": False,
-             "q_start": True, "q_stop": True},
-            "sweep",
-        )
-        count = raw["count"]
-        if not isinstance(count, int) or count < 1:
-            raise ConfigError("sweep.count: expected a positive integer")
-        cfg.rate_grid = GridSpec(
-            start=_number(raw["rate_min"], "sweep.rate_min"),
-            stop=_number(raw["rate_max"], "sweep.rate_max"),
-            count=count,
-            spacing=raw.get("spacing", "log"),
-        )
-        if cfg.rate_grid.start <= 0 or cfg.rate_grid.stop <= 0:
-            raise ConfigError("sweep rates must be positive")
-        cfg.sweep_span = (
-            _number(raw["q_start"], "sweep.q_start"),
-            _number(raw["q_stop"], "sweep.q_stop"),
-        )
-        cfg.integrator = _parse_integrator(doc.get("integrator", {}))
-    else:
-        raw = _section(
-            doc["twomode"], "twomode",
-            {"coupling": True, "skew": True, "rate": True, "detuning_offset": False},
-            "twomode",
-        )
-        try:
-            cfg.twomode = TwoModeParams(
-                coupling=_number(raw["coupling"], "twomode.coupling"),
-                skew=_number(raw["skew"], "twomode.skew"),
-                rate=_number(raw["rate"], "twomode.rate"),
-                detuning_offset=_number(raw.get("detuning_offset", 0.0), "twomode.detuning_offset"),
-            )
-        except ParameterError as exc:
-            raise ConfigError(f"twomode: {exc}") from exc
-        if doc.get("t_max") is not None:
-            cfg.t_max = _number(doc["t_max"], "t_max")
+    if kind == "bands" and doc["band_count"] > cfg.lattice.size:
+        raise ConfigError(f"band_count: expected an integer in 1..{cfg.lattice.size}")
+    if cfg.drive is not None and cfg.drive.rate == 0.0:
+        raise ConfigError("drive.rate must be non-zero")
+    if kind == "sweep" and (doc["sweep"]["rate_min"] <= 0 or doc["sweep"]["rate_max"] <= 0):
+        raise ConfigError("sweep rates must be positive")
     return cfg
 
 

@@ -17,6 +17,7 @@ from . import __version__
 from .config import ExperimentConfig
 from .dynamics import (
     DriveParams,
+    _crossings_between,
     evolve,
     plateau_averages,
     prepare_band_state,
@@ -43,8 +44,9 @@ def run_bands(cfg: ExperimentConfig) -> ResultTable:
     """Band energies over a momentum grid: rows (q, band, energy_re, energy_im)."""
     if cfg.kind != "bands":
         raise ConfigError(f"run_bands got kind {cfg.kind!r}")
-    grid = cfg.q_grid.values()
-    structure = band_structure(cfg.lattice, grid, cfg.band_count)
+    q_grid = cfg.doc["q_grid"]
+    grid = np.linspace(q_grid["start"], q_grid["stop"], q_grid["count"])
+    structure = band_structure(cfg.lattice, grid, cfg.doc["band_count"])
     rows = []
     for iq, q in enumerate(structure.q_grid):
         for band in range(structure.band_count):
@@ -96,10 +98,7 @@ def run_multicross(cfg: ExperimentConfig) -> ResultTable:
     """Staircase run over >= 2 crossings: rows (z, q, power), plateau summary in metadata."""
     if cfg.kind != "multicross":
         raise ConfigError(f"run_multicross got kind {cfg.kind!r}")
-    span_lo, span_hi = sorted((cfg.drive.q_start, cfg.drive.q_stop))
-    odd = [m for m in range(int(np.floor(span_lo)), int(np.ceil(span_hi)) + 1)
-           if m % 2 != 0 and span_lo < m < span_hi]
-    if len(odd) < 2:
+    if _crossings_between(cfg.drive.q_start, cfg.drive.q_stop) < 2:
         raise ConfigError("multicross drive must cross at least two odd-integer momenta")
     wide, trace = _trace_table(cfg)
     table = ResultTable(["z", "q", "power"], [row[:3] for row in wide.rows], wide.metadata)
@@ -123,14 +122,15 @@ def run_sweep(cfg: ExperimentConfig) -> ResultTable:
     """Transition probability over a rate grid: rows (rate, p_numeric, p_analytic, abs_error)."""
     if cfg.kind != "sweep":
         raise ConfigError(f"run_sweep got kind {cfg.kind!r}")
-    rates = cfg.rate_grid.values()
-    q_start, q_stop = cfg.sweep_span
+    sweep = cfg.doc["sweep"]
+    spaced = np.geomspace if sweep["spacing"] == "log" else np.linspace
+    rates = spaced(sweep["rate_min"], sweep["rate_max"], sweep["count"])
     jobs = [
-        (cfg.lattice, DriveParams(float(rate), q_start, q_stop), cfg.integrator)
+        (cfg.lattice, DriveParams(float(rate), sweep["q_start"], sweep["q_stop"]), cfg.integrator)
         for rate in rates
     ]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    if cfg.doc["jobs"] > 1:
+        with ProcessPoolExecutor(max_workers=cfg.doc["jobs"]) as pool:
             numeric = list(pool.map(_sweep_point, jobs))
     else:
         numeric = [_sweep_point(job) for job in jobs]
@@ -148,7 +148,8 @@ def run_twomode(cfg: ExperimentConfig) -> ResultTable:
     """Two-level sweep: rows (t, a1_sq, a2_sq, power) plus analytic asymptotes."""
     if cfg.kind != "twomode":
         raise ConfigError(f"run_twomode got kind {cfg.kind!r}")
-    span = None if cfg.t_max is None else (-cfg.t_max, cfg.t_max)
+    t_max = cfg.doc["t_max"]
+    span = None if t_max is None else (-t_max, t_max)
     trace = evolve_two_mode(cfg.twomode, t_span=span)
     rows = [
         (float(t), float(abs(a1) ** 2), float(abs(a2) ** 2), float(abs(a1) ** 2 + abs(a2) ** 2))

@@ -296,28 +296,31 @@ def _eigensystem_general(params: LatticeParams, q: float) -> list[BandEigenpair]
     return pairs
 
 
+def _solver_path(params: LatticeParams, solver: str) -> str:
+    """Resolve a solver name to "symmetric" or "general"; see eigensystem."""
+    if solver == "auto":
+        return "symmetric" if params.v_real**2 - params.v_imag**2 > 0 else "general"
+    if solver not in ("symmetric", "general"):
+        raise ParameterError(f"unknown solver {solver!r}")
+    return solver
+
+
 def eigensystem(params: LatticeParams, q: float, solver: str = "auto") -> list[BandEigenpair]:
     """All 2*l_max+1 eigenpairs at q, sorted by Re energy (then Im).
 
     solver: "auto" picks the symmetrized real path in the unbroken phase and
     falls back to a dense general eigensolver at or beyond criticality;
     "symmetric" and "general" force one path (the pair is kept as a
-    cross-check of itself).
+    cross-check of itself).  Any other name raises ParameterError.
     """
-    if solver == "auto":
-        solver = "symmetric" if params.v_real**2 - params.v_imag**2 > 0 else "general"
-    if solver == "symmetric":
+    if _solver_path(params, solver) == "symmetric":
         return _eigensystem_symmetric(params, q)
-    if solver == "general":
-        return _eigensystem_general(params, q)
-    raise ParameterError(f"unknown solver {solver!r}")
+    return _eigensystem_general(params, q)
 
 
 def band_energies(params: LatticeParams, q: float, solver: str = "auto") -> np.ndarray:
-    """Sorted eigenvalues only (cheaper than full eigenpairs)."""
-    if solver == "auto":
-        solver = "symmetric" if params.v_real**2 - params.v_imag**2 > 0 else "general"
-    if solver == "symmetric":
+    """Sorted eigenvalues only (cheaper than full eigenpairs); solver as in eigensystem."""
+    if _solver_path(params, solver) == "symmetric":
         op = build_hamiltonian(params, q)
         sym, _ = symmetrize(op)
         vals = eigh_tridiagonal(sym.diag, sym.offdiag, eigvals_only=True)

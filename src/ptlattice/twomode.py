@@ -50,16 +50,15 @@ _CHUNK = 1024
 
 @dataclass(frozen=True)
 class TwoModeParams:
-    """Reduced two-level problem: couplings, sweep speed, detuning offset."""
+    """Reduced two-level problem: couplings and sweep speed."""
 
     coupling: float
     skew: float
     rate: float
-    detuning_offset: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.coupling, self.skew, self.rate, self.detuning_offset))):
-            raise ParameterError("coupling, skew, rate and detuning_offset must be finite")
+        if not all(map(math.isfinite, (self.coupling, self.skew, self.rate))):
+            raise ParameterError("coupling, skew and rate must be finite")
         if self.coupling < 0:
             raise ParameterError("coupling must be non-negative")
 
@@ -75,7 +74,6 @@ class TwoModeParams:
             coupling=2.0 * lattice.v_real,
             skew=2.0 * lattice.v_imag * sign,
             rate=4.0 * abs(drive_rate),
-            detuning_offset=2.0,
         )
 
 

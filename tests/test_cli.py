@@ -26,6 +26,23 @@ def bands_doc(**overrides):
     return doc
 
 
+def evolve_doc():
+    return {
+        "kind": "evolve",
+        "lattice": {"v_real": 0.2, "v_imag": 0.0},
+        "drive": {"rate": 0.1, "q_start": 0.0, "q_stop": 1.0},
+    }
+
+
+def sweep_doc():
+    return {
+        "kind": "sweep",
+        "lattice": {"v_real": 0.2, "v_imag": 0.0},
+        "sweep": {"rate_min": 0.1, "rate_max": 0.3, "count": 5,
+                  "q_start": 0.0, "q_stop": 1.8},
+    }
+
+
 class TestConfig:
     def test_unknown_top_level_field(self):
         with pytest.raises(ConfigError, match="unknown field"):
@@ -60,6 +77,24 @@ class TestConfig:
         assert resolved["svg"] is False
         assert resolved["out"] == "bands"
         assert resolved["lattice"]["l_max"] == 12
+
+    @pytest.mark.parametrize("make, path, value", [
+        (bands_doc, ("q_grid", "count"), True),
+        (bands_doc, ("band_count",), True),
+        (bands_doc, ("jobs",), True),
+        (bands_doc, ("lattice", "l_max"), True),
+        (evolve_doc, ("integrator", "sample_stride"), True),
+        (sweep_doc, ("sweep", "count"), True),
+        (sweep_doc, ("sweep", "spacing"), "cubic"),
+    ])
+    def test_mistyped_field_rejected(self, make, path, value):
+        doc = make()
+        section = doc
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+        section[path[-1]] = value
+        with pytest.raises(ConfigError, match=r"\.".join(path)):
+            parse_config(doc)
 
     def test_sweep_requires_positive_rates(self):
         doc = {
@@ -300,6 +335,7 @@ class TestPresets:
         for name in names:
             cfg = load_config(str(root.joinpath(name)))
             assert cfg.kind in ("bands", "evolve", "sweep", "multicross", "twomode")
+            assert parse_config(cfg.resolved()).resolved() == cfg.resolved()
 
     def test_expected_presets_exist(self):
         root = resources.files("ptlattice").joinpath("presets")

@@ -195,6 +195,11 @@ class TestEigensystem:
         gen = band_energies(params, 0.3, solver="general")
         np.testing.assert_allclose(sym, gen, atol=1e-9)
 
+    @pytest.mark.parametrize("solve", [eigensystem, band_energies])
+    def test_unknown_solver_rejected(self, solve):
+        with pytest.raises(ParameterError, match="bogus"):
+            solve(LatticeParams(0.2, 0.15), 0.3, solver="bogus")
+
     def test_spectral_reality_random_draws(self):
         rng = np.random.default_rng(11)
         for _ in range(50):

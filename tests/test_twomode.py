@@ -255,10 +255,10 @@ class TestEvolution:
         with pytest.raises(ParameterError):
             evolve_two_mode(TwoModeParams(0.4, 0.0, 0.12), step=step)
 
-    @pytest.mark.parametrize("field", ["coupling", "skew", "rate", "detuning_offset"])
+    @pytest.mark.parametrize("field", ["coupling", "skew", "rate"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_params_rejected(self, field, bad):
-        values = {"coupling": 0.4, "skew": 0.3, "rate": 0.12, "detuning_offset": 0.0}
+        values = {"coupling": 0.4, "skew": 0.3, "rate": 0.12}
         values[field] = bad
         with pytest.raises(ParameterError):
             TwoModeParams(**values)
