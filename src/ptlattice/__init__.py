@@ -27,14 +27,11 @@ from .lattice import (
     DimensionlessParams,
     LatticeParams,
     PhysicalParams,
-    SymmetricTridiagonal,
-    TridiagonalOperator,
     band_structure,
     build_hamiltonian,
     eigensystem,
     physical_to_dimensionless,
     pt_phase,
-    symmetrize,
 )
 from .twomode import (
     TwoModeParams,
@@ -65,8 +62,6 @@ __all__ = [
     "ParameterError",
     "PhaseError",
     "PhysicalParams",
-    "SymmetricTridiagonal",
-    "TridiagonalOperator",
     "TwoModeParams",
     "TwoModeState",
     "TwoModeTrace",
@@ -87,7 +82,6 @@ __all__ = [
     "prepare_band_state",
     "project_onto_band",
     "pt_phase",
-    "symmetrize",
     "transition_probability",
     "two_mode_eigenvalues",
 ]

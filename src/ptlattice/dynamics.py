@@ -17,6 +17,10 @@ per run.  Strang steps are composed as Yoshida's triple jump into one
 fourth-order step.  For v_imag = 0 every factor is unitary, so power is
 conserved to roundoff at any step; the step is limited by accuracy only and
 defaults to 0.01/max(1, q_max^2).
+
+Band occupations are biorthogonal projections onto the band eigenvectors of
+lattice.band_arrays.  evolve projects all of its samples with one call of
+it; prepare_band_state and project_onto_band are its one-momentum views.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DegenerateBandError, ParameterError
-from .lattice import LatticeParams, TridiagonalOperator, band_pair
+from .lattice import LatticeParams, band_arrays, build_hamiltonian
 
 POWER_HALVING_TOL = 1e-6
 
@@ -106,11 +110,32 @@ def power(state: ModeVector) -> float:
     return float(np.sum(np.abs(state.amplitudes) ** 2))
 
 
+def _unit_bands(params: LatticeParams, q, bands) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Band vectors at every momentum of q from band_arrays.
+
+    Returns the unit-power right vectors and the left vectors rescaled to
+    pair with them, each (Q, N, len(bands)), and the degeneracy flags
+    (Q, len(bands)).
+    """
+    solved = band_arrays(params, q, bands=bands)
+    norm = np.linalg.norm(solved.right, axis=1, keepdims=True)
+    return solved.right / norm, solved.left * norm, solved.degenerate
+
+
+def _one_band(params: LatticeParams, q: float, band: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-power right vector and paired left vector of one band at q."""
+    right, left, degenerate = _unit_bands(params, [q], [band])
+    if degenerate[0, 0]:
+        raise DegenerateBandError(
+            f"band {band} at q={q} is degenerate; its eigenvectors are unreliable"
+        )
+    return right[0, :, 0], left[0, :, 0]
+
+
 def prepare_band_state(params: LatticeParams, q: float, band: int) -> ModeVector:
     """Right eigenvector of the requested band, scaled to unit power."""
-    pair = band_pair(params, q, band)
-    a = pair.right / np.linalg.norm(pair.right)
-    return ModeVector(amplitudes=a.astype(complex), q_ref=q)
+    right, _ = _one_band(params, q, band)
+    return ModeVector(amplitudes=right, q_ref=q)
 
 
 def project_onto_band(
@@ -126,8 +151,8 @@ def project_onto_band(
     """
     if abs(q - state.q_ref) > 1e-9:
         raise ParameterError(f"state carries q_ref={state.q_ref}, asked to project at q={q}")
-    pair = band_pair(params, q, band)
-    c = complex(np.linalg.norm(pair.right) * np.dot(pair.left, state.amplitudes))
+    _, left = _one_band(params, q, band)
+    c = complex(left @ state.amplitudes)
     return c, abs(c) ** 2
 
 
@@ -148,9 +173,8 @@ def _integrate(
     dz = drive.duration / n_steps
     rate, q0 = drive.rate, drive.q_start
     two_l = 2.0 * params.mode_indices
-    coupling = TridiagonalOperator(
-        np.zeros(params.size), params.v_real + params.v_imag, params.v_real - params.v_imag
-    ).dense()
+    h = build_hamiltonian(params, 0.0)
+    coupling = h - np.diag(np.diag(h))
     u1 = expm(-1j * _W1 * dz * coupling)
     u0 = expm(-1j * _W0 * dz * coupling)
     widths = dz * np.diff(_NODES)[:, None]
@@ -192,9 +216,10 @@ def evolve(
 
     With convergence_check enabled the run is repeated at half the step and
     the final-state and final-power differences go into the metadata; a power
-    difference above 1e-6 adds an accuracy warning.  A sample whose band
-    projection is degenerate gets NaN in that band's column and is counted
-    in metadata["projection_failures"].
+    difference above 1e-6 adds an accuracy warning.  All samples are
+    projected onto bands 1 and 2 with one band_arrays call; a sample whose
+    band is degenerate gets NaN in that band's column and is counted in
+    metadata["projection_failures"].
     """
     if drive.rate == 0.0:
         raise ParameterError("evolve needs a non-zero drive rate")
@@ -211,23 +236,15 @@ def evolve(
     zs = np.array([s[0] for s in samples])
     qs = np.array([s[1] for s in samples])
     rho = np.array([float(np.sum(np.abs(s[2]) ** 2)) for s in samples])
-    p1 = np.empty(len(samples))
-    p2 = np.empty(len(samples))
-    failures = 0
-    for i, (_, q, a) in enumerate(samples):
-        probe = ModeVector(a, q)
-        for band, dest in ((1, p1), (2, p2)):
-            try:
-                _, dest[i] = project_onto_band(probe, params, q, band)
-            except DegenerateBandError:
-                dest[i] = math.nan
-                failures += 1
+    _, left, degenerate = _unit_bands(params, qs, (1, 2))
+    c = np.einsum("qlb,ql->qb", left, np.array([s[2] for s in samples]))
+    p1, p2 = np.where(degenerate, math.nan, np.abs(c) ** 2).T
 
     metadata = {
         "step": dz,
         "steps": n_steps,
         "sample_stride": stride,
-        "projection_failures": failures,
+        "projection_failures": int(degenerate.sum()),
         "warnings": [],
     }
     if config.convergence_check:

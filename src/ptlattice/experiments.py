@@ -24,7 +24,7 @@ from .dynamics import (
     transition_probability,
 )
 from .errors import ConfigError
-from .lattice import band_structure, pt_phase
+from .lattice import band_structure, phase_of
 from .results import ResultTable
 from .svgplot import Series, render_line_chart
 from .twomode import (
@@ -46,14 +46,16 @@ def run_bands(cfg: ExperimentConfig) -> ResultTable:
         raise ConfigError(f"run_bands got kind {cfg.kind!r}")
     q_grid = cfg.doc["q_grid"]
     grid = np.linspace(q_grid["start"], q_grid["stop"], q_grid["count"])
-    structure = band_structure(cfg.lattice, grid, cfg.doc["band_count"])
+    # every band is solved once: the rows keep band_count of them, the
+    # phase is classified over all
+    structure = band_structure(cfg.lattice, grid)
     rows = []
     for iq, q in enumerate(structure.q_grid):
-        for band in range(structure.band_count):
+        for band in range(cfg.doc["band_count"]):
             energy = structure.energies[band, iq]
             rows.append((float(q), band + 1, float(energy.real), float(energy.imag)))
     metadata = _base_metadata(cfg)
-    label, max_imag = pt_phase(cfg.lattice, grid)
+    label, max_imag = phase_of(cfg.lattice, structure.energies)
     metadata["phase"] = label
     metadata["max_imag_energy"] = max_imag
     return ResultTable(["q", "band", "energy_re", "energy_im"], rows, metadata)

@@ -1,4 +1,4 @@
-"""Bloch-basis operators of a complex (gain/loss modulated) lattice.
+"""Bloch bands of a complex (gain/loss modulated) lattice.
 
 A monochromatic beam in a periodic medium with modulation
 u(x) = u1*cos(2*pi*x/a) + i*u2*sin(2*pi*x/a) couples plane-wave modes
@@ -19,6 +19,17 @@ In the unbroken phase the similarity transform S = D^-1 H D with
 D = diag(r**(l/2)), r = (v_real - v_imag)/(v_real + v_imag), makes the
 operator symmetric with constant off-diagonal sqrt(v_real**2 - v_imag**2),
 which is what guarantees the real spectrum and gives a robust solver.
+
+One function, band_arrays, solves the operator at a whole vector of momenta
+with stacked LAPACK calls: np.linalg.eigh on the symmetrized stack in the
+unbroken phase, np.linalg.eig plus the inverse (for the left vectors) at or
+beyond criticality.  The momenta go in blocks of at most _BLOCK matrix
+elements (419 momenta at l_max 12), which bounds memory whatever the grid
+or sample count.  It returns arrays with the band index last: energies
+(Q, N), right and left vectors (Q, N, N) with columns as bands, and
+degeneracy flags (Q, N).  eigensystem, band_energies and band_structure are
+views of it, and so are the state preparation and band projection of the
+dynamics module.
 """
 
 from __future__ import annotations
@@ -27,9 +38,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .errors import DegenerateBandError, ParameterError, PhaseError
+from .errors import ParameterError, PhaseError
 
 DEFAULT_L_MAX = 12
 
@@ -39,6 +49,9 @@ REALITY_TOL = 1e-9
 CRITICAL_WINDOW = 1e-9
 # Eigenvalue spacing below this flags a (near-)degenerate pair.
 DEGENERACY_TOL = 1e-8
+# Momenta per stacked LAPACK call: each block's (Q, N, N) work arrays stay
+# below 2**18 elements (2 MB as float64), whatever the grid or sample count.
+_BLOCK = 2**18
 
 
 @dataclass(frozen=True)
@@ -124,32 +137,6 @@ def physical_to_dimensionless(p: PhysicalParams) -> DimensionlessParams:
     )
 
 
-@dataclass(frozen=True)
-class TridiagonalOperator:
-    """Real non-symmetric tridiagonal operator with constant off-diagonals."""
-
-    diag: np.ndarray
-    upper: float
-    lower: float
-
-    @property
-    def size(self) -> int:
-        return self.diag.size
-
-    def dense(self) -> np.ndarray:
-        h = np.diag(self.diag)
-        idx = np.arange(self.size - 1)
-        h[idx, idx + 1] = self.upper
-        h[idx + 1, idx] = self.lower
-        return h
-
-
-@dataclass(frozen=True)
-class SymmetricTridiagonal:
-    """Symmetric tridiagonal operator (diagonal plus constant off-diagonal)."""
-
-    diag: np.ndarray
-    offdiag: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -157,17 +144,32 @@ class BandEigenpair:
     """One band at one Bloch momentum with biorthogonal partner vectors.
 
     H right = energy * right and H^T left = energy * left, normalised so
-    left . right = norm_sign (+1 here) with equal Euclidean norms.  With a
-    real spectrum and v_imag = 0 the two vectors coincide.  Pairs flagged
-    degenerate sit within DEGENERACY_TOL of a neighbour (or were impossible
-    to pair up) and their vectors should not be trusted.
+    left . right = 1 with equal Euclidean norms.  With a real spectrum and
+    v_imag = 0 the two vectors coincide.  Pairs flagged degenerate sit
+    within DEGENERACY_TOL of a neighbour (or were impossible to pair up)
+    and their vectors should not be trusted.
     """
 
     energy: complex
     right: np.ndarray
     left: np.ndarray
-    norm_sign: int = 1
     degenerate: bool = False
+
+
+@dataclass(frozen=True)
+class BandArrays:
+    """Eigensystems at Q momenta, bands sorted by Re energy (then Im).
+
+    energies is (Q, N), every band.  For the B bands asked for, right and
+    left are (Q, N, B), right[iq, :, j] and left[iq, :, j] being the vectors
+    of the j-th band asked for at momentum iq, paired as in BandEigenpair,
+    and degenerate is (Q, B).
+    """
+
+    energies: np.ndarray
+    right: np.ndarray
+    left: np.ndarray
+    degenerate: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -179,125 +181,25 @@ class BandStructure:
     band_count: int
 
 
-def build_hamiltonian(params: LatticeParams, q: float) -> TridiagonalOperator:
-    """Mode operator at Bloch momentum q (any real value, extended zone)."""
-    if not math.isfinite(q):
-        raise ParameterError("Bloch momentum must be finite")
-    l = params.mode_indices
-    return TridiagonalOperator(
-        diag=(2.0 * l + q) ** 2,
-        upper=params.v_real + params.v_imag,
-        lower=params.v_real - params.v_imag,
-    )
+def build_hamiltonian(params: LatticeParams, q) -> np.ndarray:
+    """Dense mode operator at Bloch momentum q (any real value, extended zone).
 
-
-def symmetrize(op: TridiagonalOperator) -> tuple[SymmetricTridiagonal, np.ndarray]:
-    """Similarity-transform to symmetric form; also returns the gauge weights.
-
-    Valid only when upper*lower > 0 (unbroken phase): S = D^-1 H D with
-    D = diag(d_l), d_l = (lower/upper)**(l/2), has off-diagonal
-    sqrt(upper*lower) and the same spectrum as H.
+    A scalar q gives one (N, N) matrix, a vector of Q momenta a (Q, N, N) stack.
     """
-    n = op.size
-    l = np.arange(n) - (n - 1) // 2
-    if op.upper == 0.0 and op.lower == 0.0:
-        return SymmetricTridiagonal(op.diag.copy(), np.zeros(n - 1)), np.ones(n)
-    if op.upper * op.lower <= 0.0:
-        raise PhaseError(
-            "similarity symmetrization needs upper*lower > 0 "
-            "(unbroken phase); use the general solver instead"
-        )
-    ratio = op.lower / op.upper
-    weights = ratio ** (l / 2.0)
-    off = np.full(n - 1, math.sqrt(op.upper * op.lower))
-    return SymmetricTridiagonal(op.diag.copy(), off), weights
-
-
-def _fix_pair_phase(right: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate so the largest right component is real positive (keeps left.right)."""
-    i = int(np.argmax(np.abs(right)))
-    pivot = right[i]
-    if pivot == 0:
-        return right, left
-    phase = pivot / abs(pivot)
-    return right / phase, left * phase
-
-
-def _mark_degenerate(energies: np.ndarray) -> np.ndarray:
-    flags = np.zeros(energies.size, dtype=bool)
-    gaps = np.abs(np.diff(energies))
-    close = gaps < DEGENERACY_TOL
-    flags[:-1] |= close
-    flags[1:] |= close
-    return flags
-
-
-def _eigensystem_symmetric(params: LatticeParams, q: float) -> list[BandEigenpair]:
-    op = build_hamiltonian(params, q)
-    sym, weights = symmetrize(op)
-    energies, u = eigh_tridiagonal(sym.diag, sym.offdiag)
-    right = weights[:, None] * u
-    left = u / weights[:, None]
-    flags = _mark_degenerate(energies)
-    pairs = []
-    for i in range(op.size):
-        v, w = right[:, i], left[:, i]
-        # left.right == u.u == 1 already; equalise the norms
-        scale = math.sqrt(np.linalg.norm(v) / np.linalg.norm(w))
-        v, w = v / scale, w * scale
-        imax = int(np.argmax(np.abs(v)))
-        if v[imax] < 0:
-            v, w = -v, -w
-        pairs.append(
-            BandEigenpair(
-                energy=complex(energies[i]),
-                right=v.astype(complex),
-                left=w.astype(complex),
-                degenerate=bool(flags[i]),
-            )
-        )
-    return pairs
-
-
-def _eigensystem_general(params: LatticeParams, q: float) -> list[BandEigenpair]:
-    h = build_hamiltonian(params, q).dense()
-    energies, v = np.linalg.eig(h)
-    order = np.lexsort((energies.imag, energies.real))
-    energies, v = energies[order], v[:, order]
-    try:
-        w = np.linalg.inv(v).T
-        paired = True
-    except np.linalg.LinAlgError:
-        w = np.linalg.pinv(v).T
-        paired = False
-    flags = _mark_degenerate(energies)
-    pairs = []
-    for i in range(energies.size):
-        vi, wi = v[:, i], w[:, i]
-        overlap = np.dot(wi, vi)
-        degenerate = bool(flags[i]) or not paired
-        if abs(overlap) < 1e-12 * np.linalg.norm(vi) * np.linalg.norm(wi):
-            degenerate = True
-            vi = vi / np.linalg.norm(vi)
-            wi = wi / np.linalg.norm(wi)
-        else:
-            wi = wi / overlap
-            scale = math.sqrt(np.linalg.norm(vi) / np.linalg.norm(wi))
-            vi, wi = vi / scale, wi * scale
-        vi, wi = _fix_pair_phase(vi, wi)
-        pairs.append(
-            BandEigenpair(
-                energy=complex(energies[i]),
-                right=vi,
-                left=wi,
-                degenerate=degenerate,
-            )
-        )
-    return pairs
+    q = np.asarray(q, dtype=float)
+    if not np.all(np.isfinite(q)):
+        raise ParameterError("Bloch momentum must be finite")
+    n = params.size
+    i = np.arange(n)
+    h = np.zeros(q.shape + (n, n))
+    h[..., i, i] = (2.0 * params.mode_indices + q[..., None]) ** 2
+    h[..., i[:-1], i[1:]] = params.v_real + params.v_imag
+    h[..., i[1:], i[:-1]] = params.v_real - params.v_imag
+    return h
 
 
 def _solver_path(params: LatticeParams, solver: str) -> str:
-    """Resolve a solver name to "symmetric" or "general"; see eigensystem."""
+    """Resolve a solver name to "symmetric" or "general"; see band_arrays."""
     if solver == "auto":
         return "symmetric" if params.v_real**2 - params.v_imag**2 > 0 else "general"
     if solver not in ("symmetric", "general"):
@@ -305,28 +207,116 @@ def _solver_path(params: LatticeParams, solver: str) -> str:
     return solver
 
 
-def eigensystem(params: LatticeParams, q: float, solver: str = "auto") -> list[BandEigenpair]:
-    """All 2*l_max+1 eigenpairs at q, sorted by Re energy (then Im).
+def _mark_degenerate(energies: np.ndarray) -> np.ndarray:
+    """Flag each level within DEGENERACY_TOL of a neighbour in its sorted row."""
+    close = np.abs(np.diff(energies, axis=-1)) < DEGENERACY_TOL
+    flags = np.zeros(energies.shape, dtype=bool)
+    flags[..., :-1] |= close
+    flags[..., 1:] |= close
+    return flags
+
+
+def _solve_block(
+    params: LatticeParams, q: np.ndarray, symmetric: bool, cols: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """band_arrays on one block of momenta, in one stacked LAPACK call."""
+    h = build_hamiltonian(params, q)
+    if symmetric:
+        upper, lower = params.v_real + params.v_imag, params.v_real - params.v_imag
+        if upper * lower <= 0.0 and (upper, lower) != (0.0, 0.0):
+            raise PhaseError(
+                "similarity symmetrization needs (v_real + v_imag)*(v_real - v_imag) > 0 "
+                "(unbroken phase); use the general solver instead"
+            )
+        i = np.arange(params.size - 1)
+        h[:, i, i + 1] = h[:, i + 1, i] = math.sqrt(upper * lower)
+    if not cols:
+        energies = np.linalg.eigvalsh(h).astype(complex) if symmetric else np.linalg.eigvals(h)
+        energies = np.take_along_axis(energies, np.lexsort((energies.imag, energies.real)), -1)
+        empty = np.empty(h.shape[:2] + (0,), dtype=complex)
+        return energies, empty, empty, np.empty((q.size, 0), dtype=bool)
+
+    unpaired = np.zeros(q.size, dtype=bool)
+    if symmetric:
+        energies, u = np.linalg.eigh(h)
+        energies, u = energies.astype(complex), u[:, :, cols]
+        # right = D u and left = D^-1 u with D = diag(r**(l/2)), built from
+        # logs with each column's largest component at 1, so that the huge
+        # weights near the critical point never meet in one product
+        log_d = 0.5 * params.mode_indices[:, None] * (math.log(lower / upper) if upper else 0.0)
+        with np.errstate(divide="ignore"):
+            log_u = np.log(np.abs(u))
+        right, left = (
+            np.copysign(np.exp(x - x.max(axis=-2, keepdims=True)), u)
+            for x in (log_u + log_d, log_u - log_d)
+        )
+    else:
+        energies, v = np.linalg.eig(h)
+        order = np.lexsort((energies.imag, energies.real))
+        energies = np.take_along_axis(energies, order, -1)
+        v = np.take_along_axis(v, order[:, None, :], -1)
+        try:
+            w = np.linalg.inv(v)
+        except np.linalg.LinAlgError:
+            w = np.linalg.pinv(v)
+            unpaired = np.linalg.slogdet(v)[0] == 0
+        right, left = v[:, :, cols], w.swapaxes(-1, -2)[:, :, cols]
+
+    # scale to left . right = 1 with equal norms; a vanishing overlap leaves
+    # the pair unpaired (degenerate) and only equalises the norms
+    overlap = np.einsum("qlb,qlb->qb", left, right)
+    n_right = np.linalg.norm(right, axis=-2)
+    n_left = np.linalg.norm(left, axis=-2)
+    paired = np.abs(overlap) >= 1e-12 * n_right * n_left
+    overlap = np.where(paired, overlap, 1.0)
+    scale = np.sqrt(n_left / (n_right * np.abs(overlap)))
+    right = right * scale[:, None, :]
+    left = left / (scale * overlap)[:, None, :]
+    # phase convention: the largest right component is real positive
+    pivot = np.take_along_axis(right, np.argmax(np.abs(right), axis=-2)[:, None, :], -2)
+    phase = pivot / np.abs(pivot)
+    degenerate = (_mark_degenerate(energies) | unpaired[:, None])[:, cols] | ~paired
+    return energies, (right / phase).astype(complex), (left * phase).astype(complex), degenerate
+
+
+def band_arrays(params: LatticeParams, q, solver: str = "auto", bands=None) -> BandArrays:
+    """Eigensystems at every momentum of q (a scalar or a 1-D array) in stacked solves.
 
     solver: "auto" picks the symmetrized real path in the unbroken phase and
-    falls back to a dense general eigensolver at or beyond criticality;
-    "symmetric" and "general" force one path (the pair is kept as a
-    cross-check of itself).  Any other name raises ParameterError.
+    the dense general eigensolver at or beyond criticality; "symmetric" and
+    "general" force one path (the pair is kept as a cross-check of itself),
+    and "symmetric" outside the unbroken phase raises PhaseError.  Any other
+    name raises ParameterError.  bands: the band numbers (from 1) whose
+    vectors and flags are returned, in that order; None means all of them,
+    and an empty sequence skips the eigenvectors.
     """
-    if _solver_path(params, solver) == "symmetric":
-        return _eigensystem_symmetric(params, q)
-    return _eigensystem_general(params, q)
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    symmetric = _solver_path(params, solver) == "symmetric"
+    if bands is None:
+        bands = range(1, params.size + 1)
+    for band in bands:
+        if int(band) != band or band < 1 or band > params.size:
+            raise ParameterError(f"band must be in 1..{params.size}")
+    cols = [int(band) - 1 for band in bands]
+    step = max(1, _BLOCK // params.size**2)
+    blocks = [_solve_block(params, q[k:k + step], symmetric, cols) for k in range(0, q.size, step)]
+    return BandArrays(*(np.concatenate(parts) for parts in zip(*blocks)))
+
+
+def eigensystem(params: LatticeParams, q: float, solver: str = "auto") -> list[BandEigenpair]:
+    """All 2*l_max+1 eigenpairs at q, sorted by Re energy (then Im); solver as in band_arrays."""
+    b = band_arrays(params, q, solver)
+    return [
+        BandEigenpair(complex(energy), right, left, bool(degenerate))
+        for energy, right, left, degenerate in zip(
+            b.energies[0], b.right[0].T, b.left[0].T, b.degenerate[0]
+        )
+    ]
 
 
 def band_energies(params: LatticeParams, q: float, solver: str = "auto") -> np.ndarray:
-    """Sorted eigenvalues only (cheaper than full eigenpairs); solver as in eigensystem."""
-    if _solver_path(params, solver) == "symmetric":
-        op = build_hamiltonian(params, q)
-        sym, _ = symmetrize(op)
-        vals = eigh_tridiagonal(sym.diag, sym.offdiag, eigvals_only=True)
-        return vals.astype(complex)
-    vals = np.linalg.eigvals(build_hamiltonian(params, q).dense())
-    return vals[np.lexsort((vals.imag, vals.real))]
+    """Sorted eigenvalues at q only (cheaper than full eigenpairs); solver as in band_arrays."""
+    return band_arrays(params, q, solver, bands=()).energies[0]
 
 
 def band_structure(params: LatticeParams, q_grid, band_count: int | None = None) -> BandStructure:
@@ -338,10 +328,18 @@ def band_structure(params: LatticeParams, q_grid, band_count: int | None = None)
         band_count = params.size
     if not 1 <= band_count <= params.size:
         raise ParameterError("band_count out of range")
-    energies = np.empty((band_count, q_grid.size), dtype=complex)
-    for iq, q in enumerate(q_grid):
-        energies[:, iq] = band_energies(params, q)[:band_count]
+    energies = band_arrays(params, q_grid, bands=()).energies[:, :band_count].T
     return BandStructure(q_grid=q_grid, energies=energies, band_count=band_count)
+
+
+def phase_of(params: LatticeParams, energies: np.ndarray) -> tuple[str, float]:
+    """Classify the symmetry phase from all band energies on a grid; see pt_phase."""
+    max_imag = float(np.max(np.abs(energies.imag)))
+    if abs(abs(params.v_imag) - params.v_real) <= CRITICAL_WINDOW:
+        return "critical", max_imag
+    if abs(params.v_imag) < params.v_real and max_imag < REALITY_TOL:
+        return "unbroken", max_imag
+    return "broken", max_imag
 
 
 def pt_phase(params: LatticeParams, q_grid) -> tuple[str, float]:
@@ -352,22 +350,4 @@ def pt_phase(params: LatticeParams, q_grid) -> tuple[str, float]:
     too), "unbroken" when |v_imag| < v_real and the spectrum is real on the
     grid, otherwise "broken".
     """
-    structure = band_structure(params, q_grid)
-    max_imag = float(np.max(np.abs(structure.energies.imag)))
-    if abs(abs(params.v_imag) - params.v_real) <= CRITICAL_WINDOW:
-        return "critical", max_imag
-    if abs(params.v_imag) < params.v_real and max_imag < REALITY_TOL:
-        return "unbroken", max_imag
-    return "broken", max_imag
-
-
-def band_pair(params: LatticeParams, q: float, band: int) -> BandEigenpair:
-    """The band-th lowest eigenpair (bands counted from 1) at momentum q."""
-    if int(band) != band or band < 1 or band > params.size:
-        raise ParameterError(f"band must be in 1..{params.size}")
-    pair = eigensystem(params, q)[band - 1]
-    if pair.degenerate:
-        raise DegenerateBandError(
-            f"band {band} at q={q} is degenerate; its eigenvectors are unreliable"
-        )
-    return pair
+    return phase_of(params, band_structure(params, q_grid).energies)

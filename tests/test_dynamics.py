@@ -94,7 +94,7 @@ class TestKernelStep:
         a0 = prepare_band_state(params, 0.0, 1).amplitudes.astype(complex)
 
         def deriv(z, a):
-            return -1j * (build_hamiltonian(params, drive.rate * z).dense() @ a)
+            return -1j * (build_hamiltonian(params, drive.rate * z) @ a)
 
         ref = solve_ivp(deriv, (0.0, drive.duration), a0, method="DOP853",
                         rtol=1e-13, atol=1e-13).y[:, -1]
@@ -218,14 +218,39 @@ class TestEvolve:
         assert trace.metadata["projection_failures"] == 3
 
     def test_other_projection_errors_propagate(self, monkeypatch):
-        def broken(*args):
+        def broken(*args, **kwargs):
             raise np.linalg.LinAlgError("eigensolver failed")
 
-        monkeypatch.setattr(dynamics, "project_onto_band", broken)
         params = LatticeParams(0.2, 0.1)
         drive = DriveParams(0.1, 0.0, 1.5)
+        state = prepare_band_state(params, 0.0, 1)
+        monkeypatch.setattr(dynamics, "band_arrays", broken)
         with pytest.raises(np.linalg.LinAlgError):
-            evolve(prepare_band_state(params, 0.0, 1), params, drive)
+            evolve(state, params, drive)
+
+    @pytest.mark.parametrize("v_imag, drive, stride", [
+        (0.15, DriveParams(0.05, 0.0, 1.8), 40),
+        # the drive of test_degenerate_projection_is_counted
+        (0.2, DriveParams(0.1, 0.0, 1.0), 100),
+    ])
+    def test_stacked_projection_matches_per_sample_view(self, v_imag, drive, stride):
+        params = LatticeParams(0.2, v_imag)
+        cfg = IntegratorConfig(sample_stride=stride)
+        state = prepare_band_state(params, drive.q_start, 1)
+        trace = evolve(state, params, drive, cfg)
+        # the same integration again, keeping the sampled states
+        _, samples, _, _ = _integrate(state.amplitudes, params, drive,
+                                      default_step(params, drive), stride)
+        assert len(samples) == trace.q.size and len(samples) > 10
+        for band, column in ((1, trace.band1_prob), (2, trace.band2_prob)):
+            expected = np.empty(len(samples))
+            for i, (_, q, a) in enumerate(samples):
+                try:
+                    expected[i] = project_onto_band(ModeVector(a, q), params, q, band)[1]
+                except DegenerateBandError:
+                    expected[i] = math.nan
+            np.testing.assert_array_equal(np.isnan(column), np.isnan(expected))
+            np.testing.assert_allclose(column, expected, rtol=1e-12, atol=1e-12)
 
     def test_adiabatic_band_following(self):
         # slow Hermitian sweep through the avoided crossing keeps band 1 occupied

@@ -15,9 +15,8 @@ from ptlattice import (
     eigensystem,
     physical_to_dimensionless,
     pt_phase,
-    symmetrize,
 )
-from ptlattice.lattice import band_energies
+from ptlattice.lattice import band_arrays, band_energies
 
 
 def dense_oracle(v_real, v_imag, l_max, q):
@@ -75,26 +74,35 @@ class TestUnitConversion:
 
 class TestHamiltonian:
     def test_free_particle_diagonal(self):
-        op = build_hamiltonian(LatticeParams(0.0, 0.0), q=0.5)
+        h = build_hamiltonian(LatticeParams(0.0, 0.0), q=0.5)
         l_max = 12
-        assert op.diag[l_max - 1] == pytest.approx(2.25)
-        assert op.diag[l_max] == pytest.approx(0.25)
-        assert op.diag[l_max + 1] == pytest.approx(6.25)
-        assert op.upper == 0.0 and op.lower == 0.0
+        diag = np.diag(h)
+        assert diag[l_max - 1] == pytest.approx(2.25)
+        assert diag[l_max] == pytest.approx(0.25)
+        assert diag[l_max + 1] == pytest.approx(6.25)
+        assert np.all(np.diag(h, 1) == 0.0) and np.all(np.diag(h, -1) == 0.0)
 
     def test_offdiagonals_are_amplitude_sums(self):
-        op = build_hamiltonian(LatticeParams(0.2, 0.15), q=0.0)
-        assert op.upper == pytest.approx(0.35)
-        assert op.lower == pytest.approx(0.05)
+        h = build_hamiltonian(LatticeParams(0.2, 0.15), q=0.0)
+        np.testing.assert_allclose(np.diag(h, 1), 0.35)
+        np.testing.assert_allclose(np.diag(h, -1), 0.05)
 
     def test_sign_flip_is_transposition(self):
-        a = build_hamiltonian(LatticeParams(0.2, 0.15), 0.3).dense()
-        b = build_hamiltonian(LatticeParams(0.2, -0.15), 0.3).dense()
+        a = build_hamiltonian(LatticeParams(0.2, 0.15), 0.3)
+        b = build_hamiltonian(LatticeParams(0.2, -0.15), 0.3)
         np.testing.assert_allclose(a, b.T, atol=0)
 
     def test_matches_dense_oracle(self):
-        op = build_hamiltonian(LatticeParams(0.3, -0.1, 6), 1.7)
-        np.testing.assert_allclose(op.dense(), dense_oracle(0.3, -0.1, 6, 1.7), atol=0)
+        h = build_hamiltonian(LatticeParams(0.3, -0.1, 6), 1.7)
+        np.testing.assert_allclose(h, dense_oracle(0.3, -0.1, 6, 1.7), atol=0)
+
+    def test_momentum_vector_stacks_operators(self):
+        params = LatticeParams(0.3, -0.1, 6)
+        q = np.array([-0.4, 1.7, 3.0])
+        stack = build_hamiltonian(params, q)
+        assert stack.shape == (3, 13, 13)
+        for h, qi in zip(stack, q):
+            np.testing.assert_array_equal(h, build_hamiltonian(params, qi))
 
     def test_invalid_lattice_params(self):
         with pytest.raises(ParameterError):
@@ -111,20 +119,30 @@ class TestHamiltonian:
     def test_non_finite_momentum(self):
         with pytest.raises(ParameterError):
             build_hamiltonian(LatticeParams(0.2, 0.0), math.inf)
+        with pytest.raises(ParameterError):
+            band_arrays(LatticeParams(0.2, 0.0), [0.0, math.nan])
 
 
 class TestSymmetrize:
     def test_hermitian_case_is_identity_gauge(self):
-        op = build_hamiltonian(LatticeParams(0.2, 0.0), 0.3)
-        sym, weights = symmetrize(op)
-        np.testing.assert_allclose(weights, 1.0)
-        np.testing.assert_allclose(sym.offdiag, 0.2)
-        np.testing.assert_allclose(sym.diag, op.diag)
+        # with v_imag = 0 the operator is already symmetric: the gauge weights
+        # are 1, so left and right vectors coincide and the spectrum is H's own
+        params = LatticeParams(0.2, 0.0)
+        h = build_hamiltonian(params, 0.3)
+        np.testing.assert_array_equal(h, h.T)
+        np.testing.assert_allclose(np.diag(h, 1), 0.2)
+        for p in eigensystem(params, 0.3, solver="symmetric"):
+            np.testing.assert_allclose(p.right, p.left)
+        np.testing.assert_allclose(band_energies(params, 0.3, solver="symmetric").real,
+                                   np.linalg.eigvalsh(h))
 
     def test_offdiagonal_value(self):
-        op = build_hamiltonian(LatticeParams(0.2, 0.15), 0.0)
-        sym, _ = symmetrize(op)
-        assert sym.offdiag[0] == pytest.approx(math.sqrt(0.04 - 0.0225), rel=1e-14)
+        # the symmetrized operator's off-diagonal is the geometric mean of H's
+        h = build_hamiltonian(LatticeParams(0.2, 0.15), 0.0)
+        assert math.sqrt(h[0, 1] * h[1, 0]) == pytest.approx(math.sqrt(0.04 - 0.0225), rel=1e-14)
+        sym = dense_oracle(math.sqrt(0.04 - 0.0225), 0.0, 12, 0.0)
+        got = band_energies(LatticeParams(0.2, 0.15), 0.0, solver="symmetric")
+        np.testing.assert_allclose(got.real, np.linalg.eigvalsh(sym), atol=1e-10)
 
     def test_similarity_preserves_spectrum(self):
         # oracle: dense non-symmetric eigensolver on the independent construction
@@ -135,21 +153,35 @@ class TestSymmetrize:
         assert np.max(np.abs(got.imag)) == 0.0
 
     def test_gauge_weights_reconstruct_operator(self):
-        op = build_hamiltonian(LatticeParams(0.2, 0.1, 5), 0.7)
-        sym, d = symmetrize(op)
-        n = op.size
-        s = np.diag(sym.diag)
-        idx = np.arange(n - 1)
-        s[idx, idx + 1] = sym.offdiag
-        s[idx + 1, idx] = sym.offdiag
-        recovered = np.diag(d) @ s @ np.diag(1.0 / d)
-        np.testing.assert_allclose(recovered, op.dense(), atol=1e-12)
+        params = LatticeParams(0.2, 0.1, 5)
+        pairs = eigensystem(params, 0.7, solver="symmetric")
+        right = np.array([p.right for p in pairs]).T
+        left = np.array([p.left for p in pairs]).T
+        energies = np.array([p.energy for p in pairs])
+        recovered = right @ np.diag(energies) @ left.T
+        np.testing.assert_allclose(recovered, build_hamiltonian(params, 0.7), atol=1e-12)
 
     def test_phase_error_outside_unbroken(self):
-        with pytest.raises(PhaseError):
-            symmetrize(build_hamiltonian(LatticeParams(0.2, 0.25), 0.0))
-        with pytest.raises(PhaseError):
-            symmetrize(build_hamiltonian(LatticeParams(0.2, 0.2), 0.0))
+        for solve in (eigensystem, band_energies):
+            with pytest.raises(PhaseError):
+                solve(LatticeParams(0.2, 0.25), 0.0, solver="symmetric")
+            with pytest.raises(PhaseError):
+                solve(LatticeParams(0.2, 0.2), 0.0, solver="symmetric")
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_overflow_near_criticality_at_large_basis(self):
+        # the gauge weights span r**(+-l_max/2) with r = 2.5e-7, far beyond
+        # the float range at l_max 80; the solve must stay finite and silent
+        pairs = eigensystem(LatticeParams(0.2, 0.2 - 1e-7, 80), 0.0)
+        for p in pairs:
+            assert np.all(np.isfinite(p.right)) and np.all(np.isfinite(p.left))
+        ground = pairs[0]
+        assert not ground.degenerate
+        assert np.dot(ground.left, ground.right) == pytest.approx(1.0, abs=1e-8)
+        assert np.linalg.norm(ground.right) == pytest.approx(np.linalg.norm(ground.left),
+                                                             rel=1e-9)
+        small = band_energies(LatticeParams(0.2, 0.2 - 1e-7, 12), 0.0)
+        assert ground.energy == pytest.approx(small[0], abs=1e-12)
 
 
 class TestEigensystem:
@@ -173,7 +205,7 @@ class TestEigensystem:
     def test_biorthonormal_pairs(self):
         params = LatticeParams(0.2, 0.15)
         pairs = eigensystem(params, 0.7)
-        h = build_hamiltonian(params, 0.7).dense()
+        h = build_hamiltonian(params, 0.7)
         v = np.array([p.right for p in pairs]).T
         w = np.array([p.left for p in pairs]).T
         gram = w.T @ v
@@ -182,7 +214,6 @@ class TestEigensystem:
             assert np.linalg.norm(h @ p.right - p.energy * p.right) < 1e-8
             assert np.linalg.norm(h.T @ p.left - p.energy * p.left) < 1e-8
             assert np.linalg.norm(p.right) == pytest.approx(np.linalg.norm(p.left), rel=1e-9)
-            assert p.norm_sign == 1
 
     def test_hermitian_limit_left_equals_right(self):
         pairs = eigensystem(LatticeParams(0.2, 0.0), 0.4)
@@ -252,6 +283,25 @@ class TestBandStructure:
         bs = band_structure(LatticeParams(0.2, 0.1), grid)
         assert np.all(np.diff(bs.energies.real, axis=0) >= -1e-12)
         assert np.max(np.abs(bs.energies.imag)) < 1e-9
+
+    @pytest.mark.parametrize("v_imag", [0.15, 0.2, 0.3])
+    def test_stacked_grid_matches_per_momentum_views(self, v_imag):
+        # one stacked solve over the grid against one solve per momentum, on
+        # the symmetrized (unbroken) and the general (critical, broken) path
+        params = LatticeParams(0.2, v_imag, 6)
+        grid = np.linspace(-2.0, 2.0, 17)
+        stacked = band_arrays(params, grid)
+        energies = band_structure(params, grid).energies
+        for iq, q in enumerate(grid):
+            np.testing.assert_allclose(energies[:, iq], band_energies(params, q), atol=1e-12)
+            pairs = eigensystem(params, q)
+            np.testing.assert_allclose(stacked.energies[iq], [p.energy for p in pairs],
+                                       atol=1e-12)
+            np.testing.assert_allclose(stacked.right[iq], np.array([p.right for p in pairs]).T,
+                                       atol=1e-12)
+            np.testing.assert_allclose(stacked.left[iq], np.array([p.left for p in pairs]).T,
+                                       atol=1e-12)
+            assert list(stacked.degenerate[iq]) == [p.degenerate for p in pairs]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ParameterError):
