@@ -271,14 +271,8 @@ def evolve(
 def _crossings_between(q_from: float, q_to: float) -> int:
     """Number of odd-integer momenta strictly between q_from and q_to."""
     lo, hi = sorted((q_from, q_to))
-    first = math.floor((lo - 1.0) / 2.0) + 1
-    count = 0
-    j = first
-    while 2 * j + 1 < hi:
-        if 2 * j + 1 > lo:
-            count += 1
-        j += 1
-    return count
+    # 2j + 1 lies in (lo, hi) for floor((lo-1)/2) < j < ceil((hi-1)/2)
+    return max(0, math.ceil((hi - 1.0) / 2.0) - math.floor((lo - 1.0) / 2.0) - 1)
 
 
 def transition_probability(
@@ -288,12 +282,13 @@ def transition_probability(
 ) -> float:
     """Occupation of the second band after sweeping through one Bragg point.
 
-    Prepares the lowest band at q_start, evolves, and projects onto band 2 of
-    the eigensystem solved directly at the extended-zone q_stop (bands
-    indexed by sorted real energy).  The sorted band-2 index coincides with
-    the swept-through mode only until the free-mode parabolas reorder, so
-    q_stop should stay within one unit past the crossing (the standard
-    protocol uses 0 -> 1.8).
+    Prepares the lowest band at q_start, evolves, and reads the final
+    sample's projection onto band 2 of the eigensystem solved directly at
+    the extended-zone q_stop (bands indexed by sorted real energy).  The
+    sorted band-2 index coincides with the swept-through mode only until the
+    free-mode parabolas reorder, so q_stop should stay within one unit past
+    the crossing (the standard protocol uses 0 -> 1.8).  A degenerate band 2
+    at q_stop raises DegenerateBandError.
     """
     if _crossings_between(drive.q_start, drive.q_stop) != 1:
         raise ParameterError("drive must cross exactly one odd-integer Bragg point")
@@ -303,7 +298,11 @@ def transition_probability(
         step=config.step, sample_stride=10**9, convergence_check=config.convergence_check
     )
     trace = evolve(state, params, drive, sparse)
-    _, prob = project_onto_band(trace.final_state, params, drive.q_stop, 2)
+    prob = float(trace.band2_prob[-1])
+    if math.isnan(prob):
+        raise DegenerateBandError(
+            f"band 2 at q={drive.q_stop} is degenerate; its eigenvectors are unreliable"
+        )
     return prob
 
 

@@ -1,10 +1,11 @@
 """The five experiment runners behind the command-line front end.
 
-Each runner takes a parsed ExperimentConfig and produces a ResultTable whose
-metadata carries the resolved configuration, the package version, and any
-accuracy warnings.  Sweep points are independent computations and run on a
-process pool when jobs > 1; output rows keep grid order either way.
-Analytic reference columns always come from the twomode module.
+Each runner takes a parsed ExperimentConfig and produces a ResultTable: the
+arrays it computed, handed over as named columns, and metadata carrying the
+resolved configuration, the package version, and any accuracy warnings.
+Sweep points are independent computations and run on a process pool when
+jobs > 1; output rows keep grid order either way.  Analytic reference
+columns always come from the twomode module.
 """
 
 from __future__ import annotations
@@ -41,24 +42,27 @@ def _base_metadata(cfg: ExperimentConfig) -> dict:
 
 
 def run_bands(cfg: ExperimentConfig) -> ResultTable:
-    """Band energies over a momentum grid: rows (q, band, energy_re, energy_im)."""
+    """Band energies over a momentum grid: columns (q, band, energy_re, energy_im)."""
     if cfg.kind != "bands":
         raise ConfigError(f"run_bands got kind {cfg.kind!r}")
     q_grid = cfg.doc["q_grid"]
     grid = np.linspace(q_grid["start"], q_grid["stop"], q_grid["count"])
-    # every band is solved once: the rows keep band_count of them, the
-    # phase is classified over all
+    # every band is solved once: the table keeps band_count of them, the
+    # phase is classified over all; rows run over the bands of each q
     structure = band_structure(cfg.lattice, grid)
-    rows = []
-    for iq, q in enumerate(structure.q_grid):
-        for band in range(cfg.doc["band_count"]):
-            energy = structure.energies[band, iq]
-            rows.append((float(q), band + 1, float(energy.real), float(energy.imag)))
+    count = cfg.doc["band_count"]
+    energy = structure.energies[:count].T.ravel()
     metadata = _base_metadata(cfg)
     label, max_imag = phase_of(cfg.lattice, structure.energies)
     metadata["phase"] = label
     metadata["max_imag_energy"] = max_imag
-    return ResultTable(["q", "band", "energy_re", "energy_im"], rows, metadata)
+    columns = {
+        "q": np.repeat(structure.q_grid, count),
+        "band": np.tile(np.arange(1, count + 1), grid.size),
+        "energy_re": energy.real,
+        "energy_im": energy.imag,
+    }
+    return ResultTable(columns, metadata)
 
 
 def _trace_table(cfg: ExperimentConfig) -> tuple[ResultTable, object]:
@@ -69,18 +73,18 @@ def _trace_table(cfg: ExperimentConfig) -> tuple[ResultTable, object]:
     metadata["integration"] = {
         k: v for k, v in trace.metadata.items() if k != "warnings"
     }
-    rows = [
-        (float(z), float(q), float(rho), float(p1), float(p2))
-        for z, q, rho, p1, p2 in zip(
-            trace.z, trace.q, trace.power, trace.band1_prob, trace.band2_prob
-        )
-    ]
-    table = ResultTable(["z", "q", "power", "band1_prob", "band2_prob"], rows, metadata)
-    return table, trace
+    columns = {
+        "z": trace.z,
+        "q": trace.q,
+        "power": trace.power,
+        "band1_prob": trace.band1_prob,
+        "band2_prob": trace.band2_prob,
+    }
+    return ResultTable(columns, metadata), trace
 
 
 def run_evolve(cfg: ExperimentConfig) -> ResultTable:
-    """One driven run: rows (z, q, power, band1_prob, band2_prob)."""
+    """One driven run: columns (z, q, power, band1_prob, band2_prob)."""
     if cfg.kind != "evolve":
         raise ConfigError(f"run_evolve got kind {cfg.kind!r}")
     table, trace = _trace_table(cfg)
@@ -97,13 +101,13 @@ def run_evolve(cfg: ExperimentConfig) -> ResultTable:
 
 
 def run_multicross(cfg: ExperimentConfig) -> ResultTable:
-    """Staircase run over >= 2 crossings: rows (z, q, power), plateau summary in metadata."""
+    """Staircase run over >= 2 crossings: columns (z, q, power), plateau summary in metadata."""
     if cfg.kind != "multicross":
         raise ConfigError(f"run_multicross got kind {cfg.kind!r}")
     if _crossings_between(cfg.drive.q_start, cfg.drive.q_stop) < 2:
         raise ConfigError("multicross drive must cross at least two odd-integer momenta")
     wide, trace = _trace_table(cfg)
-    table = ResultTable(["z", "q", "power"], [row[:3] for row in wide.rows], wide.metadata)
+    table = ResultTable({k: wide.column(k) for k in ("z", "q", "power")}, wide.metadata)
     two = TwoModeParams.from_lattice(cfg.lattice, cfg.drive.rate)
     plateaus = []
     for n, mean_power in plateau_averages(trace).items():
@@ -121,7 +125,7 @@ def _sweep_point(job) -> float:
 
 
 def run_sweep(cfg: ExperimentConfig) -> ResultTable:
-    """Transition probability over a rate grid: rows (rate, p_numeric, p_analytic, abs_error)."""
+    """Transition probability over a rate grid: rate, p_numeric, p_analytic, abs_error."""
     if cfg.kind != "sweep":
         raise ConfigError(f"run_sweep got kind {cfg.kind!r}")
     sweep = cfg.doc["sweep"]
@@ -133,30 +137,26 @@ def run_sweep(cfg: ExperimentConfig) -> ResultTable:
     ]
     if cfg.doc["jobs"] > 1:
         with ProcessPoolExecutor(max_workers=cfg.doc["jobs"]) as pool:
-            numeric = list(pool.map(_sweep_point, jobs))
+            numeric = np.array(list(pool.map(_sweep_point, jobs)))
     else:
-        numeric = [_sweep_point(job) for job in jobs]
-    rows = []
-    for rate, p_num in zip(rates, numeric):
-        two = TwoModeParams.from_lattice(cfg.lattice, float(rate))
-        p_ref = lz_probability(two.coupling, two.skew, two.rate)
-        rows.append((float(rate), float(p_num), float(p_ref), abs(float(p_num) - p_ref)))
+        numeric = np.array([_sweep_point(job) for job in jobs])
+    twos = [TwoModeParams.from_lattice(cfg.lattice, rate) for rate in rates.tolist()]
+    analytic = np.array([lz_probability(two.coupling, two.skew, two.rate) for two in twos])
+    error = np.abs(numeric - analytic)
     metadata = _base_metadata(cfg)
-    metadata["max_abs_error"] = max(row[3] for row in rows)
-    return ResultTable(["rate", "p_numeric", "p_analytic", "abs_error"], rows, metadata)
+    metadata["max_abs_error"] = float(error.max())
+    columns = {"rate": rates, "p_numeric": numeric, "p_analytic": analytic, "abs_error": error}
+    return ResultTable(columns, metadata)
 
 
 def run_twomode(cfg: ExperimentConfig) -> ResultTable:
-    """Two-level sweep: rows (t, a1_sq, a2_sq, power) plus analytic asymptotes."""
+    """Two-level sweep: columns (t, a1_sq, a2_sq, power) plus analytic asymptotes."""
     if cfg.kind != "twomode":
         raise ConfigError(f"run_twomode got kind {cfg.kind!r}")
     t_max = cfg.doc["t_max"]
     span = None if t_max is None else (-t_max, t_max)
     trace = evolve_two_mode(cfg.twomode, t_span=span)
-    rows = [
-        (float(t), float(abs(a1) ** 2), float(abs(a2) ** 2), float(abs(a1) ** 2 + abs(a2) ** 2))
-        for t, a1, a2 in zip(trace.t, trace.a1, trace.a2)
-    ]
+    a1_sq, a2_sq = np.abs(trace.a1) ** 2, np.abs(trace.a2) ** 2
     metadata = _base_metadata(cfg)
     metadata["warnings"] = list(trace.metadata.get("warnings", []))
     tail1, tail2 = trace.tail_intensities()
@@ -168,7 +168,8 @@ def run_twomode(cfg: ExperimentConfig) -> ResultTable:
             "transition": lz_probability(two.coupling, skew, two.rate),
             "survival": lz_survival(two.coupling, skew, two.rate),
         }
-    return ResultTable(["t", "a1_sq", "a2_sq", "power"], rows, metadata)
+    columns = {"t": trace.t, "a1_sq": a1_sq, "a2_sq": a2_sq, "power": a1_sq + a2_sq}
+    return ResultTable(columns, metadata)
 
 
 RUNNERS = {
@@ -189,7 +190,7 @@ def render_chart(cfg: ExperimentConfig, table: ResultTable, path) -> None:
         energy = table.column("energy_re")
         series = [
             Series(f"band {b}", q[bands == b], energy[bands == b])
-            for b in sorted(set(int(b) for b in bands))
+            for b in np.unique(bands)
         ]
         render_line_chart(path, series, title="Band structure", x_label="q", y_label="energy")
     elif kind in ("evolve", "multicross"):

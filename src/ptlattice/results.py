@@ -1,68 +1,64 @@
 """Tabular run results and their on-disk CSV form.
 
-A result file is UTF-8 CSV whose first line is a '#'-prefixed JSON object
-carrying the fully resolved configuration and any accuracy warnings; the
-second line names the columns.  Floats are written with repr so identical
-runs produce byte-identical files.
+A ResultTable holds named 1-D numpy columns of equal length, in output
+order, plus a metadata dict.  A result file is UTF-8 CSV whose first line is
+a '#'-prefixed JSON object carrying the fully resolved configuration and any
+accuracy warnings; the second line names the columns.  Each cell is the str
+of the column's Python value (repr for floats), so identical runs produce
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-
-def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-# columns of one exact built-in type skip _format_cell's dispatch, same text
-_COLUMN_FORMATTERS = {float: float.__repr__, int: int.__repr__}
 # rows formatted at once; bounds the memory of the text being written
 _BLOCK_ROWS = 4096
 
 
-def _format_column(values: tuple) -> Iterator[str]:
-    """Format one column's cells as _format_cell does, choosing the formatter once."""
-    kinds = set(map(type, values))
-    fmt = _COLUMN_FORMATTERS.get(kinds.pop()) if len(kinds) == 1 else None
-    return map(fmt or _format_cell, values)
-
-
 @dataclass
 class ResultTable:
-    columns: list[str]
-    rows: list[tuple]
+    columns: dict[str, np.ndarray]
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("rows must match the column count")
+        self.columns = {name: np.asarray(values) for name, values in self.columns.items()}
+        shapes = {values.shape for values in self.columns.values()}
+        if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+            raise ValueError("columns must be 1-D and of equal length")
 
     def column(self, name: str) -> np.ndarray:
-        i = self.columns.index(name)
-        return np.array([row[i] for row in self.rows])
+        return self.columns[name]
+
+    @property
+    def rows(self) -> list[tuple]:
+        """The table as tuples of Python scalars, one per row."""
+        return list(zip(*(values.tolist() for values in self.columns.values())))
 
     def write_csv(self, path) -> Path:
         path = Path(path)
         with path.open("w", encoding="utf-8") as f:
             f.write("# " + json.dumps(self.metadata, sort_keys=True, separators=(",", ":")) + "\n")
             f.write(",".join(self.columns) + "\n")
-            for i in range(0, len(self.rows), _BLOCK_ROWS):
-                columns = map(_format_column, zip(*self.rows[i : i + _BLOCK_ROWS]))
-                f.write("\n".join(map(",".join, zip(*columns))) + "\n")
+            count = len(next(iter(self.columns.values()), ()))
+            for i in range(0, count, _BLOCK_ROWS):
+                cells = [map(str, v[i : i + _BLOCK_ROWS].tolist()) for v in self.columns.values()]
+                f.write("\n".join(map(",".join, zip(*cells))) + "\n")
         return path
+
+
+def _parse_column(cells: list[str]) -> np.ndarray:
+    """Integers if every cell is one, else floats if every cell is one, else text."""
+    for kind in (int, float):
+        try:
+            return np.array([kind(cell) for cell in cells])
+        except ValueError:
+            pass
+    return np.array(cells)
 
 
 def load_csv(path) -> ResultTable:
@@ -71,19 +67,9 @@ def load_csv(path) -> ResultTable:
     if not text or not text[0].startswith("#"):
         raise ValueError(f"{path}: missing metadata header line")
     metadata = json.loads(text[0].lstrip("#").strip())
-    columns = text[1].split(",")
-    rows = []
-    for line in text[2:]:
-        if not line:
-            continue
-        cells = []
-        for cell in line.split(","):
-            try:
-                cells.append(int(cell))
-            except ValueError:
-                try:
-                    cells.append(float(cell))
-                except ValueError:
-                    cells.append(cell)
-        rows.append(tuple(cells))
-    return ResultTable(columns=columns, rows=rows, metadata=metadata)
+    names = text[1].split(",")
+    rows = [line.split(",") for line in text[2:] if line]
+    if any(len(row) != len(names) for row in rows):
+        raise ValueError(f"{path}: rows must match the column count")
+    cells = zip(*rows) if rows else [[] for _ in names]
+    return ResultTable({name: _parse_column(list(c)) for name, c in zip(names, cells)}, metadata)

@@ -1,10 +1,16 @@
 """The public API: every exported name resolves, and the export list is pinned.
 
 The export list only shrinks; a removal updates EXPECTED with a reason in
-the change log, and any addition makes this test fail.
+the change log, and any addition makes this test fail.  The module
+attributes and table interface that perfbench wraps and reads are pinned
+as well, so a refactor that would break the benchmark fails here first.
 """
 
+import numpy as np
+
 import ptlattice
+from ptlattice import cli, dynamics, experiments, lattice
+from ptlattice.results import ResultTable, load_csv
 
 EXPECTED = {
     "__version__",
@@ -54,3 +60,23 @@ def test_every_exported_name_resolves():
 def test_export_list_is_pinned():
     assert len(ptlattice.__all__) == len(set(ptlattice.__all__))
     assert set(ptlattice.__all__) == EXPECTED
+
+
+def test_benchmark_surface_resolves(tmp_path):
+    wrapped = {
+        cli: ["main", "load_config", "render_chart", "RUNNERS"],
+        experiments: ["evolve", "transition_probability", "evolve_two_mode", "render_line_chart"],
+        dynamics: ["evolve", "project_onto_band"],
+        lattice: ["eigensystem", "band_energies"],
+    }
+    for module, names in wrapped.items():
+        assert [name for name in names if not hasattr(module, name)] == [], module.__name__
+    assert "write_csv" in ResultTable.__dict__
+    path = tmp_path / "t.csv"
+    table = ResultTable({"z": [0.0, 0.5], "band": [1, 2]}, {"warnings": []})
+    assert table.write_csv(path) == path
+    back = load_csv(path)
+    assert back.rows == [(0.0, 1), (0.5, 2)]
+    assert [type(cell) for cell in back.rows[0]] == [float, int]
+    assert back.column("z").dtype == np.float64
+    assert back.metadata == {"warnings": []}

@@ -11,6 +11,7 @@ import pytest
 from ptlattice.cli import main
 from ptlattice.config import load_config, parse_config
 from ptlattice.errors import ConfigError
+from ptlattice.lattice import band_structure
 from ptlattice.experiments import run_bands, run_evolve, run_multicross, run_sweep, run_twomode
 from ptlattice.results import ResultTable, load_csv
 
@@ -119,20 +120,29 @@ class TestConfig:
 class TestResultTable:
     def test_csv_round_trip(self, tmp_path):
         table = ResultTable(
-            ["a", "b"], [(1.5, 2), (0.25, -3)], metadata={"config": {"x": 1}, "warnings": []}
+            {"a": [1.5, 0.25], "b": [2, -3]}, metadata={"config": {"x": 1}, "warnings": []}
         )
         path = table.write_csv(tmp_path / "t.csv")
         back = load_csv(path)
-        assert back.columns == ["a", "b"]
+        assert list(back.columns) == ["a", "b"]
         assert back.rows == [(1.5, 2), (0.25, -3)]
         assert back.metadata == {"config": {"x": 1}, "warnings": []}
+        # an empty table keeps its header and names
+        empty = ResultTable({"a": [], "b": []}, metadata={"warnings": []})
+        path = empty.write_csv(tmp_path / "empty.csv")
+        assert path.read_bytes() == b'# {"warnings":[]}\na,b\n'
+        back = load_csv(path)
+        assert list(back.columns) == ["a", "b"]
+        assert back.rows == []
+        assert back.metadata == {"warnings": []}
 
     def test_csv_cell_bytes(self, tmp_path):
         rows = [
             (True, np.bool_(False), 3, np.int64(-4), 0.1, np.float64(1e-300), "x", 2.5),
             (False, np.bool_(True), -7, np.int32(5), np.float32(0.5), -0.0, "y z", 1 / 3),
         ]
-        path = ResultTable(list("abcdefgh"), rows).write_csv(tmp_path / "t.csv")
+        columns = dict(zip("abcdefgh", zip(*rows)))
+        path = ResultTable(columns).write_csv(tmp_path / "t.csv")
         assert path.read_bytes() == (
             b"# {}\n"
             b"a,b,c,d,e,f,g,h\n"
@@ -141,8 +151,9 @@ class TestResultTable:
         )
 
     def test_rows_must_be_rectangular(self):
+        # columns of unequal length make ragged rows
         with pytest.raises(ValueError):
-            ResultTable(["a", "b"], [(1,)])
+            ResultTable({"a": [1], "b": [1, 2]})
 
 
 class TestRunners:
@@ -159,6 +170,17 @@ class TestRunners:
         assert min(gap_at, key=gap_at.get) in (-1.0, 1.0)
         assert gap_at[1.0] == pytest.approx(2 * math.sqrt(0.04 - 0.0225), rel=0.01)
         assert table.metadata["phase"] == "unbroken"
+
+    def test_run_bands_rows_follow_band_structure(self):
+        # row order: the bands of each momentum in turn, as a per-row loop gives
+        cfg = parse_config(bands_doc())
+        structure = band_structure(cfg.lattice, np.linspace(-1.0, 1.0, 41))
+        expected = [
+            (float(q), band + 1, float(energy.real), float(energy.imag))
+            for iq, q in enumerate(structure.q_grid)
+            for band, energy in enumerate(structure.energies[:2, iq])
+        ]
+        assert run_bands(cfg).rows == expected
 
     def test_run_bands_critical_touch(self):
         doc = bands_doc()
@@ -238,7 +260,7 @@ class TestRunners:
             "t_max": 80.0,
         }
         table = run_twomode(parse_config(doc))
-        assert table.columns == ["t", "a1_sq", "a2_sq", "power"]
+        assert list(table.columns) == ["t", "a1_sq", "a2_sq", "power"]
         assert table.metadata["analytic"]["transition"] == pytest.approx(
             math.exp(-math.pi * 0.16 / 0.24), rel=1e-12
         )
@@ -254,21 +276,42 @@ class TestCli:
         code = main(["bands", "--config", str(cfg), "--out", str(out), "--svg"])
         assert code == 0
         table = load_csv(out.with_suffix(".csv"))
-        assert table.columns == ["q", "band", "energy_re", "energy_im"]
+        assert list(table.columns) == ["q", "band", "energy_re", "energy_im"]
         assert table.metadata["config"]["lattice"]["v_real"] == 0.2
         tree = ET.parse(out.with_suffix(".svg"))
         assert tree.getroot().tag.endswith("svg")
 
-    def test_deterministic_output_bytes(self, tmp_path):
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            bands_doc(),
+            evolve_doc(),
+            {
+                "kind": "multicross",
+                "lattice": {"v_real": 0.2, "v_imag": 0.1, "l_max": 4},
+                "drive": {"rate": 0.3, "q_start": 0.0, "q_stop": 3.9},
+                "integrator": {"step": 0.005},
+            },
+            dict(sweep_doc(), jobs=2),
+            {
+                "kind": "twomode",
+                "twomode": {"coupling": 0.4, "skew": 0.1, "rate": 0.12},
+                "t_max": 40.0,
+            },
+        ],
+        ids=lambda doc: doc["kind"],
+    )
+    def test_deterministic_output_bytes(self, tmp_path, doc):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(bands_doc()))
+        cfg.write_text(json.dumps(doc))
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["bands", "--config", str(cfg), "--out", str(a)]) == 0
-        assert main(["bands", "--config", str(cfg), "--out", str(b)]) == 0
+        for out in (a, b):
+            assert main([doc["kind"], "--config", str(cfg), "--out", str(out), "--svg"]) == 0
         a_bytes = a.with_suffix(".csv").read_bytes()
         b_bytes = b.with_suffix(".csv").read_bytes()
         # metadata echoes the out prefix; compare data payloads
         assert a_bytes.split(b"\n", 1)[1] == b_bytes.split(b"\n", 1)[1]
+        assert a.with_suffix(".svg").read_bytes() == b.with_suffix(".svg").read_bytes()
 
     def test_unknown_field_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

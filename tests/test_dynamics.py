@@ -150,6 +150,16 @@ class TestDrive:
         assert _crossings_between(0.0, 0.9) == 0
         assert _crossings_between(1.0, 3.0) == 0  # endpoints excluded
         assert _crossings_between(0.5, 5.2) == 3
+        # against a brute-force count, with odd-integer endpoints, negatives
+        # and endpoints just beside an odd integer
+        grid = sorted(
+            {x / 4 for x in range(-24, 25)}
+            | {m + d for m in range(-7, 8, 2) for d in (-1e-12, 1e-12, -0.5, 0.5)}
+        )
+        for lo in grid:
+            for hi in grid:
+                expected = sum(1 for m in range(-9, 10, 2) if min(lo, hi) < m < max(lo, hi))
+                assert _crossings_between(lo, hi) == expected, (lo, hi)
 
     @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -0.01])
     def test_invalid_step_rejected(self, step):
@@ -307,6 +317,11 @@ class TestTransitionProbability:
             transition_probability(LatticeParams(0.2, 0.0), DriveParams(0.1, 0.0, 3.9))
         with pytest.raises(ParameterError):
             transition_probability(LatticeParams(0.2, 0.0), DriveParams(0.1, 0.0, 0.9))
+
+    def test_degenerate_final_momentum_raises(self):
+        # at criticality the bands touch at every odd integer, here q_stop = 3
+        with pytest.raises(DegenerateBandError):
+            transition_probability(LatticeParams(0.2, 0.2, 6), DriveParams(0.3, 0.0, 3.0))
 
 
 class TestPlateaus:
