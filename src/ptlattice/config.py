@@ -108,6 +108,7 @@ _SCHEMAS = {
             "rate": (_number, _REQUIRED),
         }, _REQUIRED),
         "t_max": (_optional(_number), None),
+        "integrator": (_INTEGRATOR, {}),
     },
 }
 KINDS = tuple(_SCHEMAS)

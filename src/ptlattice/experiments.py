@@ -155,7 +155,9 @@ def run_twomode(cfg: ExperimentConfig) -> ResultTable:
         raise ConfigError(f"run_twomode got kind {cfg.kind!r}")
     t_max = cfg.doc["t_max"]
     span = None if t_max is None else (-t_max, t_max)
-    trace = evolve_two_mode(cfg.twomode, t_span=span)
+    # IntegratorConfig's fields (step, sample_stride, convergence_check) are
+    # keyword arguments of evolve_two_mode
+    trace = evolve_two_mode(cfg.twomode, t_span=span, **vars(cfg.integrator))
     a1_sq, a2_sq = np.abs(trace.a1) ** 2, np.abs(trace.a2) ** 2
     metadata = _base_metadata(cfg)
     metadata["warnings"] = list(trace.metadata.get("warnings", []))

@@ -7,12 +7,16 @@ legend.  Output is a single standalone .svg file.
 
 from __future__ import annotations
 
+import html
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
+
+# element text escaping (&, <, >); html, unlike xml.sax, imports no urllib
+escape = partial(html.escape, quote=False)
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
 

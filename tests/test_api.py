@@ -3,8 +3,14 @@
 The export list only shrinks; a removal updates EXPECTED with a reason in
 the change log, and any addition makes this test fail.  The module
 attributes and table interface that perfbench wraps and reads are pinned
-as well, so a refactor that would break the benchmark fails here first.
+as well, so a refactor that would break the benchmark fails here first, and
+so is the command line's import footprint, which every run pays at start.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -80,3 +86,21 @@ def test_benchmark_surface_resolves(tmp_path):
     assert [type(cell) for cell in back.rows[0]] == [float, int]
     assert back.column("z").dtype == np.float64
     assert back.metadata == {"warnings": []}
+
+
+def test_cli_import_stays_light():
+    # scipy (with its threaded BLAS) and xml.sax's urllib.request/http.client
+    # cost tens to hundreds of ms per run; pathlib itself needs urllib.parse
+    src = str(Path(ptlattice.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = "import sys, ptlattice.cli; print(*sys.modules)"
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    ).stdout.split()
+    assert "ptlattice.cli" in loaded
+    heavy = [
+        m for m in loaded
+        if m.split(".")[0] in ("scipy", "http", "xml") or m == "urllib.request"
+    ]
+    assert heavy == []

@@ -35,6 +35,10 @@ def evolve_doc():
     }
 
 
+def twomode_doc():
+    return {"kind": "twomode", "twomode": {"coupling": 0.4, "skew": 0.3, "rate": 0.12}}
+
+
 def sweep_doc():
     return {
         "kind": "sweep",
@@ -87,6 +91,7 @@ class TestConfig:
         (evolve_doc, ("integrator", "sample_stride"), True),
         (sweep_doc, ("sweep", "count"), True),
         (sweep_doc, ("sweep", "spacing"), "cubic"),
+        (twomode_doc, ("integrator", "sample_stride"), 0),
     ])
     def test_mistyped_field_rejected(self, make, path, value):
         doc = make()
@@ -267,6 +272,20 @@ class TestRunners:
         rows = np.array(table.rows)
         np.testing.assert_allclose(rows[:, 3], rows[:, 1] + rows[:, 2], atol=1e-12)
 
+    def test_run_twomode_integrator_passes_through(self):
+        doc = {
+            "kind": "twomode",
+            "twomode": {"coupling": 0.4, "skew": 0.1, "rate": 0.12},
+            "t_max": 40.0,
+            "integrator": {"step": 0.05, "sample_stride": 10},
+        }
+        cfg = parse_config(doc)
+        assert cfg.resolved()["integrator"]["convergence_check"] is False
+        t = run_twomode(cfg).column("t")
+        # 1600 steps of 0.05, one sample every 10 steps
+        assert t.size == 161
+        np.testing.assert_allclose(np.diff(t), 0.5, rtol=1e-9)
+
 
 class TestCli:
     def test_bands_end_to_end(self, tmp_path):
@@ -341,6 +360,22 @@ class TestCli:
         assert "accuracy" in capsys.readouterr().err
         # the artifact is still written, with the warning recorded
         table = load_csv(out.with_suffix(".csv"))
+        assert table.metadata["warnings"]
+
+    def test_twomode_accuracy_failure_exits_3(self, tmp_path, capsys):
+        doc = {
+            "kind": "twomode",
+            "twomode": {"coupling": 0.4, "skew": 0.0, "rate": 0.12},
+            "t_max": 50.0,
+            "integrator": {"step": 0.5, "convergence_check": True},
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "coarse"
+        assert main(["twomode", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "step too large" in capsys.readouterr().err
+        table = load_csv(out.with_suffix(".csv"))
+        assert table.metadata["config"]["integrator"]["step"] == 0.5
         assert table.metadata["warnings"]
 
     def test_nan_lattice_amplitude_exits_2(self, tmp_path, capsys):

@@ -20,7 +20,13 @@ from ptlattice import (
     transition_probability,
 )
 from ptlattice import dynamics
-from ptlattice.dynamics import _crossings_between, _integrate, default_step, plateau_averages
+from ptlattice.dynamics import (
+    _crossings_between,
+    _expm,
+    _integrate,
+    default_step,
+    plateau_averages,
+)
 
 
 class TestPrepare:
@@ -101,6 +107,23 @@ class TestKernelStep:
         errs = [np.linalg.norm(_integrate(a0, params, drive, h, None)[0] - ref)
                 for h in (0.1, 0.05)]
         assert math.log2(errs[0] / errs[1]) == pytest.approx(4.0, abs=0.3)
+
+    # v_imag = v_real = 0.2 makes the coupling a Jordan block, 0.2 - 1e-7
+    # leaves it an ill-conditioned eigenbasis, 0.3 gives it imaginary eigenvalues
+    @pytest.mark.parametrize("v_imag", [0.0, 0.15, 0.19, 0.2 - 1e-7, 0.2, 0.3])
+    def test_coupling_exponential_matches_scipy(self, v_imag):
+        from scipy.linalg import expm
+
+        for l_max in (4, 6, 12, 40, 80):
+            h = build_hamiltonian(LatticeParams(0.2, v_imag, l_max), 0.0)
+            coupling = h - np.diag(np.diag(h))
+            # dz >= 1 needs squaring at every l_max here
+            for dz in (1e-4, 1e-3, 1e-2, 0.1, 1.0, 3.0, 10.0):
+                for w in (dynamics._W1, dynamics._W0):
+                    a = -1j * w * dz * coupling
+                    ref = expm(a)
+                    err = np.max(np.abs(_expm(a) - ref)) / np.max(np.abs(ref))
+                    assert err <= 1e-13, (l_max, dz, w, err)
 
 
 class TestPowerAndProjection:
