@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .dynamics import DriveParams, IntegratorConfig
 from .errors import ConfigError, ParameterError
-from .lattice import DEFAULT_L_MAX, LatticeParams
+from .lattice import DEFAULT_L_MAX, LatticeParams, _is_integer
 from .twomode import TwoModeParams
 
 # default marker of a field that must be given
@@ -46,8 +46,7 @@ def _optional(check):
 
 _boolean = _check(lambda v: isinstance(v, bool), "a boolean")
 _string = _check(lambda v: isinstance(v, str), "a string")
-# type() and not isinstance(): JSON true/false are bools, and bool subclasses int
-_count = _check(lambda v: type(v) is int and v >= 1, "a positive integer")
+_count = _check(lambda v: _is_integer(v) and v >= 1, "a positive integer")
 
 _LATTICE = {
     "v_real": (_number, _REQUIRED),
@@ -90,7 +89,8 @@ _SCHEMAS = {
     "evolve": _DRIVEN,
     "sweep": _COMMON | {
         "lattice": (_LATTICE, _REQUIRED),
-        "integrator": (_INTEGRATOR, {}),
+        # each sweep point samples only the two ends of its run
+        "integrator": ({k: v for k, v in _INTEGRATOR.items() if k != "sample_stride"}, {}),
         "sweep": ({
             "rate_min": (_number, _REQUIRED),
             "rate_max": (_number, _REQUIRED),

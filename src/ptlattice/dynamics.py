@@ -15,10 +15,12 @@ the diagonal is integrated exactly, since q is linear in z, and the constant
 coupling V is applied through its exponential expm(-i w V dz), computed once
 per run by scaling and squaring a Taylor series, which needs no eigenbasis
 (at v_imag = v_real the coupling is a Jordan block).  Strang steps are
-composed as Yoshida's triple jump into one fourth-order step.  For
-v_imag = 0 every factor is unitary, so power is conserved to roundoff at any
-step; the step is limited by accuracy only and defaults to
-0.01/max(1, q_max^2).
+composed as Yoshida's triple jump into one fourth-order step; the twomode
+module's two-level kernel uses the same weights, _expm and IntegratorConfig.
+For v_imag = 0 every factor is unitary, so power is conserved to roundoff at
+any step; the step is limited by accuracy only and defaults to
+0.01/max(1, q_max^2).  A run is a whole number of steps, and the
+convergence check reruns it with exactly twice as many.
 
 Band occupations are biorthogonal projections onto the band eigenvectors of
 lattice.band_arrays.  evolve projects all of its samples with one call of
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateBandError, ParameterError
-from .lattice import LatticeParams, band_arrays, build_hamiltonian
+from .lattice import LatticeParams, _is_integer, band_arrays, build_hamiltonian
 
 POWER_HALVING_TOL = 1e-6
 
@@ -89,8 +91,9 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
             raise ParameterError(f"step must be finite and positive, got {self.step}")
-        if self.sample_stride is not None and self.sample_stride < 1:
-            raise ParameterError("sample_stride must be >= 1")
+        stride = self.sample_stride
+        if not (stride is None or _is_integer(stride) and stride >= 1):
+            raise ParameterError(f"sample_stride must be an integer >= 1, got {stride}")
 
 
 @dataclass
@@ -162,6 +165,12 @@ def default_step(params: LatticeParams, drive: DriveParams) -> float:
     return 0.01 / max(1.0, qm * qm)
 
 
+def _step_count(params: LatticeParams, drive: DriveParams, config: IntegratorConfig) -> int:
+    """Steps of a run: the fewest whose length is at most the configured or default step."""
+    step = config.step if config.step is not None else default_step(params, drive)
+    return max(1, math.ceil(drive.duration / step))
+
+
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring of a degree-18 Taylor series.
 
@@ -184,11 +193,10 @@ def _integrate(
     a0: np.ndarray,
     params: LatticeParams,
     drive: DriveParams,
-    step: float,
+    n_steps: int,
     record_stride: int | None,
 ):
-    """March a0 from z=0 to the drive's end; optionally record (z, q, a) samples."""
-    n_steps = max(1, math.ceil(drive.duration / step))
+    """March a0 from z=0 to the drive's end in n_steps; optionally record (z, q, a) samples."""
     dz = drive.duration / n_steps
     rate, q0 = drive.rate, drive.q_start
     two_l = 2.0 * params.mode_indices
@@ -222,7 +230,7 @@ def _integrate(
                     samples.append((drive.duration, drive.q_stop, y.copy()))
                 else:
                     samples.append(((i + 1) * dz, q0 + rate * (i + 1) * dz, y.copy()))
-    return y, samples, dz, n_steps
+    return y, samples
 
 
 def evolve(
@@ -233,7 +241,7 @@ def evolve(
 ) -> EvolutionTrace:
     """Propagate a state through the drive and sample (z, q, power, bands 1-2).
 
-    With convergence_check enabled the run is repeated at half the step and
+    With convergence_check enabled the run is repeated with twice the steps and
     the final-state and final-power differences go into the metadata; a power
     difference above 1e-6 adds an accuracy warning.  All samples are
     projected onto bands 1 and 2 with one band_arrays call; a sample whose
@@ -244,13 +252,10 @@ def evolve(
         raise ParameterError("evolve needs a non-zero drive rate")
     if abs(state.q_ref - drive.q_start) > 1e-9:
         raise ParameterError("state q_ref must match the drive's q_start")
-    step = config.step if config.step is not None else default_step(params, drive)
-    n_steps = max(1, math.ceil(drive.duration / step))
-    stride = config.sample_stride
-    if stride is None:
-        stride = max(1, n_steps // 2000)
+    n_steps = _step_count(params, drive, config)
+    stride = config.sample_stride or max(1, n_steps // 2000)
 
-    y, samples, dz, n_steps = _integrate(state.amplitudes, params, drive, step, stride)
+    y, samples = _integrate(state.amplitudes, params, drive, n_steps, stride)
 
     zs = np.array([s[0] for s in samples])
     qs = np.array([s[1] for s in samples])
@@ -260,14 +265,14 @@ def evolve(
     p1, p2 = np.where(degenerate, math.nan, np.abs(c) ** 2).T
 
     metadata = {
-        "step": dz,
+        "step": drive.duration / n_steps,
         "steps": n_steps,
         "sample_stride": stride,
         "projection_failures": int(degenerate.sum()),
         "warnings": [],
     }
     if config.convergence_check:
-        y_half, _, _, _ = _integrate(state.amplitudes, params, drive, dz / 2.0, None)
+        y_half, _ = _integrate(state.amplitudes, params, drive, 2 * n_steps, None)
         state_diff = float(np.linalg.norm(y - y_half))
         power_diff = abs(float(np.sum(np.abs(y) ** 2)) - float(np.sum(np.abs(y_half) ** 2)))
         metadata["final_state_halving_diff"] = state_diff
@@ -307,16 +312,14 @@ def transition_probability(
     sorted band-2 index coincides with the swept-through mode only until the
     free-mode parabolas reorder, so q_stop should stay within one unit past
     the crossing (the standard protocol uses 0 -> 1.8).  A degenerate band 2
-    at q_stop raises DegenerateBandError.
+    at q_stop raises DegenerateBandError.  config.convergence_check is not
+    read here: run_sweep reruns each point with twice the steps.
     """
     if _crossings_between(drive.q_start, drive.q_stop) != 1:
         raise ParameterError("drive must cross exactly one odd-integer Bragg point")
     state = prepare_band_state(params, drive.q_start, 1)
     # band tracking along the way is not needed here; sample endpoints only
-    sparse = IntegratorConfig(
-        step=config.step, sample_stride=10**9, convergence_check=config.convergence_check
-    )
-    trace = evolve(state, params, drive, sparse)
+    trace = evolve(state, params, drive, IntegratorConfig(step=config.step, sample_stride=10**9))
     prob = float(trace.band2_prob[-1])
     if math.isnan(prob):
         raise DegenerateBandError(

@@ -17,8 +17,11 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .dynamics import (
+    POWER_HALVING_TOL,
     DriveParams,
+    IntegratorConfig,
     _crossings_between,
+    _step_count,
     evolve,
     plateau_averages,
     prepare_band_state,
@@ -119,9 +122,15 @@ def run_multicross(cfg: ExperimentConfig) -> ResultTable:
     return table
 
 
-def _sweep_point(job) -> float:
+def _sweep_point(job) -> tuple[float, float]:
+    """P at the configured step and, with convergence_check, |P(n steps) - P(2n steps)|."""
     lattice, drive, integrator = job
-    return transition_probability(lattice, drive, integrator)
+    p = transition_probability(lattice, drive, integrator)
+    if not integrator.convergence_check:
+        return p, 0.0
+    # a step of duration/(2n - 1/2) rounds up to exactly twice the n steps of p
+    finer = drive.duration / (2 * _step_count(lattice, drive, integrator) - 0.5)
+    return p, abs(transition_probability(lattice, drive, IntegratorConfig(step=finer)) - p)
 
 
 def run_sweep(cfg: ExperimentConfig) -> ResultTable:
@@ -137,14 +146,22 @@ def run_sweep(cfg: ExperimentConfig) -> ResultTable:
     ]
     if cfg.doc["jobs"] > 1:
         with ProcessPoolExecutor(max_workers=cfg.doc["jobs"]) as pool:
-            numeric = np.array(list(pool.map(_sweep_point, jobs)))
+            points = list(pool.map(_sweep_point, jobs))
     else:
-        numeric = np.array([_sweep_point(job) for job in jobs])
+        points = [_sweep_point(job) for job in jobs]
+    numeric, halving = np.array(points).T
     twos = [TwoModeParams.from_lattice(cfg.lattice, rate) for rate in rates.tolist()]
     analytic = np.array([lz_probability(two.coupling, two.skew, two.rate) for two in twos])
     error = np.abs(numeric - analytic)
     metadata = _base_metadata(cfg)
     metadata["max_abs_error"] = float(error.max())
+    if cfg.integrator.convergence_check:
+        metadata["max_probability_halving_diff"] = float(halving.max())
+        metadata["warnings"] = [
+            f"rate {rate:.6g}: step too large: halving it changes P by {diff:.3e}"
+            for rate, diff in zip(rates.tolist(), halving.tolist())
+            if diff > POWER_HALVING_TOL
+        ]
     columns = {"rate": rates, "p_numeric": numeric, "p_analytic": analytic, "abs_error": error}
     return ResultTable(columns, metadata)
 
@@ -155,20 +172,17 @@ def run_twomode(cfg: ExperimentConfig) -> ResultTable:
         raise ConfigError(f"run_twomode got kind {cfg.kind!r}")
     t_max = cfg.doc["t_max"]
     span = None if t_max is None else (-t_max, t_max)
-    # IntegratorConfig's fields (step, sample_stride, convergence_check) are
-    # keyword arguments of evolve_two_mode
-    trace = evolve_two_mode(cfg.twomode, t_span=span, **vars(cfg.integrator))
+    trace = evolve_two_mode(cfg.twomode, t_span=span, config=cfg.integrator)
     a1_sq, a2_sq = np.abs(trace.a1) ** 2, np.abs(trace.a2) ** 2
     metadata = _base_metadata(cfg)
     metadata["warnings"] = list(trace.metadata.get("warnings", []))
     tail1, tail2 = trace.tail_intensities()
     metadata["tail_intensities"] = {"a1_sq": tail1, "a2_sq": tail2}
     two = cfg.twomode
-    skew = two.skew if two.rate >= 0 else -two.skew
-    if abs(skew) < two.coupling and two.rate != 0:
+    if abs(two.skew) < two.coupling and two.rate != 0:
         metadata["analytic"] = {
-            "transition": lz_probability(two.coupling, skew, two.rate),
-            "survival": lz_survival(two.coupling, skew, two.rate),
+            "transition": lz_probability(two.coupling, two.skew, two.rate),
+            "survival": lz_survival(two.coupling, two.skew, two.rate),
         }
     columns = {"t": trace.t, "a1_sq": a1_sq, "a2_sq": a2_sq, "power": a1_sq + a2_sq}
     return ResultTable(columns, metadata)

@@ -35,6 +35,7 @@ dynamics module.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,11 @@ DEGENERACY_TOL = 1e-8
 # Momenta per stacked LAPACK call: each block's (Q, N, N) work arrays stay
 # below 2**18 elements (2 MB as float64), whatever the grid or sample count.
 _BLOCK = 2**18
+
+
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers; False for bools, floats and the rest."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -99,7 +105,7 @@ class LatticeParams:
             raise ParameterError("v_real and v_imag must be finite")
         if self.v_real < 0:
             raise ParameterError("v_real must be non-negative")
-        if int(self.l_max) != self.l_max or self.l_max < 4:
+        if not _is_integer(self.l_max) or self.l_max < 4:
             raise ParameterError("l_max must be an integer >= 4")
 
     @property

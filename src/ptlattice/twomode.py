@@ -7,7 +7,9 @@ Near an avoided crossing the lattice reduces to two modes governed by
 
 with eps(t) = -rate*t/2.  The reduction from the lattice is
 coupling = 2*v_real, skew = 2*v_imag, rate = 4*drive_rate; a reversed drive
-maps onto the same problem with the sign of skew flipped (transposition).
+maps onto the same problem with the sign of skew flipped (transposition),
+and TwoModeParams stores a negative rate that way, so every function here
+sees rate >= 0.
 
 Component 2 is the lower level for t -> -inf and component 1 for t -> +inf,
 so a sweep prepared in the ground level starts as (0, 1).  After the
@@ -24,25 +26,24 @@ completely.  evolve_two_mode integrates the system directly and is the
 independent numerical check of every formula here.
 
 Its scheme is the lattice propagator's (dynamics module): the diagonal is
-integrated exactly, the constant coupling C enters through its closed-form
-exponential (C^2 is (coupling^2 - skew^2)/4 times the identity), and Strang
-steps are composed as Yoshida's fourth-order triple jump.  The 2x2 step
-matrices are built with numpy a chunk of steps at a time and applied to the
-state in a scalar loop; the step is bounded by the diagonal phase advance
-per step, not by stability.
+integrated exactly, the constant coupling C enters through the same
+exponential dynamics._expm, and Strang steps are composed as Yoshida's
+fourth-order triple jump.  evolve_two_mode takes the lattice propagator's
+IntegratorConfig.  The 2x2 step matrices are built with numpy a chunk of
+steps at a time and applied to the state in a scalar loop; the step is
+bounded by the diagonal phase advance per step, not by stability.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import _NODES, _W0, _W1
+from .dynamics import _NODES, _W0, _W1, IntegratorConfig, _expm
 from .errors import ParameterError
-from .lattice import LatticeParams
+from .lattice import LatticeParams, _is_integer
 
 # steps whose matrices are built at once; bounds the matrix buffers' memory
 _CHUNK = 1024
@@ -50,7 +51,7 @@ _CHUNK = 1024
 
 @dataclass(frozen=True)
 class TwoModeParams:
-    """Reduced two-level problem: couplings and sweep speed."""
+    """Reduced two-level problem; a negative rate is stored as (-skew, |rate|)."""
 
     coupling: float
     skew: float
@@ -61,20 +62,14 @@ class TwoModeParams:
             raise ParameterError("coupling, skew and rate must be finite")
         if self.coupling < 0:
             raise ParameterError("coupling must be non-negative")
+        if self.rate < 0:
+            object.__setattr__(self, "skew", -self.skew)
+            object.__setattr__(self, "rate", -self.rate)
 
     @classmethod
     def from_lattice(cls, lattice: LatticeParams, drive_rate: float) -> "TwoModeParams":
-        """Map lattice amplitudes and drive rate onto the two-level problem.
-
-        A negative drive rate is folded into the sign of skew, matching the
-        transposition property of the lattice operator.
-        """
-        sign = 1.0 if drive_rate >= 0 else -1.0
-        return cls(
-            coupling=2.0 * lattice.v_real,
-            skew=2.0 * lattice.v_imag * sign,
-            rate=4.0 * abs(drive_rate),
-        )
+        """Map lattice amplitudes and drive rate onto the two-level problem."""
+        return cls(coupling=2.0 * lattice.v_real, skew=2.0 * lattice.v_imag, rate=4.0 * drive_rate)
 
 
 @dataclass
@@ -156,7 +151,7 @@ def multicross_power(coupling: float, skew: float, rate: float, crossings: int) 
     survival = lz_survival, P = lz_probability:
     power = survival**n + P * sum(survival**i for i in range(n)); n = 0 gives 1.
     """
-    if int(crossings) != crossings or crossings < 0:
+    if not _is_integer(crossings) or crossings < 0:
         raise ParameterError("crossings must be a non-negative integer")
     if crossings == 0:
         return 1.0
@@ -171,29 +166,13 @@ def ground_state(params: TwoModeParams, t: float) -> TwoModeState:
     Starting a sweep from this state (rather than from a bare component)
     avoids seeding a spurious coherent admixture of the upper level.
     """
-    rate = abs(params.rate)
-    skew = params.skew if params.rate >= 0 else -params.skew
-    eps = -rate * t / 2.0
-    upper_coupling = (params.coupling + skew) / 2.0
-    lower_coupling = (params.coupling - skew) / 2.0
+    eps = -params.rate * t / 2.0
+    upper_coupling = (params.coupling + params.skew) / 2.0
+    lower_coupling = (params.coupling - params.skew) / 2.0
     low = -np.sqrt(complex(eps * eps + upper_coupling * lower_coupling))
     a1 = -upper_coupling / (eps - low) if eps != low else 0.0
     norm = math.sqrt(abs(a1) ** 2 + 1.0)
     return TwoModeState(a1=complex(a1 / norm), a2=complex(1.0 / norm), t=t)
-
-
-def _coupling_exponential(cu: float, cl: float, tau: float) -> tuple[float, complex, complex]:
-    """expm(-i C tau) for C = [[0, cu], [cl, 0]] as its (diagonal, upper, lower) entries.
-
-    C^2 = cu*cl, so the exponential is cos(lam tau) I - i sin(lam tau)/lam C
-    with lam = sqrt(cu*cl); both factors are even in lam and hence real, also
-    for cu*cl < 0 (cosh and sinh) and in the limit lam -> 0 (1 and tau), which
-    is the critical case skew == coupling.
-    """
-    lam = cmath.sqrt(cu * cl)
-    cos = cmath.cos(lam * tau).real
-    sinc = tau if lam == 0 else (cmath.sin(lam * tau) / lam).real
-    return cos, -1j * sinc * cu, -1j * sinc * cl
 
 
 def _step_matrices(t0: float, dt: float, k: np.ndarray, rate: float, kicks: list) -> tuple:
@@ -201,16 +180,18 @@ def _step_matrices(t0: float, dt: float, k: np.ndarray, rate: float, kicks: list
 
     Each step is the Yoshida composition of three Strang steps: the diagonal
     flow between consecutive phase nodes is the exact phase
-    exp(+-i rate (b^2 - a^2)/4), and between them sit the coupling kicks.
+    exp(+-i rate (b^2 - a^2)/4), and between them sit the coupling kicks,
+    each given as its four entries (k11, k12, k21, k22).
     """
     t = t0 + dt * (k[:, None] + _NODES)
     ta, tb = t[:, :-1], t[:, 1:]
     z = np.exp(0.25j * rate * (tb - ta) * (ta + tb)).T
     m = (1.0, 0.0, 0.0, 1.0)
-    for zi, (c, u, l) in zip(z, kicks):
+    for zi, (k11, k12, k21, k22) in zip(z, kicks):
         zc = zi.conj()
         x11, x12, x21, x22 = zi * m[0], zi * m[1], zc * m[2], zc * m[3]
-        m = (c * x11 + u * x21, c * x12 + u * x22, l * x11 + c * x21, l * x12 + c * x22)
+        m = (k11 * x11 + k12 * x21, k11 * x12 + k12 * x22,
+             k21 * x11 + k22 * x21, k21 * x12 + k22 * x22)
     zc = z[-1].conj()
     return z[-1] * m[0], z[-1] * m[1], zc * m[2], zc * m[3]
 
@@ -219,50 +200,44 @@ def evolve_two_mode(
     params: TwoModeParams,
     t_span: tuple[float, float] | None = None,
     initial: TwoModeState | None = None,
-    step: float | None = None,
-    sample_stride: int | None = None,
-    convergence_check: bool = False,
+    config: IntegratorConfig = IntegratorConfig(),
 ) -> TwoModeTrace:
     """Integrate the sweep with the module's split-step scheme; sample the amplitudes.
 
-    Defaults: t_span = (-T, T) with T = max(300, 20/sqrt(|rate|)), the
-    initial state is the instantaneous ground level at t_span[0], the step
-    is min(0.02, 0.36/eps_max) with eps_max = |rate|*max|t|/2 (a bounded
-    phase advance per step), and the sample stride is ceil(steps/20000), so
-    a default trace holds at most 20001 samples, the last one at t_span[1].
-    A negative rate is integrated as the skew-flipped problem.  With
-    convergence_check the run is repeated at half the step; a change of the
-    final intensities above 1e-4 adds an accuracy warning.
+    Defaults: t_span = (-T, T) with T = max(300, 20/sqrt(rate)), the initial
+    state is the instantaneous ground level at t_span[0], the step is
+    min(0.02, 0.36/eps_max) with eps_max = rate*max|t|/2 (a bounded phase
+    advance per step), and the sample stride is ceil(steps/20000), so a
+    default trace holds at most 20001 samples, the last one at t_span[1].
+    With config.convergence_check the run is repeated with twice the steps;
+    a change of the final intensities above 1e-4 adds an accuracy warning.
     """
-    rate = abs(params.rate)
-    if rate == 0.0:
+    if params.rate == 0.0:
         raise ParameterError("rate must be non-zero")
-    skew = params.skew if params.rate >= 0 else -params.skew
     if t_span is None:
-        t_max = max(300.0, 20.0 / math.sqrt(rate))
+        t_max = max(300.0, 20.0 / math.sqrt(params.rate))
         t_span = (-t_max, t_max)
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise ParameterError("t_span must be finite and increasing")
+    step = config.step
     if step is None:
         # at most 0.36 rad of diagonal phase per step where the sweep is farthest out
-        step = min(0.02, 0.36 / (rate * max(abs(t0), abs(t1)) / 2.0))
-    elif not (math.isfinite(step) and step > 0):
-        raise ParameterError(f"step must be finite and positive, got {step}")
+        step = min(0.02, 0.36 / (params.rate * max(abs(t0), abs(t1)) / 2.0))
     if initial is None:
         initial = ground_state(params, t0)
-    cu = (params.coupling + skew) / 2.0
-    cl = (params.coupling - skew) / 2.0
+    coupling = np.array([[0.0, params.coupling + params.skew],
+                         [params.coupling - params.skew, 0.0]]) / 2.0
 
     def run(n_steps: int, stride: int):
         dt = (t1 - t0) / n_steps
-        kicks = [_coupling_exponential(cu, cl, w * dt) for w in (_W1, _W0, _W1)]
+        kicks = [_expm(-1j * w * dt * coupling).ravel().tolist() for w in (_W1, _W0, _W1)]
         a1, a2 = complex(initial.a1), complex(initial.a2)
         ts, s1, s2 = [t0], [a1], [a2]
         i = 0
         for k0 in range(0, n_steps, _CHUNK):
             k = np.arange(k0, min(n_steps, k0 + _CHUNK))
-            m = _step_matrices(t0, dt, k, rate, kicks)
+            m = _step_matrices(t0, dt, k, params.rate, kicks)
             for m11, m12, m21, m22 in zip(*(x.tolist() for x in m)):
                 a1, a2 = m11 * a1 + m12 * a2, m21 * a1 + m22 * a2
                 i += 1
@@ -272,7 +247,7 @@ def evolve_two_mode(
         return a1, a2, ts, s1, s2, dt
 
     n_steps = max(1, math.ceil((t1 - t0) / step))
-    stride = sample_stride if sample_stride is not None else math.ceil(n_steps / 20000)
+    stride = config.sample_stride or math.ceil(n_steps / 20000)
     a1, a2, ts, s1, s2, dt = run(n_steps, stride)
     trace = TwoModeTrace(
         t=np.array(ts),
@@ -280,7 +255,7 @@ def evolve_two_mode(
         a2=np.array(s2, dtype=complex),
         metadata={"step": dt, "steps": n_steps, "warnings": []},
     )
-    if convergence_check:
+    if config.convergence_check:
         b1, b2, *_ = run(2 * n_steps, 2 * n_steps)  # samples only the two ends
         diff = abs(abs(a1) ** 2 - abs(b1) ** 2) + abs(abs(a2) ** 2 - abs(b2) ** 2)
         trace.metadata["final_intensity_halving_diff"] = diff

@@ -26,6 +26,9 @@ from ptlattice.experiments import run_sweep
 from ptlattice.lattice import band_energies, eigensystem
 from ptlattice.twomode import TwoModeParams, critical_survival, evolve_two_mode
 
+# the whole module takes minutes; `pytest -m "not slow"` skips it
+pytestmark = pytest.mark.slow
+
 V_CRITICAL = 0.2 - 1e-7
 
 

@@ -378,6 +378,31 @@ class TestCli:
         assert table.metadata["config"]["integrator"]["step"] == 0.5
         assert table.metadata["warnings"]
 
+    def test_sweep_accuracy_failure_exits_3(self, tmp_path, capsys):
+        doc = {
+            "kind": "sweep",
+            "lattice": {"v_real": 0.2, "v_imag": 0.15, "l_max": 4},
+            "integrator": {"step": 0.2, "convergence_check": True},
+            "sweep": {"rate_min": 0.3, "rate_max": 0.3, "count": 1,
+                      "q_start": 0.0, "q_stop": 1.8},
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "coarse"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "rate 0.3: step too large" in capsys.readouterr().err
+        table = load_csv(out.with_suffix(".csv"))
+        assert table.metadata["max_probability_halving_diff"] > 1e-6
+        assert len(table.metadata["warnings"]) == 1
+
+    def test_sweep_sample_stride_exits_2(self, tmp_path, capsys):
+        doc = sweep_doc()
+        doc["integrator"] = {"sample_stride": 10}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert "sample_stride" in capsys.readouterr().err
+
     def test_nan_lattice_amplitude_exits_2(self, tmp_path, capsys):
         doc = bands_doc()
         doc["lattice"]["v_real"] = math.nan

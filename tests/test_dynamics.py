@@ -61,8 +61,7 @@ class TestPrepare:
 def one_step(params, a, q=0.3, dz=0.1):
     """Amplitudes after one kernel step of length dz from q (drive rate 1)."""
     drive = DriveParams(1.0, q, q + dz)
-    y, _, _, n_steps = _integrate(a, params, drive, drive.duration, None)
-    assert n_steps == 1
+    y, _ = _integrate(a, params, drive, 1, None)
     return y
 
 
@@ -104,8 +103,8 @@ class TestKernelStep:
 
         ref = solve_ivp(deriv, (0.0, drive.duration), a0, method="DOP853",
                         rtol=1e-13, atol=1e-13).y[:, -1]
-        errs = [np.linalg.norm(_integrate(a0, params, drive, h, None)[0] - ref)
-                for h in (0.1, 0.05)]
+        errs = [np.linalg.norm(_integrate(a0, params, drive, n, None)[0] - ref)
+                for n in (60, 120)]
         assert math.log2(errs[0] / errs[1]) == pytest.approx(4.0, abs=0.3)
 
     # v_imag = v_real = 0.2 makes the coupling a Jordan block, 0.2 - 1e-7
@@ -188,6 +187,9 @@ class TestDrive:
     def test_invalid_step_rejected(self, step):
         with pytest.raises(ParameterError):
             IntegratorConfig(step=step)
+        for stride in (0, 2.5, True):
+            with pytest.raises(ParameterError):
+                IntegratorConfig(sample_stride=stride)
 
     def test_step_default_ignores_basis_size(self):
         drive = DriveParams(0.05, 0.0, 1.5)
@@ -236,6 +238,21 @@ class TestEvolve:
         trace = evolve(prepare_band_state(params, 0.0, 1), params, drive, cfg)
         assert trace.metadata["warnings"]
 
+    def test_convergence_rerun_doubles_step_count(self, monkeypatch):
+        # ceil(duration / (dz/2)) would give 47 steps here, not 46
+        counts = []
+
+        def spy(a0, params, drive, n_steps, record_stride):
+            counts.append(n_steps)
+            return integrate(a0, params, drive, n_steps, record_stride)
+
+        integrate = dynamics._integrate
+        monkeypatch.setattr(dynamics, "_integrate", spy)
+        params, drive = LatticeParams(0.2, 0.1, 4), DriveParams(0.2, 0.0, 1.2)
+        cfg = IntegratorConfig(step=0.261, convergence_check=True)
+        evolve(prepare_band_state(params, 0.0, 1), params, drive, cfg)
+        assert counts == [23, 46]
+
     def test_degenerate_projection_is_counted(self):
         # at the critical point the operator is triangular with eigenvalues
         # (2l + q)^2, which coincide in pairs at integer q: bands 2 and 3 at
@@ -272,8 +289,8 @@ class TestEvolve:
         state = prepare_band_state(params, drive.q_start, 1)
         trace = evolve(state, params, drive, cfg)
         # the same integration again, keeping the sampled states
-        _, samples, _, _ = _integrate(state.amplitudes, params, drive,
-                                      default_step(params, drive), stride)
+        _, samples = _integrate(state.amplitudes, params, drive,
+                                trace.metadata["steps"], stride)
         assert len(samples) == trace.q.size and len(samples) > 10
         for band, column in ((1, trace.band1_prob), (2, trace.band2_prob)):
             expected = np.empty(len(samples))

@@ -109,6 +109,8 @@ class TestHamiltonian:
             LatticeParams(-0.1, 0.0)
         with pytest.raises(ParameterError):
             LatticeParams(0.2, 0.0, l_max=3)
+        with pytest.raises(ParameterError):
+            LatticeParams(0.2, 0.1, 4.0)
 
     @pytest.mark.parametrize("v_real, v_imag", [(math.nan, 0.1), (math.inf, 0.1),
                                                 (0.2, math.nan), (0.2, -math.inf)])

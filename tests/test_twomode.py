@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ptlattice import (
+    IntegratorConfig,
     ParameterError,
     TwoModeParams,
     amplification_ratio,
@@ -18,6 +19,7 @@ from ptlattice import (
     multicross_power,
     two_mode_eigenvalues,
 )
+from ptlattice.dynamics import _expm
 from ptlattice.lattice import LatticeParams
 from ptlattice.twomode import ground_state
 
@@ -156,8 +158,9 @@ class TestMulticross:
         assert np.all(np.diff(survs) > 0)
 
     def test_negative_crossings_rejected(self):
-        with pytest.raises(ParameterError):
-            multicross_power(0.4, 0.3, 0.12, -1)
+        for crossings in (-1, 2.0, True):
+            with pytest.raises(ParameterError):
+                multicross_power(0.4, 0.3, 0.12, crossings)
 
 
 class TestEvolution:
@@ -203,14 +206,16 @@ class TestEvolution:
 
     def test_convergence_check_metadata(self):
         trace = evolve_two_mode(
-            TwoModeParams(0.4, 0.0, 0.12), t_span=(-50.0, 50.0), convergence_check=True
+            TwoModeParams(0.4, 0.0, 0.12), t_span=(-50.0, 50.0),
+            config=IntegratorConfig(convergence_check=True),
         )
         assert "final_intensity_halving_diff" in trace.metadata
         assert trace.metadata["warnings"] == []
 
     def test_coarse_step_warns(self):
         trace = evolve_two_mode(
-            TwoModeParams(0.4, 0.0, 0.12), t_span=(-50.0, 50.0), step=0.5, convergence_check=True
+            TwoModeParams(0.4, 0.0, 0.12), t_span=(-50.0, 50.0),
+            config=IntegratorConfig(step=0.5, convergence_check=True),
         )
         assert trace.metadata["final_intensity_halving_diff"] > 1e-4
         assert len(trace.metadata["warnings"]) == 1
@@ -242,7 +247,7 @@ class TestEvolution:
                         rtol=1e-13, atol=1e-13).y[:, -1]
         errs = []
         for h in (0.4, 0.2):
-            trace = evolve_two_mode(params, t_span=span, step=h)
+            trace = evolve_two_mode(params, t_span=span, config=IntegratorConfig(step=h))
             errs.append(abs(trace.a1[-1] - ref[0]) + abs(trace.a2[-1] - ref[1]))
         assert math.log2(errs[0] / errs[1]) == pytest.approx(4.0, abs=0.3)
 
@@ -253,7 +258,7 @@ class TestEvolution:
     @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -0.01])
     def test_invalid_step_rejected(self, step):
         with pytest.raises(ParameterError):
-            evolve_two_mode(TwoModeParams(0.4, 0.0, 0.12), step=step)
+            evolve_two_mode(TwoModeParams(0.4, 0.0, 0.12), config=IntegratorConfig(step=step))
 
     @pytest.mark.parametrize("field", ["coupling", "skew", "rate"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -264,6 +269,21 @@ class TestEvolution:
             TwoModeParams(**values)
 
 
+class TestCouplingExponential:
+    # unbroken, broken (cu*cl < 0), critical (cl = 0) and no coupling at all
+    @pytest.mark.parametrize("coupling, skew", [(0.4, 0.3), (0.4, 0.7), (0.4, 0.4), (0.0, 0.0)])
+    def test_matches_scipy(self, coupling, skew):
+        from scipy.linalg import expm
+
+        c = np.array([[0.0, coupling + skew], [coupling - skew, 0.0]]) / 2.0
+        for tau in (1e-3, 0.02, 1.0, 30.0):
+            a = -1j * tau * c
+            got, ref = _expm(a), expm(a)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (tau, got, ref)
+            if coupling == skew:
+                assert got[1, 0] == 0.0
+
+
 class TestLatticeReduction:
     def test_amplitude_mapping(self):
         two = TwoModeParams.from_lattice(LatticeParams(0.2, 0.15), 0.03)
@@ -272,6 +292,9 @@ class TestLatticeReduction:
     def test_reversed_drive_flips_skew(self):
         two = TwoModeParams.from_lattice(LatticeParams(0.2, 0.15), -0.03)
         assert (two.coupling, two.skew, two.rate) == (0.4, -0.3, 0.12)
+
+    def test_negative_rate_is_the_transposed_problem(self):
+        assert TwoModeParams(0.4, 0.3, -0.12) == TwoModeParams(0.4, -0.3, 0.12)
 
 
 def test_eigenvalue_root_is_principal():
