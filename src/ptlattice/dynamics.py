@@ -312,9 +312,15 @@ def transition_probability(
     sorted band-2 index coincides with the swept-through mode only until the
     free-mode parabolas reorder, so q_stop should stay within one unit past
     the crossing (the standard protocol uses 0 -> 1.8).  A degenerate band 2
-    at q_stop raises DegenerateBandError.  config.convergence_check is not
-    read here: run_sweep reruns each point with twice the steps.
+    at q_stop raises DegenerateBandError.  config.convergence_check raises
+    ParameterError: a bare probability cannot carry the check, and
+    experiments.run_sweep reruns each point with twice the steps instead.
     """
+    if config.convergence_check:
+        raise ParameterError(
+            "transition_probability cannot check convergence; run_sweep with "
+            "integrator.convergence_check reruns each rate with twice the steps"
+        )
     if _crossings_between(drive.q_start, drive.q_stop) != 1:
         raise ParameterError("drive must cross exactly one odd-integer Bragg point")
     state = prepare_band_state(params, drive.q_start, 1)

@@ -10,8 +10,6 @@ columns always come from the twomode module.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 
 from . import __version__
@@ -125,7 +123,7 @@ def run_multicross(cfg: ExperimentConfig) -> ResultTable:
 def _sweep_point(job) -> tuple[float, float]:
     """P at the configured step and, with convergence_check, |P(n steps) - P(2n steps)|."""
     lattice, drive, integrator = job
-    p = transition_probability(lattice, drive, integrator)
+    p = transition_probability(lattice, drive, IntegratorConfig(step=integrator.step))
     if not integrator.convergence_check:
         return p, 0.0
     # a step of duration/(2n - 1/2) rounds up to exactly twice the n steps of p
@@ -145,6 +143,9 @@ def run_sweep(cfg: ExperimentConfig) -> ResultTable:
         for rate in rates
     ]
     if cfg.doc["jobs"] > 1:
+        # imported here, so a run without a pool does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.doc["jobs"]) as pool:
             points = list(pool.map(_sweep_point, jobs))
     else:

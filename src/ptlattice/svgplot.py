@@ -2,7 +2,8 @@
 
 Just enough for the run outputs: several series over a shared x axis,
 optional log-x, dashed styling for analytic reference curves, a small
-legend.  Output is a single standalone .svg file.
+legend.  Output is a single standalone .svg file; each line is drawn
+with at most four points per pixel column (M4 decimation).
 """
 
 from __future__ import annotations
@@ -52,6 +53,27 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
 
 def _fmt(value: float) -> str:
     return f"{value:g}"
+
+
+def _m4(px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Mask of the points a polyline needs at pixel resolution (M4 decimation).
+
+    Consecutive points in one pixel column (floor of px) form a run; only
+    the run's first, last, lowest and highest points are kept, in their
+    order, so each column's drawn vertical extent is unchanged and a run of
+    at most two points keeps all of them.
+    """
+    col = np.floor(px)
+    first = np.r_[True, col[1:] != col[:-1]]
+    keep = first | np.r_[first[1:], True]
+    if keep.all():  # no run of more than two points
+        return keep
+    run = np.cumsum(first) - 1
+    for extreme in (np.minimum, np.maximum):
+        hit = np.flatnonzero(py == extreme.reduceat(py, np.flatnonzero(first))[run])
+        # the first hit in each run
+        keep[hit[np.r_[True, np.diff(run[hit]) != 0]]] = True
+    return keep
 
 
 def render_line_chart(
@@ -156,8 +178,9 @@ def render_line_chart(
 
     for i, (s, x, y) in enumerate(cleaned):
         color = PALETTE[i % len(PALETTE)]
-        xv = np.log10(x) if x_log else x
-        pts = " ".join(map("{:.2f},{:.2f}".format, px(xv).tolist(), py(y).tolist()))
+        xp, yp = px(np.log10(x) if x_log else x), py(y)
+        keep = _m4(xp, yp)
+        pts = " ".join(map("{:.2f},{:.2f}".format, xp[keep].tolist(), yp[keep].tolist()))
         dash = ' stroke-dasharray="6,4"' if s.dashed else ""
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>'

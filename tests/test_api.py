@@ -90,7 +90,8 @@ def test_benchmark_surface_resolves(tmp_path):
 
 def test_cli_import_stays_light():
     # scipy (with its threaded BLAS) and xml.sax's urllib.request/http.client
-    # cost tens to hundreds of ms per run; pathlib itself needs urllib.parse
+    # cost tens to hundreds of ms per run; pathlib itself needs urllib.parse;
+    # the sweep's process pool is imported only when a sweep asks for one
     src = str(Path(ptlattice.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
@@ -101,6 +102,7 @@ def test_cli_import_stays_light():
     assert "ptlattice.cli" in loaded
     heavy = [
         m for m in loaded
-        if m.split(".")[0] in ("scipy", "http", "xml") or m == "urllib.request"
+        if m.split(".")[0] in ("scipy", "http", "xml", "multiprocessing")
+        or m in ("urllib.request", "concurrent.futures.process")
     ]
     assert heavy == []

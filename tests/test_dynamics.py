@@ -358,6 +358,11 @@ class TestTransitionProbability:
         with pytest.raises(ParameterError):
             transition_probability(LatticeParams(0.2, 0.0), DriveParams(0.1, 0.0, 0.9))
 
+    def test_convergence_check_rejected(self):
+        config = IntegratorConfig(step=0.2, convergence_check=True)
+        with pytest.raises(ParameterError, match="run_sweep"):
+            transition_probability(LatticeParams(0.2, 0.15, 4), DriveParams(0.3, 0.0, 1.8), config)
+
     def test_degenerate_final_momentum_raises(self):
         # at criticality the bands touch at every odd integer, here q_stop = 3
         with pytest.raises(DegenerateBandError):

@@ -1,0 +1,92 @@
+"""SVG line charts: polylines decimated to at most four points per pixel column."""
+
+import itertools
+import math
+import xml.etree.ElementTree as ET
+
+import numpy as np
+import pytest
+
+from ptlattice import svgplot
+from ptlattice.svgplot import Series, render_line_chart
+
+NS = {"svg": "http://www.w3.org/2000/svg"}
+
+
+def polylines(path):
+    root = ET.parse(path).getroot()
+    return [line.get("points").split() for line in root.iterfind("svg:polyline", NS)]
+
+
+def render_pair(tmp_path, monkeypatch, series, **kwargs):
+    """The chart as drawn, and the same chart with every point kept."""
+    decimated = render_line_chart(tmp_path / "decimated.svg", series, **kwargs)
+    monkeypatch.setattr(svgplot, "_m4", lambda px, py: np.ones(px.size, dtype=bool))
+    full = render_line_chart(tmp_path / "full.svg", series, **kwargs)
+    monkeypatch.undo()
+    return decimated, full
+
+
+def m4_reference(px, py):
+    """Indices kept per run of consecutive points in one pixel column, by a plain loop."""
+    kept = []
+    runs = itertools.groupby(range(len(px)), key=lambda i: math.floor(px[i]))
+    for _, run in runs:
+        run = list(run)
+        heights = [py[i] for i in run]
+        chosen = {run[0], run[-1], run[heights.index(min(heights))],
+                  run[heights.index(max(heights))]}
+        kept.extend(sorted(chosen))
+    return kept
+
+
+def test_at_most_two_points_per_column_is_byte_identical(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    x = np.linspace(0.0, 1.0, 900)  # about 0.62 px apart on the 560-px plot
+    series = [Series("a", x, rng.normal(size=x.size)),
+              Series("b", x[::3], np.cos(9.0 * x[::3]), dashed=True)]
+    decimated, full = render_pair(tmp_path, monkeypatch, series)
+    columns = np.floor(np.array([float(p.split(",")[0]) for p in polylines(full)[0]]))
+    assert np.unique(columns, return_counts=True)[1].max() == 2
+    assert decimated.read_bytes() == full.read_bytes()
+
+
+@pytest.mark.parametrize("n, grid", [
+    (50_000, lambda s: s),  # uniform, about 89 points per column
+    (3_000, lambda s: s**6),  # runs of hundreds of points down to single points
+    (50_000, lambda s: np.abs(np.sin(7.0 * s))),  # back and forth: columns revisited
+], ids=["uniform", "graded", "back_and_forth"])
+def test_each_column_keeps_first_last_lowest_highest(n, grid):
+    rng = np.random.default_rng(7)
+    x = 64.0 + 560.0 * grid(np.linspace(0.0, 1.0, n))
+    y = 200.0 + 150.0 * np.sin(np.linspace(0.0, 3000.0, n)) + rng.normal(size=n)
+    keep = svgplot._m4(x, y)
+    assert np.flatnonzero(keep).tolist() == m4_reference(x.tolist(), y.tolist())
+
+
+def test_dense_chart_is_decimated(tmp_path, monkeypatch):
+    t = np.linspace(-300.0, 300.0, 45_001)
+    y = np.exp(-t * t / 1e4) * np.sin(3.0 * t)
+    decimated, full = render_pair(tmp_path, monkeypatch, [Series("s", t, y)])
+    kept, every = polylines(decimated)[0], polylines(full)[0]
+    assert len(kept) <= 4 * 561
+    assert kept[0] == every[0] and kept[-1] == every[-1]
+    # an ordered subsequence of the full polyline, keeping its extremes
+    rest = iter(every)
+    assert all(point in rest for point in kept)
+    heights = [float(p.split(",")[1]) for p in every]
+    kept_heights = [float(p.split(",")[1]) for p in kept]
+    assert (min(kept_heights), max(kept_heights)) == (min(heights), max(heights))
+
+
+def test_non_monotone_and_log_charts_render(tmp_path):
+    phase = np.linspace(0.0, 40.0, 20_000)
+    loop = Series("loop", np.cos(phase), np.sin(3.0 * phase))
+    out = render_line_chart(tmp_path / "loop.svg", [loop])
+    (points,) = polylines(out)
+    assert 2 < len(points) < phase.size
+    rates = np.geomspace(1e-3, 10.0, 5_000)
+    out = render_line_chart(tmp_path / "log.svg", [Series("p", rates, np.exp(-1.0 / rates))],
+                            x_log=True)
+    (points,) = polylines(out)
+    assert 2 < len(points) < rates.size

@@ -19,9 +19,10 @@ from ptlattice import (
     multicross_power,
     two_mode_eigenvalues,
 )
-from ptlattice.dynamics import _expm
+from ptlattice import twomode
+from ptlattice.dynamics import _W0, _W1, _expm
 from ptlattice.lattice import LatticeParams
-from ptlattice.twomode import ground_state
+from ptlattice.twomode import _CHUNK, _step_matrices, ground_state
 
 
 class TestEigenvalues:
@@ -267,6 +268,69 @@ class TestEvolution:
         values[field] = bad
         with pytest.raises(ParameterError):
             TwoModeParams(**values)
+
+
+def sequential_states(params, t_span, n_steps):
+    """States after every step, from one sequential product of the step matrices."""
+    t0, t1 = t_span
+    dt = (t1 - t0) / n_steps
+    coupling = np.array([[0.0, params.coupling + params.skew],
+                         [params.coupling - params.skew, 0.0]]) / 2.0
+    kicks = [_expm(-1j * w * dt * coupling).ravel().tolist() for w in (_W1, _W0, _W1)]
+    m = _step_matrices(t0, dt, np.arange(n_steps), params.rate, kicks)
+    start = ground_state(params, t0)
+    a1, a2 = start.a1, start.a2
+    states = [(a1, a2)]
+    for m11, m12, m21, m22 in zip(*(x.tolist() for x in m)):
+        a1, a2 = m11 * a1 + m12 * a2, m21 * a1 + m22 * a2
+        states.append((a1, a2))
+    return np.array(states).T, dt
+
+
+class TestScanKernel:
+    # 4000 steps of 0.02: three full chunks and a partial one
+    SPAN = (-40.0, 40.0)
+
+    @pytest.mark.parametrize("skew", [-0.3, 0.3, 0.4], ids=["loss", "gain", "critical"])
+    def test_matches_sequential_product(self, skew):
+        params = TwoModeParams(0.4, skew, 0.12)
+        trace = evolve_two_mode(params, t_span=self.SPAN, config=IntegratorConfig(sample_stride=1))
+        n_steps = trace.metadata["steps"]
+        assert n_steps % _CHUNK != 0
+        ref, _ = sequential_states(params, self.SPAN, n_steps)
+        for got, want in zip((trace.a1, trace.a2), ref):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("stride", [1, 2, 7, 10**6])
+    def test_sample_grid(self, stride):
+        params = TwoModeParams(0.4, 0.3, 0.12)
+        trace = evolve_two_mode(params, t_span=self.SPAN,
+                                config=IntegratorConfig(sample_stride=stride))
+        n_steps = trace.metadata["steps"]
+        ref, dt = sequential_states(params, self.SPAN, n_steps)
+        steps = [0, *range(stride, n_steps, stride), n_steps]
+        assert trace.t.tolist() == [self.SPAN[0] + i * dt for i in steps[:-1]] + [self.SPAN[1]]
+        for got, want in zip((trace.a1, trace.a2), ref[:, steps]):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_convergence_rerun_uses_twice_the_steps(self, monkeypatch):
+        calls = []
+
+        def spy(t0, dt, k, rate, kicks):
+            calls.append((dt, k))
+            return _step_matrices(t0, dt, k, rate, kicks)
+
+        monkeypatch.setattr(twomode, "_step_matrices", spy)
+        trace = evolve_two_mode(TwoModeParams(0.4, 0.3, 0.12), t_span=self.SPAN,
+                                config=IntegratorConfig(convergence_check=True))
+        n_steps = trace.metadata["steps"]
+        runs = {}
+        for dt, k in calls:
+            runs.setdefault(dt, []).append(k)
+        steps = [np.concatenate(k) for k in runs.values()]
+        assert [k.size for k in steps] == [n_steps, 2 * n_steps]
+        for k in steps:
+            np.testing.assert_array_equal(k, np.arange(k.size))
 
 
 class TestCouplingExponential:
