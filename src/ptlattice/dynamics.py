@@ -12,15 +12,21 @@ an interband transition that can amplify or attenuate the beam.
 
 Propagation is the split-step (beam-propagation) method in the mode basis:
 the diagonal is integrated exactly, since q is linear in z, and the constant
-coupling V is applied through its exponential expm(-i w V dz), computed once
-per run by scaling and squaring a Taylor series, which needs no eigenbasis
-(at v_imag = v_real the coupling is a Jordan block).  Strang steps are
-composed as Yoshida's triple jump into one fourth-order step; the twomode
-module's two-level kernel uses the same weights, _expm and IntegratorConfig.
-For v_imag = 0 every factor is unitary, so power is conserved to roundoff at
-any step; the step is limited by accuracy only and defaults to
-0.01/max(1, q_max^2).  A run is a whole number of steps, and the
-convergence check reruns it with exactly twice as many.
+coupling V is applied through its exponential expm(-i w V h), computed once
+per run and weight by scaling and squaring a Taylor series, which needs no
+eigenbasis (at v_imag = v_real the coupling is a Jordan block).  One table
+of weights, Kahan & Li's nine Strang sub-steps (s9odr6a), composes them into
+one sixth-order step of nine coupling kicks; within a run each step's last
+diagonal phase folds into the next step's first.  The twomode module's
+two-level kernel uses the same table, _expm and IntegratorConfig.
+
+A run is a grid of n = ceil(duration/step) steps, sampled every stride of
+them.  The step keeps a budget of three kicks per grid step: each sample
+interval of L grid steps is marched in ceil(L/3) equal table steps.  The
+step defaults to 0.03/max(1, q_max^2); for v_imag = 0 every factor is
+unitary, so power is conserved to roundoff at any step, which is limited by
+accuracy only.  The convergence check reruns the grid with exactly twice
+the table steps in every interval.
 
 Band occupations are biorthogonal projections onto the band eigenvectors of
 lattice.band_arrays.  evolve projects all of its samples with one call of
@@ -39,12 +45,19 @@ from .lattice import LatticeParams, _is_integer, band_arrays, build_hamiltonian
 
 POWER_HALVING_TOL = 1e-6
 
-# Yoshida (1990) triple-jump weights: w1, w0, w1 with 2*w1 + w0 = 1
-_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_W0 = 1.0 - 2.0 * _W1
-# phase nodes of one step, as fractions of it: each Strang sub-step splits
-# its diagonal flow in half around its coupling exponential
-_NODES = np.array([0.0, _W1 / 2.0, _W1 + _W0 / 2.0, 1.0 - _W1 / 2.0, 1.0])
+# Kahan & Li (1997) s9odr6a: the Strang sub-steps of one sixth-order step,
+# as fractions of it; the table is palindromic and sums to 1
+_GAMMA = [0.39216144400731413928, 0.33259913678935943860, -0.70624617255763935981,
+          0.08221359629355080023, 0.79854399093482996340]
+_WEIGHTS = np.array(_GAMMA + _GAMMA[-2::-1])
+# phase nodes of one step: each sub-step splits its diagonal flow in half
+# around its coupling kick, so the kicks sit at cumsum(w) - w/2
+_NODES = np.concatenate([[0.0], np.cumsum(_WEIGHTS) - _WEIGHTS / 2.0, [1.0]])
+# the nodes of a step inside a sample interval: it starts from the last kick
+# of the step before, which folds that step's last phase into its own first
+_FOLDED = np.concatenate([[_NODES[-2] - 1.0], _NODES[1:]])
+# grid steps per table step: nine kicks, at a budget of three per grid step
+_GRID_STEPS = 3
 # steps whose phases are computed at once; bounds the phase buffer's memory
 _CHUNK = 256
 
@@ -162,13 +175,23 @@ def project_onto_band(
 
 def default_step(params: LatticeParams, drive: DriveParams) -> float:
     qm = drive.q_extreme
-    return 0.01 / max(1.0, qm * qm)
+    return 0.03 / max(1.0, qm * qm)
 
 
 def _step_count(params: LatticeParams, drive: DriveParams, config: IntegratorConfig) -> int:
     """Steps of a run: the fewest whose length is at most the configured or default step."""
     step = config.step if config.step is not None else default_step(params, drive)
     return max(1, math.ceil(drive.duration / step))
+
+
+def _halved_step(params: LatticeParams, drive: DriveParams, config: IntegratorConfig) -> float:
+    """A step whose run without samples takes exactly twice the table steps of config's.
+
+    Such a run marches its n grid steps as one interval of ceil(n/3) table
+    steps; a step of duration/(6 ceil(n/3) - 1/2) rounds up to 6 ceil(n/3).
+    """
+    table_steps = -(-_step_count(params, drive, config) // _GRID_STEPS)
+    return drive.duration / (2 * _GRID_STEPS * table_steps - 0.5)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -189,47 +212,74 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return result
 
 
+def _march(coupling: np.ndarray, n_steps: int, stride: int, refine: int, dz: float,
+           chunk: int):
+    """Chunks of the table steps that march a grid of n_steps steps dz sampled every stride.
+
+    Each sample interval of L grid steps takes ceil(L/3) equal table steps,
+    refine times as many for a convergence rerun: at most two step lengths,
+    for the whole intervals and the remainder, and one _expm per distinct
+    weight and step length.  A step inside an interval starts from the last
+    kick of the step before, which folds that step's last phase into its own
+    first; a step that ends an interval ends at the interval's end.  Yields
+    per chunk the steps' kicks, their phase nodes as offsets from the grid's
+    start and the spacings between them, one row per step, and the grid
+    point each step ends on, 0 for a step inside an interval.
+    """
+    whole, rest = divmod(n_steps, stride)
+    runs = [(count, length, refine * -(-length // _GRID_STEPS))
+            for count, length in ((whole, stride), (1, rest)) if count and length]
+    steps = {length * dz / m for _, length, m in runs}
+    exps = {(w, h): _expm(-1j * w * h * coupling) for w in set(_WEIGHTS) for h in steps}
+    i0 = 0  # grid point of the run's start
+    for count, length, m in runs:
+        h = length * dz / m
+        kicks = [exps[w, h] for w in _WEIGHTS]
+        for k0 in range(0, count * m, chunk):
+            k = np.arange(k0, min(count * m, k0 + chunk))
+            rel = np.where((k % m == 0)[:, None], _NODES, _FOLDED)
+            ends = np.where((k + 1) % m == 0, i0 + (k + 1) // m * length, 0)
+            yield kicks, i0 * dz + h * (k[:, None] + rel), h * np.diff(rel, axis=1), ends
+        i0 += count * length
+
+
 def _integrate(
     a0: np.ndarray,
     params: LatticeParams,
     drive: DriveParams,
     n_steps: int,
-    record_stride: int | None,
+    stride: int | None = None,
+    refine: int = 1,
 ):
-    """March a0 from z=0 to the drive's end in n_steps; optionally record (z, q, a) samples."""
+    """March a0 through the drive on a grid of n_steps; sample (z, q, a) every stride grid steps.
+
+    The samples are the start, every stride-th grid point and the end; with
+    no stride only the ends.  refine multiplies the table steps (_march).
+    """
     dz = drive.duration / n_steps
     rate, q0 = drive.rate, drive.q_start
     two_l = 2.0 * params.mode_indices
     h = build_hamiltonian(params, 0.0)
     coupling = h - np.diag(np.diag(h))
-    u1 = _expm(-1j * _W1 * dz * coupling)
-    u0 = _expm(-1j * _W0 * dz * coupling)
-    widths = dz * np.diff(_NODES)[:, None]
     y = a0.astype(complex)
 
-    samples = []
-    if record_stride is not None:
-        samples.append((0.0, q0, y.copy()))
-    for k0 in range(0, n_steps, _CHUNK):
-        k = np.arange(k0, min(n_steps, k0 + _CHUNK))
+    samples = [(0.0, q0, y)]
+    march = _march(coupling, n_steps, stride or n_steps, refine, dz, _CHUNK)
+    for kicks, z, widths, ends in march:
         # (2l + q(z))^2 is quadratic in z: its integral over [a, b] in terms
         # of the end values is (b - a)(qa^2 + qa qb + qb^2)/3
-        qn = two_l + (q0 + rate * dz * (k[:, None] + _NODES))[:, :, None]
+        qn = two_l + (q0 + rate * z)[:, :, None]
         qa, qb = qn[:, :-1], qn[:, 1:]
-        phases = np.exp(-1j / 3.0 * widths * (qa * qa + qa * qb + qb * qb))
-        for i, (p0, p1, p2, p3) in zip(range(k0, n_steps), phases):
-            y *= p0
-            y = u1 @ y
-            y *= p1
-            y = u0 @ y
-            y *= p2
-            y = u1 @ y
-            y *= p3
-            if record_stride is not None and ((i + 1) % record_stride == 0 or i == n_steps - 1):
-                if i == n_steps - 1:
-                    samples.append((drive.duration, drive.q_stop, y.copy()))
-                else:
-                    samples.append(((i + 1) * dz, q0 + rate * (i + 1) * dz, y.copy()))
+        phases = np.exp(-1j / 3.0 * widths[:, :, None] * (qa * qa + qa * qb + qb * qb))
+        dots = [u.dot for u in kicks]
+        for row, i in zip(phases, ends.tolist()):
+            for p, dot in zip(row, dots):
+                y = dot(y * p)
+            if i:
+                y = y * row[-1]
+                if i < n_steps:
+                    samples.append((i * dz, q0 + rate * i * dz, y))
+    samples.append((drive.duration, drive.q_stop, y))
     return y, samples
 
 
@@ -241,6 +291,9 @@ def evolve(
 ) -> EvolutionTrace:
     """Propagate a state through the drive and sample (z, q, power, bands 1-2).
 
+    The grid has n = ceil(duration/step) steps and is sampled at its start,
+    every sample_stride steps and its end; the default stride is
+    ceil(n/2000), at most 2001 samples, the last at q_stop.
     With convergence_check enabled the run is repeated with twice the steps and
     the final-state and final-power differences go into the metadata; a power
     difference above 1e-6 adds an accuracy warning.  All samples are
@@ -253,7 +306,7 @@ def evolve(
     if abs(state.q_ref - drive.q_start) > 1e-9:
         raise ParameterError("state q_ref must match the drive's q_start")
     n_steps = _step_count(params, drive, config)
-    stride = config.sample_stride or max(1, n_steps // 2000)
+    stride = config.sample_stride or math.ceil(n_steps / 2000)
 
     y, samples = _integrate(state.amplitudes, params, drive, n_steps, stride)
 
@@ -272,7 +325,7 @@ def evolve(
         "warnings": [],
     }
     if config.convergence_check:
-        y_half, _ = _integrate(state.amplitudes, params, drive, 2 * n_steps, None)
+        y_half, _ = _integrate(state.amplitudes, params, drive, n_steps, stride, refine=2)
         state_diff = float(np.linalg.norm(y - y_half))
         power_diff = abs(float(np.sum(np.abs(y) ** 2)) - float(np.sum(np.abs(y_half) ** 2)))
         metadata["final_state_halving_diff"] = state_diff
@@ -315,12 +368,16 @@ def transition_probability(
     at q_stop raises DegenerateBandError.  config.convergence_check raises
     ParameterError: a bare probability cannot carry the check, and
     experiments.run_sweep reruns each point with twice the steps instead.
+    config.sample_stride raises ParameterError too: only the ends are sampled.
     """
     if config.convergence_check:
         raise ParameterError(
             "transition_probability cannot check convergence; run_sweep with "
             "integrator.convergence_check reruns each rate with twice the steps"
         )
+    if config.sample_stride is not None:
+        raise ParameterError("transition_probability samples only the drive's ends; "
+                             "it takes no sample_stride")
     if _crossings_between(drive.q_start, drive.q_stop) != 1:
         raise ParameterError("drive must cross exactly one odd-integer Bragg point")
     state = prepare_band_state(params, drive.q_start, 1)

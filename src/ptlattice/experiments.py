@@ -19,7 +19,7 @@ from .dynamics import (
     DriveParams,
     IntegratorConfig,
     _crossings_between,
-    _step_count,
+    _halved_step,
     evolve,
     plateau_averages,
     prepare_band_state,
@@ -126,9 +126,8 @@ def _sweep_point(job) -> tuple[float, float]:
     p = transition_probability(lattice, drive, IntegratorConfig(step=integrator.step))
     if not integrator.convergence_check:
         return p, 0.0
-    # a step of duration/(2n - 1/2) rounds up to exactly twice the n steps of p
-    finer = drive.duration / (2 * _step_count(lattice, drive, integrator) - 0.5)
-    return p, abs(transition_probability(lattice, drive, IntegratorConfig(step=finer)) - p)
+    finer = IntegratorConfig(step=_halved_step(lattice, drive, integrator))
+    return p, abs(transition_probability(lattice, drive, finer) - p)
 
 
 def run_sweep(cfg: ExperimentConfig) -> ResultTable:

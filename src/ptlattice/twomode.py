@@ -27,13 +27,13 @@ independent numerical check of every formula here.
 
 Its scheme is the lattice propagator's (dynamics module): the diagonal is
 integrated exactly, the constant coupling C enters through the same
-exponential dynamics._expm, and Strang steps are composed as Yoshida's
-fourth-order triple jump.  evolve_two_mode takes the lattice propagator's
-IntegratorConfig.  The 2x2 step matrices are built with numpy a chunk of
-steps at a time, and the chunk's states come from their prefix products
-(a doubling scan) applied to the state carried into it, with no loop over
-steps; the step is bounded by the diagonal phase advance per step, not by
-stability.
+exponential dynamics._expm, and Strang steps are composed by the same table
+of weights into one sixth-order step, marched over the same grid of sample
+intervals.  evolve_two_mode takes the lattice propagator's IntegratorConfig.
+The 2x2 step matrices are built with numpy a chunk of steps at a time, and
+the chunk's states come from their prefix products (a doubling scan)
+applied to the state carried into it, with no loop over steps; the step is
+bounded by the diagonal phase advance per step, not by stability.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import _NODES, _W0, _W1, IntegratorConfig, _expm
+from .dynamics import IntegratorConfig, _march
 from .errors import ParameterError
 from .lattice import LatticeParams, _is_integer
 
@@ -177,25 +177,27 @@ def ground_state(params: TwoModeParams, t: float) -> TwoModeState:
     return TwoModeState(a1=complex(a1 / norm), a2=complex(1.0 / norm), t=t)
 
 
-def _step_matrices(t0: float, dt: float, k: np.ndarray, rate: float, kicks: list) -> tuple:
-    """Entries (m11, m12, m21, m22) of the one-step matrices of steps k.
+def _step_matrices(t: np.ndarray, widths: np.ndarray, ends: np.ndarray, rate: float,
+                   kicks: list) -> tuple:
+    """Entries (m11, m12, m21, m22) of the matrices of table steps with phase nodes t.
 
-    Each step is the Yoshida composition of three Strang steps: the diagonal
-    flow between consecutive phase nodes is the exact phase
-    exp(+-i rate (b^2 - a^2)/4), and between them sit the coupling kicks,
-    each given as its four entries (k11, k12, k21, k22).
+    Each row of t and of their spacings is one step (dynamics._march): the
+    exact diagonal flow diag(z, conj z), z = exp(i rate (b^2 - a^2)/4), runs
+    between consecutive nodes a and b, and the coupling kicks, given as their
+    four entries (k11, k12, k21, k22), sit at the inner nodes.  The flow from
+    the last kick to the last node applies only where the step ends a sample
+    interval.
     """
-    t = t0 + dt * (k[:, None] + _NODES)
-    ta, tb = t[:, :-1], t[:, 1:]
-    z = np.exp(0.25j * rate * (tb - ta) * (ta + tb)).T
+    z = np.exp(0.25j * rate * widths * (t[:, :-1] + t[:, 1:])).T
     m = (1.0, 0.0, 0.0, 1.0)
     for zi, (k11, k12, k21, k22) in zip(z, kicks):
         zc = zi.conj()
         x11, x12, x21, x22 = zi * m[0], zi * m[1], zc * m[2], zc * m[3]
         m = (k11 * x11 + k12 * x21, k11 * x12 + k12 * x22,
              k21 * x11 + k22 * x21, k21 * x12 + k22 * x22)
-    zc = z[-1].conj()
-    return z[-1] * m[0], z[-1] * m[1], zc * m[2], zc * m[3]
+    z = np.where(ends, z[-1], 1.0)
+    zc = z.conj()
+    return z * m[0], z * m[1], zc * m[2], zc * m[3]
 
 
 def _prefix_products(m: tuple) -> np.ndarray:
@@ -223,12 +225,14 @@ def evolve_two_mode(
     """Integrate the sweep with the module's split-step scheme; sample the amplitudes.
 
     Defaults: t_span = (-T, T) with T = max(300, 20/sqrt(rate)), the initial
-    state is the instantaneous ground level at t_span[0], the step is
-    min(0.02, 0.36/eps_max) with eps_max = rate*max|t|/2 (a bounded phase
-    advance per step), and the sample stride is ceil(steps/20000), so a
+    state is the instantaneous ground level at t_span[0], the table step is
+    at most min(0.06, 1.08/eps_max) with eps_max = rate*max|t|/2 (a bounded
+    phase advance per step) and the grid step is that, or a third of it past
+    20000 steps, and the sample stride is ceil(steps/20000), so a
     default trace holds at most 20001 samples, the last one at t_span[1].
-    The state after step i is sampled at t_span[0] + i*dt; steps are
-    marched _CHUNK at a time, which bounds the working memory.
+    The state at grid point i is sampled at t_span[0] + i*dt; each sample
+    interval of L grid steps is marched in ceil(L/3) table steps
+    (dynamics._march), a chunk at a time, which bounds the working memory.
     With config.convergence_check the run is repeated with twice the steps;
     a change of the final intensities above 1e-4 adds an accuracy warning.
     """
@@ -242,26 +246,28 @@ def evolve_two_mode(
         raise ParameterError("t_span must be finite and increasing")
     step = config.step
     if step is None:
-        # at most 0.36 rad of diagonal phase per step where the sweep is farthest out
-        step = min(0.02, 0.36 / (params.rate * max(abs(t0), abs(t1)) / 2.0))
+        # at most 1.08 rad of diagonal phase per table step where the sweep is
+        # farthest out; past 20000 steps the default stride marches up to
+        # three grid steps per table step, so the grid step is a third of it
+        step = min(0.06, 1.08 / (params.rate * max(abs(t0), abs(t1)) / 2.0))
+        if (t1 - t0) / step > 20000:
+            step /= 3.0
     if initial is None:
         initial = ground_state(params, t0)
     coupling = np.array([[0.0, params.coupling + params.skew],
                          [params.coupling - params.skew, 0.0]]) / 2.0
 
-    def run(n_steps: int, stride: int):
+    def run(n_steps: int, stride: int, refine: int = 1):
         dt = (t1 - t0) / n_steps
-        kicks = [_expm(-1j * w * dt * coupling).ravel().tolist() for w in (_W1, _W0, _W1)]
         a = np.array([initial.a1, initial.a2], dtype=complex)
         ts, amps = [[t0]], [a[:, None]]
-        for k0 in range(0, n_steps, _CHUNK):
-            k = np.arange(k0, min(n_steps, k0 + _CHUNK))
-            p = _prefix_products(_step_matrices(t0, dt, k, params.rate, kicks))
-            # states after steps i = k + 1, from the state carried into the chunk
+        for kicks, t, widths, ends in _march(coupling, n_steps, stride, refine, dt, _CHUNK):
+            entries = [kick.ravel().tolist() for kick in kicks]
+            p = _prefix_products(_step_matrices(t0 + t, widths, ends, params.rate, entries))
+            # states after the chunk's steps, from the state carried into it
             b = p[:, 0] * a[0] + p[:, 1] * a[1]
-            i = k + 1
-            take = (i % stride == 0) & (i < n_steps)
-            ts.append(t0 + i[take] * dt), amps.append(b[:, take])
+            take = (ends > 0) & (ends < n_steps)
+            ts.append(t0 + ends[take] * dt), amps.append(b[:, take])
             a = b[:, -1]
         ts.append([t1]), amps.append(a[:, None])
         return np.concatenate(ts), np.concatenate(amps, axis=1), dt
@@ -273,7 +279,7 @@ def evolve_two_mode(
         t=t, a1=amps[0], a2=amps[1], metadata={"step": dt, "steps": n_steps, "warnings": []}
     )
     if config.convergence_check:
-        _, finer, _ = run(2 * n_steps, 2 * n_steps)  # samples only the two ends
+        _, finer, _ = run(n_steps, stride, refine=2)
         diff = float(np.sum(np.abs(np.abs(amps[:, -1]) ** 2 - np.abs(finer[:, -1]) ** 2)))
         trace.metadata["final_intensity_halving_diff"] = diff
         if diff > 1e-4:

@@ -282,7 +282,8 @@ class TestRunners:
         cfg = parse_config(doc)
         assert cfg.resolved()["integrator"]["convergence_check"] is False
         t = run_twomode(cfg).column("t")
-        # 1600 steps of 0.05, one sample every 10 steps
+        # 1600 grid steps of 0.05, one sample every 10, each interval marched
+        # in 4 table steps
         assert t.size == 161
         np.testing.assert_allclose(np.diff(t), 0.5, rtol=1e-9)
 
@@ -367,7 +368,7 @@ class TestCli:
             "kind": "twomode",
             "twomode": {"coupling": 0.4, "skew": 0.0, "rate": 0.12},
             "t_max": 50.0,
-            "integrator": {"step": 0.5, "convergence_check": True},
+            "integrator": {"step": 1.0, "convergence_check": True},
         }
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
@@ -375,7 +376,7 @@ class TestCli:
         assert main(["twomode", "--config", str(cfg), "--out", str(out)]) == 3
         assert "step too large" in capsys.readouterr().err
         table = load_csv(out.with_suffix(".csv"))
-        assert table.metadata["config"]["integrator"]["step"] == 0.5
+        assert table.metadata["config"]["integrator"]["step"] == 1.0
         assert table.metadata["warnings"]
 
     def test_sweep_accuracy_failure_exits_3(self, tmp_path, capsys):

@@ -20,6 +20,7 @@ from ptlattice import (
     transition_probability,
 )
 from ptlattice import dynamics
+from ptlattice.experiments import _sweep_point
 from ptlattice.dynamics import (
     _crossings_between,
     _expm,
@@ -58,6 +59,22 @@ class TestPrepare:
             prepare_band_state(LatticeParams(0.2, 0.0), 0.0, 0)
 
 
+def record_marches(monkeypatch):
+    """Spy on dynamics._march: per run, where each table step ends and the
+    grid point it ends a sample interval on (0 inside an interval)."""
+    runs = []
+    march = dynamics._march
+
+    def spy(*args):
+        chunks = list(march(*args))
+        runs.append((np.concatenate([z[:, -1] for _, z, _, _ in chunks]),
+                     np.concatenate([ends for *_, ends in chunks])))
+        return iter(chunks)
+
+    monkeypatch.setattr(dynamics, "_march", spy)
+    return runs
+
+
 def one_step(params, a, q=0.3, dz=0.1):
     """Amplitudes after one kernel step of length dz from q (drive rate 1)."""
     drive = DriveParams(1.0, q, q + dz)
@@ -91,7 +108,7 @@ class TestKernelStep:
         assert y[13] == 0.0
         assert y[11] != 0.0
 
-    def test_fourth_order_convergence(self):
+    def test_sixth_order_convergence(self):
         from scipy.integrate import solve_ivp
 
         params = LatticeParams(0.2, 0.15, l_max=4)
@@ -103,9 +120,9 @@ class TestKernelStep:
 
         ref = solve_ivp(deriv, (0.0, drive.duration), a0, method="DOP853",
                         rtol=1e-13, atol=1e-13).y[:, -1]
-        errs = [np.linalg.norm(_integrate(a0, params, drive, n, None)[0] - ref)
-                for n in (60, 120)]
-        assert math.log2(errs[0] / errs[1]) == pytest.approx(4.0, abs=0.3)
+        # one interval of n grid steps: 80 and 160 table steps
+        errs = [np.linalg.norm(_integrate(a0, params, drive, n)[0] - ref) for n in (240, 480)]
+        assert math.log2(errs[0] / errs[1]) == pytest.approx(6.0, abs=0.3)
 
     # v_imag = v_real = 0.2 makes the coupling a Jordan block, 0.2 - 1e-7
     # leaves it an ill-conditioned eigenbasis, 0.3 gives it imaginary eigenvalues
@@ -118,7 +135,7 @@ class TestKernelStep:
             coupling = h - np.diag(np.diag(h))
             # dz >= 1 needs squaring at every l_max here
             for dz in (1e-4, 1e-3, 1e-2, 0.1, 1.0, 3.0, 10.0):
-                for w in (dynamics._W1, dynamics._W0):
+                for w in set(dynamics._WEIGHTS):
                     a = -1j * w * dz * coupling
                     ref = expm(a)
                     err = np.max(np.abs(_expm(a) - ref)) / np.max(np.abs(ref))
@@ -194,7 +211,7 @@ class TestDrive:
     def test_step_default_ignores_basis_size(self):
         drive = DriveParams(0.05, 0.0, 1.5)
         steps = {default_step(LatticeParams(0.2, 0.1, l_max=m), drive) for m in (4, 12, 40)}
-        assert steps == {0.01 / 1.5**2}
+        assert steps == {0.03 / 1.5**2}
 
     @pytest.mark.parametrize("l_max, step", [(12, 0.2), (40, 0.05)])
     def test_coarse_hermitian_run_conserves_power(self, l_max, step):
@@ -239,19 +256,64 @@ class TestEvolve:
         assert trace.metadata["warnings"]
 
     def test_convergence_rerun_doubles_step_count(self, monkeypatch):
-        # ceil(duration / (dz/2)) would give 47 steps here, not 46
-        counts = []
+        # ceil(duration / (dz/2)) would give 47 grid steps here, not 46
+        runs = []
 
-        def spy(a0, params, drive, n_steps, record_stride):
-            counts.append(n_steps)
-            return integrate(a0, params, drive, n_steps, record_stride)
+        def spy(a0, params, drive, n_steps, stride=None, refine=1):
+            runs.append((n_steps, stride, refine))
+            return integrate(a0, params, drive, n_steps, stride, refine)
 
         integrate = dynamics._integrate
         monkeypatch.setattr(dynamics, "_integrate", spy)
         params, drive = LatticeParams(0.2, 0.1, 4), DriveParams(0.2, 0.0, 1.2)
         cfg = IntegratorConfig(step=0.261, convergence_check=True)
         evolve(prepare_band_state(params, 0.0, 1), params, drive, cfg)
-        assert counts == [23, 46]
+        assert runs == [(23, 1, 1), (23, 1, 2)]
+
+    def test_convergence_rerun_doubles_every_interval(self, monkeypatch):
+        # 50 grid steps of 0.1 sampled every 22: intervals of 22, 22 and 6
+        # grid steps take 8, 8 and 2 table steps; the rerun takes 16, 16 and
+        # 4, where ceil(2L/3) would give 15 for L = 22
+        runs = record_marches(monkeypatch)
+        params, drive = LatticeParams(0.2, 0.1, 4), DriveParams(0.2, 0.0, 1.0)
+        cfg = IntegratorConfig(step=0.1, sample_stride=22, convergence_check=True)
+        trace = evolve(prepare_band_state(params, 0.0, 1), params, drive, cfg)
+        assert trace.metadata["steps"] == 50
+        (z, ends), (z_finer, ends_finer) = runs
+        # where each table step ends, and the grid point it ends an interval on
+        steps = np.diff(z, prepend=0.0)
+        np.testing.assert_allclose(steps, [2.2 / 8] * 16 + [0.6 / 2] * 2, rtol=1e-12)
+        np.testing.assert_allclose(z_finer[1::2], z, rtol=1e-12)
+        np.testing.assert_allclose(np.diff(z_finer, prepend=0.0), np.repeat(steps / 2, 2),
+                                   rtol=1e-12)
+        assert ends[ends > 0].tolist() == ends_finer[ends_finer > 0].tolist() == [22, 44, 50]
+
+    def test_sweep_rerun_doubles_the_table_steps(self, monkeypatch):
+        # 23 grid steps make one interval of 8 table steps; the rerun's step
+        # makes 48, whose 16 table steps halve each of the 8
+        runs = record_marches(monkeypatch)
+        params, drive = LatticeParams(0.2, 0.15, 4), DriveParams(0.2, 0.0, 1.2)
+        _sweep_point((params, drive, IntegratorConfig(step=0.261, convergence_check=True)))
+        (z, ends), (z_finer, ends_finer) = runs
+        assert z.size == 8 and z_finer.size == 16
+        np.testing.assert_allclose(z_finer[1::2], z, rtol=1e-12)
+        assert ends[-1] == 23 and ends_finer[-1] == 48
+
+    def test_kicks_once_per_weight_and_step_length(self, monkeypatch):
+        calls = []
+
+        def spy(a):
+            calls.append(a)
+            return expm(a)
+
+        expm = dynamics._expm
+        monkeypatch.setattr(dynamics, "_expm", spy)
+        # 3600 grid steps sampled every 7: intervals of 7 and a remainder of 2
+        # grid steps, two step lengths; a palindrome of nine has five weights
+        params, drive = LatticeParams(0.2, 0.15, 4), DriveParams(0.05, 0.0, 1.8)
+        cfg = IntegratorConfig(step=0.01, sample_stride=7)
+        evolve(prepare_band_state(params, 0.0, 1), params, drive, cfg)
+        assert len(calls) == 2 * 5
 
     def test_degenerate_projection_is_counted(self):
         # at the critical point the operator is triangular with eigenvalues
@@ -259,7 +321,8 @@ class TestEvolve:
         # q = 0, bands 1 and 2 at q = 1
         params = LatticeParams(0.2, 0.2)
         drive = DriveParams(0.1, 0.0, 1.0)
-        cfg = IntegratorConfig(sample_stride=100)
+        # 1000 grid steps, sampled every 0.1 in q
+        cfg = IntegratorConfig(step=0.01, sample_stride=100)
         trace = evolve(prepare_band_state(params, 0.0, 1), params, drive, cfg)
         assert trace.q[0] == 0.0 and trace.q[-1] == 1.0
         nan1, nan2 = np.isnan(trace.band1_prob), np.isnan(trace.band2_prob)
@@ -285,7 +348,7 @@ class TestEvolve:
     ])
     def test_stacked_projection_matches_per_sample_view(self, v_imag, drive, stride):
         params = LatticeParams(0.2, v_imag)
-        cfg = IntegratorConfig(sample_stride=stride)
+        cfg = IntegratorConfig(step=0.01, sample_stride=stride)
         state = prepare_band_state(params, drive.q_start, 1)
         trace = evolve(state, params, drive, cfg)
         # the same integration again, keeping the sampled states
@@ -301,6 +364,29 @@ class TestEvolve:
                     expected[i] = math.nan
             np.testing.assert_array_equal(np.isnan(column), np.isnan(expected))
             np.testing.assert_allclose(column, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("stride", [7, 40, 100, 10**6])
+    def test_configured_grid_is_kept(self, stride):
+        # the grid points i * dz, whatever the table steps between them
+        params = LatticeParams(0.2, 0.15, 4)
+        drive = DriveParams(0.05, 0.0, 1.8)
+        cfg = IntegratorConfig(step=0.01, sample_stride=stride)
+        trace = evolve(prepare_band_state(params, 0.0, 1), params, drive, cfg)
+        assert trace.metadata["steps"] == 3600
+        dz = drive.duration / 3600
+        grid = range(0, 3600, stride)
+        assert trace.z.tolist() == [i * dz for i in grid] + [drive.duration]
+        assert trace.q.tolist() == [0.05 * i * dz for i in grid] + [1.8]
+
+    def test_default_stride_bounds_the_samples(self):
+        # 200 / (0.03 / 4) = 26667 grid steps: ceil(n / 2000) = 14 gives
+        # 1906 samples, the last at q_stop, where n // 2000 = 13 gave 2053
+        params = LatticeParams(0.2, 0.1, 4)
+        drive = DriveParams(0.01, 0.0, 2.0)
+        trace = evolve(prepare_band_state(params, 0.0, 1), params, drive)
+        assert trace.metadata["steps"] == 26667
+        assert trace.metadata["sample_stride"] == 14
+        assert trace.z.size == 1906 and trace.q[-1] == 2.0
 
     def test_adiabatic_band_following(self):
         # slow Hermitian sweep through the avoided crossing keeps band 1 occupied
@@ -361,6 +447,11 @@ class TestTransitionProbability:
     def test_convergence_check_rejected(self):
         config = IntegratorConfig(step=0.2, convergence_check=True)
         with pytest.raises(ParameterError, match="run_sweep"):
+            transition_probability(LatticeParams(0.2, 0.15, 4), DriveParams(0.3, 0.0, 1.8), config)
+
+    def test_sample_stride_rejected(self):
+        config = IntegratorConfig(sample_stride=10)
+        with pytest.raises(ParameterError, match="sample_stride"):
             transition_probability(LatticeParams(0.2, 0.15, 4), DriveParams(0.3, 0.0, 1.8), config)
 
     def test_degenerate_final_momentum_raises(self):

@@ -20,9 +20,10 @@ from ptlattice import (
     two_mode_eigenvalues,
 )
 from ptlattice import twomode
-from ptlattice.dynamics import _W0, _W1, _expm
+from ptlattice import dynamics
+from ptlattice.dynamics import _NODES, _WEIGHTS, _expm
 from ptlattice.lattice import LatticeParams
-from ptlattice.twomode import _CHUNK, _step_matrices, ground_state
+from ptlattice.twomode import _CHUNK, ground_state
 
 
 class TestEigenvalues:
@@ -216,7 +217,7 @@ class TestEvolution:
     def test_coarse_step_warns(self):
         trace = evolve_two_mode(
             TwoModeParams(0.4, 0.0, 0.12), t_span=(-50.0, 50.0),
-            config=IntegratorConfig(step=0.5, convergence_check=True),
+            config=IntegratorConfig(step=1.0, convergence_check=True),
         )
         assert trace.metadata["final_intensity_halving_diff"] > 1e-4
         assert len(trace.metadata["warnings"]) == 1
@@ -231,8 +232,11 @@ class TestEvolution:
         assert trace.t[0] == -300.0
         assert trace.t[-1] == 300.0
         np.testing.assert_allclose(np.diff(trace.t[:-1]), stride * dt, rtol=1e-9)
+        # a table step spans at most min(stride, 3) grid steps, and advances
+        # the diagonal phase by at most 1.08 rad where the sweep is farthest out
+        assert rate * 300.0 / 2.0 * min(stride, 3) * dt <= 1.08 * (1 + 1e-12)
 
-    def test_fourth_order_convergence(self):
+    def test_sixth_order_convergence(self):
         from scipy.integrate import solve_ivp
 
         params = TwoModeParams(0.4, 0.3, 0.12)
@@ -250,7 +254,7 @@ class TestEvolution:
         for h in (0.4, 0.2):
             trace = evolve_two_mode(params, t_span=span, config=IntegratorConfig(step=h))
             errs.append(abs(trace.a1[-1] - ref[0]) + abs(trace.a2[-1] - ref[1]))
-        assert math.log2(errs[0] / errs[1]) == pytest.approx(4.0, abs=0.3)
+        assert math.log2(errs[0] / errs[1]) == pytest.approx(6.0, abs=0.3)
 
     def test_zero_rate_rejected(self):
         with pytest.raises(ParameterError):
@@ -270,34 +274,48 @@ class TestEvolution:
             TwoModeParams(**values)
 
 
-def sequential_states(params, t_span, n_steps):
-    """States after every step, from one sequential product of the step matrices."""
+def sequential_states(params, t_span, n_steps, stride):
+    """States at the grid points 0, stride, 2 stride, ..., n_steps, one sub-step at a time.
+
+    Each interval of L grid steps takes ceil(L/3) equal steps of the weight
+    table, each the diagonal flow to a kick node, the kick, and so on to the
+    step's end, as one sequential product of 2x2 matrices with no phase folded.
+    """
     t0, t1 = t_span
     dt = (t1 - t0) / n_steps
     coupling = np.array([[0.0, params.coupling + params.skew],
                          [params.coupling - params.skew, 0.0]]) / 2.0
-    kicks = [_expm(-1j * w * dt * coupling).ravel().tolist() for w in (_W1, _W0, _W1)]
-    m = _step_matrices(t0, dt, np.arange(n_steps), params.rate, kicks)
     start = ground_state(params, t0)
-    a1, a2 = start.a1, start.a2
-    states = [(a1, a2)]
-    for m11, m12, m21, m22 in zip(*(x.tolist() for x in m)):
-        a1, a2 = m11 * a1 + m12 * a2, m21 * a1 + m22 * a2
-        states.append((a1, a2))
+    a = np.array([start.a1, start.a2])
+    states, kicks = [a], {}
+    for i in range(0, n_steps, stride):
+        length = min(stride, n_steps - i)
+        m = math.ceil(length / 3)
+        h = length * dt / m
+        if h not in kicks:
+            kicks[h] = [_expm(-1j * w * h * coupling) for w in _WEIGHTS] + [np.eye(2)]
+        for j in range(m):
+            t = t0 + i * dt + h * (j + _NODES)
+            z = np.exp(0.25j * params.rate * h * np.diff(_NODES) * (t[:-1] + t[1:]))
+            for zi, kick in zip(z, kicks[h]):
+                a = kick @ (np.array([zi, zi.conjugate()]) * a)
+        states.append(a)
     return np.array(states).T, dt
 
 
 class TestScanKernel:
-    # 4000 steps of 0.02: three full chunks and a partial one
+    # 4000 grid steps of 0.02
     SPAN = (-40.0, 40.0)
 
     @pytest.mark.parametrize("skew", [-0.3, 0.3, 0.4], ids=["loss", "gain", "critical"])
     def test_matches_sequential_product(self, skew):
+        # one table step per grid step: three full chunks and a partial one
         params = TwoModeParams(0.4, skew, 0.12)
-        trace = evolve_two_mode(params, t_span=self.SPAN, config=IntegratorConfig(sample_stride=1))
+        config = IntegratorConfig(step=0.02, sample_stride=1)
+        trace = evolve_two_mode(params, t_span=self.SPAN, config=config)
         n_steps = trace.metadata["steps"]
-        assert n_steps % _CHUNK != 0
-        ref, _ = sequential_states(params, self.SPAN, n_steps)
+        assert n_steps == 4000 and n_steps % _CHUNK != 0
+        ref, _ = sequential_states(params, self.SPAN, n_steps, 1)
         for got, want in zip((trace.a1, trace.a2), ref):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -305,32 +323,55 @@ class TestScanKernel:
     def test_sample_grid(self, stride):
         params = TwoModeParams(0.4, 0.3, 0.12)
         trace = evolve_two_mode(params, t_span=self.SPAN,
-                                config=IntegratorConfig(sample_stride=stride))
+                                config=IntegratorConfig(step=0.02, sample_stride=stride))
         n_steps = trace.metadata["steps"]
-        ref, dt = sequential_states(params, self.SPAN, n_steps)
+        ref, dt = sequential_states(params, self.SPAN, n_steps, stride)
         steps = [0, *range(stride, n_steps, stride), n_steps]
         assert trace.t.tolist() == [self.SPAN[0] + i * dt for i in steps[:-1]] + [self.SPAN[1]]
-        for got, want in zip((trace.a1, trace.a2), ref[:, steps]):
+        for got, want in zip((trace.a1, trace.a2), ref):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_convergence_rerun_uses_twice_the_steps(self, monkeypatch):
+        # 4000 grid steps sampled every 22: 181 intervals of 22 grid steps
+        # take 8 table steps each and the remaining 18 take 6; the rerun takes
+        # 16 and 12, where ceil(2L/3) would give 15 for L = 22
+        runs = []
+
+        def spy(*args):
+            chunks = list(march(*args))
+            runs.append((np.concatenate([t[:, -1] for _, t, _, _ in chunks]),
+                         np.concatenate([ends for *_, ends in chunks])))
+            return iter(chunks)
+
+        march = twomode._march
+        monkeypatch.setattr(twomode, "_march", spy)
+        config = IntegratorConfig(step=0.02, sample_stride=22, convergence_check=True)
+        trace = evolve_two_mode(TwoModeParams(0.4, 0.3, 0.12), t_span=self.SPAN, config=config)
+        assert trace.metadata["steps"] == 4000
+        (t, ends), (t_finer, ends_finer) = runs
+        # where each table step ends, from the start, and the grid point it
+        # ends an interval on
+        steps = np.diff(t, prepend=0.0)
+        np.testing.assert_allclose(steps, [0.44 / 8] * (181 * 8) + [0.36 / 6] * 6, rtol=1e-9)
+        np.testing.assert_allclose(t_finer[1::2], t, rtol=1e-12)
+        np.testing.assert_allclose(np.diff(t_finer, prepend=0.0), np.repeat(steps / 2, 2),
+                                   rtol=1e-9)
+        grid = [*range(22, 4000, 22), 4000]
+        assert ends[ends > 0].tolist() == ends_finer[ends_finer > 0].tolist() == grid
+
+    def test_expm_once_per_weight_and_step_length(self, monkeypatch):
         calls = []
 
-        def spy(t0, dt, k, rate, kicks):
-            calls.append((dt, k))
-            return _step_matrices(t0, dt, k, rate, kicks)
+        def spy(a):
+            calls.append(a)
+            return expm(a)
 
-        monkeypatch.setattr(twomode, "_step_matrices", spy)
-        trace = evolve_two_mode(TwoModeParams(0.4, 0.3, 0.12), t_span=self.SPAN,
-                                config=IntegratorConfig(convergence_check=True))
-        n_steps = trace.metadata["steps"]
-        runs = {}
-        for dt, k in calls:
-            runs.setdefault(dt, []).append(k)
-        steps = [np.concatenate(k) for k in runs.values()]
-        assert [k.size for k in steps] == [n_steps, 2 * n_steps]
-        for k in steps:
-            np.testing.assert_array_equal(k, np.arange(k.size))
+        expm = dynamics._expm
+        monkeypatch.setattr(dynamics, "_expm", spy)
+        # 4000 grid steps sampled every 7: two step lengths, five distinct weights
+        config = IntegratorConfig(step=0.02, sample_stride=7)
+        evolve_two_mode(TwoModeParams(0.4, 0.3, 0.12), t_span=self.SPAN, config=config)
+        assert len(calls) == 2 * 5
 
 
 class TestCouplingExponential:
