@@ -21,8 +21,9 @@ diagonal phase folds into the next step's first.  The twomode module's
 two-level kernel uses the same table, _expm and IntegratorConfig.
 
 A run is a grid of n = ceil(duration/step) steps, sampled every stride of
-them.  The step keeps a budget of three kicks per grid step: each sample
-interval of L grid steps is marched in ceil(L/3) equal table steps.  The
+them.  Each sample interval of L grid steps is marched in ceil(L/3) equal
+table steps: three kicks per grid step where L is a multiple of 3, up to
+nine at L = 1, since a table step cannot end between samples.  The
 step defaults to 0.03/max(1, q_max^2); for v_imag = 0 every factor is
 unitary, so power is conserved to roundoff at any step, which is limited by
 accuracy only.  The convergence check reruns the grid with exactly twice
@@ -178,20 +179,11 @@ def default_step(params: LatticeParams, drive: DriveParams) -> float:
     return 0.03 / max(1.0, qm * qm)
 
 
-def _step_count(params: LatticeParams, drive: DriveParams, config: IntegratorConfig) -> int:
-    """Steps of a run: the fewest whose length is at most the configured or default step."""
+def _lattice_grid(params: LatticeParams, drive: DriveParams,
+                  config: IntegratorConfig) -> tuple[int, int]:
+    """Grid steps and sample stride of a run at the configured or default step."""
     step = config.step if config.step is not None else default_step(params, drive)
-    return max(1, math.ceil(drive.duration / step))
-
-
-def _halved_step(params: LatticeParams, drive: DriveParams, config: IntegratorConfig) -> float:
-    """A step whose run without samples takes exactly twice the table steps of config's.
-
-    Such a run marches its n grid steps as one interval of ceil(n/3) table
-    steps; a step of duration/(6 ceil(n/3) - 1/2) rounds up to 6 ceil(n/3).
-    """
-    table_steps = -(-_step_count(params, drive, config) // _GRID_STEPS)
-    return drive.duration / (2 * _GRID_STEPS * table_steps - 0.5)
+    return _grid(drive.duration, step, config.sample_stride, 2000)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -210,6 +202,25 @@ def _expm(a: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         result = result @ result
     return result
+
+
+def _grid(duration: float, step: float, stride: int | None, samples: int,
+          table_step: bool = False) -> tuple[int, int]:
+    """Grid steps n and sample stride of a run over duration.
+
+    n is the fewest grid steps no longer than step, and the stride defaults
+    to ceil(n/samples): at most samples + 1 samples, the last at the end.
+    With table_step, step bounds the table steps of _march instead: one
+    spans at most min(stride, 3) grid steps, so the grid step is step over
+    that span, refit until the stride the grid gets spans no more.
+    """
+    span = 1
+    while True:
+        n_steps = max(1, math.ceil(duration / (step / span)))
+        s = stride or math.ceil(n_steps / samples)
+        if not table_step or min(s, _GRID_STEPS) <= span:
+            return n_steps, s
+        span = min(s, _GRID_STEPS)
 
 
 def _march(coupling: np.ndarray, n_steps: int, stride: int, refine: int, dz: float,
@@ -305,8 +316,7 @@ def evolve(
         raise ParameterError("evolve needs a non-zero drive rate")
     if abs(state.q_ref - drive.q_start) > 1e-9:
         raise ParameterError("state q_ref must match the drive's q_start")
-    n_steps = _step_count(params, drive, config)
-    stride = config.sample_stride or math.ceil(n_steps / 2000)
+    n_steps, stride = _lattice_grid(params, drive, config)
 
     y, samples = _integrate(state.amplitudes, params, drive, n_steps, stride)
 
@@ -389,6 +399,14 @@ def transition_probability(
             f"band 2 at q={drive.q_stop} is degenerate; its eigenvectors are unreliable"
         )
     return prob
+
+
+def _refined_probability(params: LatticeParams, drive: DriveParams, step: float | None) -> float:
+    """transition_probability at step, rerun with twice the table steps in its one interval."""
+    state = prepare_band_state(params, drive.q_start, 1)
+    n_steps, _ = _lattice_grid(params, drive, IntegratorConfig(step=step))
+    y, _ = _integrate(state.amplitudes, params, drive, n_steps, refine=2)
+    return project_onto_band(ModeVector(y, drive.q_stop), params, drive.q_stop, 2)[1]
 
 
 def plateau_averages(trace: EvolutionTrace) -> dict[int, float]:

@@ -19,7 +19,7 @@ from .dynamics import (
     DriveParams,
     IntegratorConfig,
     _crossings_between,
-    _halved_step,
+    _refined_probability,
     evolve,
     plateau_averages,
     prepare_band_state,
@@ -121,13 +121,12 @@ def run_multicross(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _sweep_point(job) -> tuple[float, float]:
-    """P at the configured step and, with convergence_check, |P(n steps) - P(2n steps)|."""
+    """P at the configured step and, with convergence_check, |P - P at twice the table steps|."""
     lattice, drive, integrator = job
     p = transition_probability(lattice, drive, IntegratorConfig(step=integrator.step))
     if not integrator.convergence_check:
         return p, 0.0
-    finer = IntegratorConfig(step=_halved_step(lattice, drive, integrator))
-    return p, abs(transition_probability(lattice, drive, finer) - p)
+    return p, abs(_refined_probability(lattice, drive, integrator.step) - p)
 
 
 def run_sweep(cfg: ExperimentConfig) -> ResultTable:

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, _march
+from .dynamics import IntegratorConfig, _grid, _march
 from .errors import ParameterError
 from .lattice import LatticeParams, _is_integer
 
@@ -227,9 +227,10 @@ def evolve_two_mode(
     Defaults: t_span = (-T, T) with T = max(300, 20/sqrt(rate)), the initial
     state is the instantaneous ground level at t_span[0], the table step is
     at most min(0.06, 1.08/eps_max) with eps_max = rate*max|t|/2 (a bounded
-    phase advance per step) and the grid step is that, or a third of it past
-    20000 steps, and the sample stride is ceil(steps/20000), so a
-    default trace holds at most 20001 samples, the last one at t_span[1].
+    phase advance per step), so the grid step is that over the most grid
+    steps a table step spans, min(stride, 3) (dynamics._grid), and the
+    sample stride is ceil(steps/20000), so a default trace holds at most
+    20001 samples, the last one at t_span[1].
     The state at grid point i is sampled at t_span[0] + i*dt; each sample
     interval of L grid steps is marched in ceil(L/3) table steps
     (dynamics._march), a chunk at a time, which bounds the working memory.
@@ -244,14 +245,13 @@ def evolve_two_mode(
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise ParameterError("t_span must be finite and increasing")
-    step = config.step
-    if step is None:
+    if config.step is None:
         # at most 1.08 rad of diagonal phase per table step where the sweep is
-        # farthest out; past 20000 steps the default stride marches up to
-        # three grid steps per table step, so the grid step is a third of it
-        step = min(0.06, 1.08 / (params.rate * max(abs(t0), abs(t1)) / 2.0))
-        if (t1 - t0) / step > 20000:
-            step /= 3.0
+        # farthest out
+        bound = min(0.06, 1.08 / (params.rate * max(abs(t0), abs(t1)) / 2.0))
+        n_steps, stride = _grid(t1 - t0, bound, config.sample_stride, 20000, table_step=True)
+    else:
+        n_steps, stride = _grid(t1 - t0, config.step, config.sample_stride, 20000)
     if initial is None:
         initial = ground_state(params, t0)
     coupling = np.array([[0.0, params.coupling + params.skew],
@@ -272,8 +272,6 @@ def evolve_two_mode(
         ts.append([t1]), amps.append(a[:, None])
         return np.concatenate(ts), np.concatenate(amps, axis=1), dt
 
-    n_steps = max(1, math.ceil((t1 - t0) / step))
-    stride = config.sample_stride or math.ceil(n_steps / 20000)
     t, amps, dt = run(n_steps, stride)
     trace = TwoModeTrace(
         t=t, a1=amps[0], a2=amps[1], metadata={"step": dt, "steps": n_steps, "warnings": []}

@@ -236,6 +236,19 @@ class TestEvolution:
         # the diagonal phase by at most 1.08 rad where the sweep is farthest out
         assert rate * 300.0 / 2.0 * min(stride, 3) * dt <= 1.08 * (1 + 1e-12)
 
+    @pytest.mark.parametrize("stride", [2, 3, 10])
+    def test_default_step_holds_at_any_stride(self, stride):
+        # a table step spans up to min(stride, 3) grid steps, so a configured
+        # stride shrinks the default grid step and leaves the accuracy as it is
+        params = TwoModeParams(0.4, 0.3, 0.12)
+        base = evolve_two_mode(params)
+        trace = evolve_two_mode(params, config=IntegratorConfig(sample_stride=stride))
+        assert base.metadata["steps"] == 10000
+        assert trace.metadata["steps"] == 10000 * min(stride, 3)
+        assert 0.12 * 300.0 / 2.0 * min(stride, 3) * trace.metadata["step"] <= 1.08 * (1 + 1e-12)
+        for got, want in zip((trace.a1, trace.a2), (base.a1, base.a2)):
+            assert abs(abs(got[-1]) ** 2 - abs(want[-1]) ** 2) < 1e-5
+
     def test_sixth_order_convergence(self):
         from scipy.integrate import solve_ivp
 
