@@ -13,23 +13,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .config import KINDS, load_config
 from .errors import ConfigError, DegenerateBandError, ParameterError, PhaseError
 from .experiments import RUNNERS, render_chart
-
-
-def _resolve_config_path(name: str) -> Path:
-    path = Path(name)
-    if path.exists():
-        return path
-    for candidate in (name, name + ".json"):
-        preset = resources.files("ptlattice").joinpath("presets", candidate)
-        if preset.is_file():
-            return Path(str(preset))
-    raise ConfigError(f"config not found: {name!r} is neither a file nor a bundled preset")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(_resolve_config_path(args.config))
+        cfg = load_config(args.config)
         if cfg.kind != args.kind:
             raise ConfigError(
                 f"config kind {cfg.kind!r} does not match subcommand {args.kind!r}"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from importlib import resources
 from pathlib import Path
 
 from .dynamics import DriveParams, IntegratorConfig
@@ -182,15 +183,20 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     if kind == "bands" and doc["band_count"] > cfg.lattice.size:
         raise ConfigError(f"band_count: expected an integer in 1..{cfg.lattice.size}")
-    if cfg.drive is not None and cfg.drive.rate == 0.0:
-        raise ConfigError("drive.rate must be non-zero")
     if kind == "sweep" and (doc["sweep"]["rate_min"] <= 0 or doc["sweep"]["rate_max"] <= 0):
         raise ConfigError("sweep rates must be positive")
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
-    path = Path(path)
+def load_config(source) -> ExperimentConfig:
+    """Parse the JSON config file at source, or the bundled preset named source (fig3, ...)."""
+    path = Path(source)
+    if not path.exists():
+        presets = resources.files("ptlattice").joinpath("presets")
+        found = [p for p in (presets / str(source), presets / f"{source}.json") if p.is_file()]
+        if not found:
+            raise ConfigError(f"config not found: {source!r} is neither a file nor a bundled preset")
+        path = found[0]
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:

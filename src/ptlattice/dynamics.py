@@ -73,20 +73,24 @@ class ModeVector:
 
 @dataclass(frozen=True)
 class DriveParams:
-    """Linear momentum sweep q(z) = q_start + rate*z ending at q_stop."""
+    """Linear momentum sweep q(z) = q_start + rate*z ending at q_stop; finite, rate non-zero."""
 
     rate: float
     q_start: float
     q_stop: float
 
     def __post_init__(self):
-        if self.rate != 0.0 and (self.q_stop - self.q_start) / self.rate <= 0.0:
+        if not all(map(math.isfinite, (self.rate, self.q_start, self.q_stop))):
+            raise ParameterError("rate, q_start and q_stop must be finite")
+        if self.rate == 0.0:
+            raise ParameterError("rate must be non-zero")
+        if self.duration <= 0.0:
             raise ParameterError("q_stop must lie ahead of q_start along the drive direction")
+        if math.isinf(self.duration):
+            raise ParameterError("the drive's duration (q_stop - q_start)/rate overflows")
 
     @property
     def duration(self) -> float:
-        if self.rate == 0.0:
-            raise ParameterError("drive rate must be non-zero to define a duration")
         return (self.q_stop - self.q_start) / self.rate
 
     @property
@@ -312,8 +316,6 @@ def evolve(
     band is degenerate gets NaN in that band's column and is counted in
     metadata["projection_failures"].
     """
-    if drive.rate == 0.0:
-        raise ParameterError("evolve needs a non-zero drive rate")
     if abs(state.q_ref - drive.q_start) > 1e-9:
         raise ParameterError("state q_ref must match the drive's q_start")
     n_steps, stride = _lattice_grid(params, drive, config)

@@ -225,7 +225,8 @@ def evolve_two_mode(
     """Integrate the sweep with the module's split-step scheme; sample the amplitudes.
 
     Defaults: t_span = (-T, T) with T = max(300, 20/sqrt(rate)), the initial
-    state is the instantaneous ground level at t_span[0], the table step is
+    state is the instantaneous ground level at t_span[0] (a given one must
+    be at t_span[0], else ParameterError), the table step is
     at most min(0.06, 1.08/eps_max) with eps_max = rate*max|t|/2 (a bounded
     phase advance per step), so the grid step is that over the most grid
     steps a table step spans, min(stride, 3) (dynamics._grid), and the
@@ -254,6 +255,8 @@ def evolve_two_mode(
         n_steps, stride = _grid(t1 - t0, config.step, config.sample_stride, 20000)
     if initial is None:
         initial = ground_state(params, t0)
+    elif abs(initial.t - t0) > 1e-9:
+        raise ParameterError(f"initial state is at t={initial.t}, the span starts at t={t0}")
     coupling = np.array([[0.0, params.coupling + params.skew],
                          [params.coupling - params.skew, 0.0]]) / 2.0
 

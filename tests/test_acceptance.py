@@ -1,8 +1,10 @@
 """Acceptance gate: every primary criterion at its stated tolerance.
 
 Each test prints one `ACCEPTANCE <n> ...: PASS/FAIL` line with the measured
-numbers (run with -s to see them on success).  Independent heavy runs are
-spread over two worker processes.
+numbers (run with -s to see them on success).  Criteria 1-3 run the paper's
+figures as the bundled presets, through the same runners as the command
+line, and read the gated numbers from the result tables.  Independent heavy
+runs are spread over two worker processes.
 """
 
 import math
@@ -14,34 +16,39 @@ import pytest
 from ptlattice import (
     DriveParams,
     LatticeParams,
+    critical_survival,
     evolve,
     lz_probability,
     lz_survival,
     multicross_power,
-    plateau_averages,
     prepare_band_state,
 )
-from ptlattice.config import parse_config
-from ptlattice.experiments import run_sweep
+from ptlattice.config import load_config
+from ptlattice.experiments import RUNNERS
 from ptlattice.lattice import band_energies, eigensystem
-from ptlattice.twomode import TwoModeParams, critical_survival, evolve_two_mode
+from ptlattice.twomode import TwoModeParams, evolve_two_mode
 
 # the whole module takes minutes; `pytest -m "not slow"` skips it
 pytestmark = pytest.mark.slow
-
-V_CRITICAL = 0.2 - 1e-7
 
 
 def report(name: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def _terminal_power(job) -> float:
-    v_imag, rate, q_stop = job
-    params = LatticeParams(0.2, v_imag)
-    drive = DriveParams(rate, 0.0, q_stop)
-    trace = evolve(prepare_band_state(params, 0.0, 1), params, drive)
-    return float(trace.power[-1])
+def run_preset(name: str, **overrides):
+    """A bundled preset's result table, run as `ptlattice <kind> --config <name>` runs it."""
+    cfg = load_config(name)
+    cfg.doc.update(overrides)
+    return RUNNERS[cfg.kind](cfg)
+
+
+def _final_power(name: str) -> float:
+    return run_preset(name).metadata["final_power"]
+
+
+def _plateau_means(table) -> dict[int, float]:
+    return {p["crossings"]: p["mean_power"] for p in table.metadata["plateaus"]}
 
 
 def _power_excursion(job) -> float:
@@ -54,9 +61,8 @@ def _power_excursion(job) -> float:
 
 
 def test_criterion_1_adiabatic_gain_and_loss():
-    jobs = [(0.1, 1e-3, 2.0), (0.1, -1e-3, -2.0)]
     with ProcessPoolExecutor(max_workers=2) as pool:
-        rho_up, rho_down = pool.map(_terminal_power, jobs)
+        rho_up, rho_down = pool.map(_final_power, ["fig3", "fig3_reverse"])
     ok_up = abs(rho_up - 3.0) <= 0.05 * 3.0
     ok_down = abs(rho_down - 1.0 / 3.0) <= 0.05 / 3.0
     report(
@@ -67,38 +73,33 @@ def test_criterion_1_adiabatic_gain_and_loss():
     assert ok_up and ok_down
 
 
-@pytest.mark.parametrize("v_imag", [0.0, 0.15, 0.19])
-def test_criterion_2_sweep_matches_closed_form(v_imag):
-    doc = {
-        "kind": "sweep",
-        "lattice": {"v_real": 0.2, "v_imag": v_imag, "l_max": 12},
-        "sweep": {"rate_min": 0.002, "rate_max": 0.3, "count": 20, "spacing": "log",
-                  "q_start": 0.0, "q_stop": 1.8},
-        "jobs": 2,
-    }
-    table = run_sweep(parse_config(doc))
-    worst = float(np.max(table.column("abs_error")))
+# the ids are the presets' v_imag
+@pytest.mark.parametrize("preset", ["fig4a", "fig4b", "fig4c"], ids=["0.0", "0.15", "0.19"])
+def test_criterion_2_sweep_matches_closed_form(preset):
+    table = run_preset(preset, jobs=2)
+    worst = table.metadata["max_abs_error"]
+    config = table.metadata["config"]
+    sweep = config["sweep"]
     ok = worst <= 0.03
     report(
-        f"2 sweep agreement (v_imag={v_imag})",
+        f"2 sweep agreement (v_imag={config['lattice']['v_imag']})",
         ok,
-        f"max |P_numeric - P_analytic| = {worst:.4f} over 20 rates in [2e-3, 0.3] (limit 0.03)",
+        f"max |P_numeric - P_analytic| = {worst:.4f} over {sweep['count']} rates in "
+        f"[{sweep['rate_min']:g}, {sweep['rate_max']:g}] (limit 0.03)",
     )
     assert ok
 
 
-def _staircase_trace(v_imag: float, rate: float):
-    params = LatticeParams(0.2, v_imag)
-    drive = DriveParams(rate, 0.0, math.copysign(3.9, rate))
-    return evolve(prepare_band_state(params, 0.0, 1), params, drive)
-
-
 def test_criterion_3_staircase_plateaus():
-    means = plateau_averages(_staircase_trace(0.15, 0.03))
+    means = _plateau_means(run_preset("fig5a"))
     ok1 = abs(means[1] - 4.6) <= 0.1 * 4.6
     ok2 = abs(means[2] - 19.72) <= 0.1 * 19.72
-    crit_means = plateau_averages(_staircase_trace(V_CRITICAL, 0.03))
-    target = 1.0 + 2.0 * math.pi * 0.16 / 0.12
+    critical = run_preset("fig5a_critical")
+    crit_means = _plateau_means(critical)
+    # one crossing at a vanishing gap: full transition plus the critical survival
+    config = critical.metadata["config"]
+    two = TwoModeParams.from_lattice(LatticeParams(**config["lattice"]), config["drive"]["rate"])
+    target = 1.0 + critical_survival(two.coupling, two.rate)
     ok3 = abs(crit_means[1] - target) <= 0.1 * target
     report(
         "3 staircase plateaus",
@@ -121,12 +122,13 @@ def test_criterion_3_critical_reverse_stays_at_unity():
     what the prediction's step structure actually constrains, is reported
     alongside.
     """
-    trace = _staircase_trace(V_CRITICAL, -0.03)
-    sel = np.abs(trace.q) > 1.5
-    nearest_odd = 2.0 * np.round((trace.q - 1.0) / 2.0) + 1.0
-    sel &= np.abs(trace.q - nearest_odd) > 0.5
-    worst = float(np.max(np.abs(trace.power[sel] - 1.0)))
-    flatness = float(np.max(trace.power[sel]) - np.min(trace.power[sel]))
+    table = run_preset("fig5b_critical")
+    q, power = table.column("q"), table.column("power")
+    sel = np.abs(q) > 1.5
+    nearest_odd = 2.0 * np.round((q - 1.0) / 2.0) + 1.0
+    sel &= np.abs(q - nearest_odd) > 0.5
+    worst = float(np.max(np.abs(power[sel] - 1.0)))
+    flatness = float(np.max(power[sel]) - np.min(power[sel]))
     ok = worst <= 1e-3
     report(
         "3 critical reverse drive",

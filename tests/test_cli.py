@@ -112,6 +112,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(doc)
 
+    def test_load_config_takes_a_preset_name(self, tmp_path, monkeypatch):
+        root = resources.files("ptlattice").joinpath("presets")
+        by_path = load_config(str(root.joinpath("fig3.json")))
+        assert load_config("fig3").doc == by_path.doc
+        assert load_config("fig3.json").doc == by_path.doc
+        # a file at the given path wins over the preset of that name
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fig3").write_text(json.dumps(evolve_doc()))
+        assert load_config("fig3").drive.rate == 0.1
+        with pytest.raises(ConfigError, match="neither a file nor a bundled preset"):
+            load_config("no_such_preset")
+
     def test_evolve_rejects_zero_rate(self):
         doc = {
             "kind": "evolve",
@@ -424,11 +436,15 @@ class TestCli:
         assert main(["evolve", "--config", str(cfg)]) == 2
         assert "integrator.step" in capsys.readouterr().err
 
-    def test_preset_name_resolution(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("name", ["fig1a", "fig1b", "twomode"])
+    def test_preset_name_resolution(self, tmp_path, monkeypatch, name):
+        # the presets that run in well under a second; the paper's driven
+        # figures run through the same loader in the acceptance module
         monkeypatch.chdir(tmp_path)
-        assert main(["bands", "--config", "fig1b", "--out", "f1b"]) == 0
-        table = load_csv(tmp_path / "f1b.csv")
-        assert table.metadata["config"]["lattice"]["v_imag"] == 0.2
+        cfg = load_config(name)
+        assert main([cfg.kind, "--config", name, "--out", "run"]) == 0
+        table = load_csv(tmp_path / "run.csv")
+        assert table.metadata["config"] == {**cfg.resolved(), "out": "run"}
 
 
 class TestPresets:
@@ -444,6 +460,6 @@ class TestPresets:
     def test_expected_presets_exist(self):
         root = resources.files("ptlattice").joinpath("presets")
         have = {p.name for p in root.iterdir()}
-        for name in ("fig1a", "fig1b", "fig3", "fig4a", "fig4b", "fig4c",
+        for name in ("fig1a", "fig1b", "fig3", "fig3_reverse", "fig4a", "fig4b", "fig4c",
                      "fig5a", "fig5a_critical", "fig5b", "fig5b_critical", "twomode"):
             assert f"{name}.json" in have

@@ -182,6 +182,22 @@ class TestDrive:
         with pytest.raises(ParameterError):
             DriveParams(rate=-0.1, q_start=0.0, q_stop=1.0)
 
+    @pytest.mark.parametrize("rate, q_start, q_stop, message", [
+        (0.0, 0.0, 1.0, "non-zero"),
+        (math.nan, 0.0, 1.0, "finite"),
+        (math.inf, 0.0, 1.0, "finite"),
+        (-math.inf, 0.0, -1.0, "finite"),
+        (0.1, math.nan, 1.0, "finite"),
+        (0.1, -math.inf, 1.0, "finite"),
+        (0.1, 0.0, math.inf, "finite"),
+        (0.1, 0.0, math.nan, "finite"),
+        (1e-320, 0.0, 1.0, "overflows"),
+        (1.0, -1e308, 1e308, "overflows"),
+    ])
+    def test_invalid_drive_rejected_at_construction(self, rate, q_start, q_stop, message):
+        with pytest.raises(ParameterError, match=message):
+            DriveParams(rate, q_start, q_stop)
+
     def test_crossing_counter(self):
         assert _crossings_between(0.0, 1.8) == 1
         assert _crossings_between(0.0, 3.9) == 2

@@ -273,6 +273,18 @@ class TestEvolution:
         with pytest.raises(ParameterError):
             evolve_two_mode(TwoModeParams(0.4, 0.0, 0.0))
 
+    def test_initial_state_must_start_the_span(self):
+        # the state is marched from t_span[0], so one prepared at another time
+        # is an error, not a silent restart
+        params = TwoModeParams(0.4, 0.3, 0.12)
+        span = (-40.0, 40.0)
+        with pytest.raises(ParameterError, match="span starts"):
+            evolve_two_mode(params, t_span=span, initial=ground_state(params, 10.0))
+        given = evolve_two_mode(params, t_span=span, initial=ground_state(params, span[0]))
+        default = evolve_two_mode(params, t_span=span)
+        np.testing.assert_array_equal(given.a1, default.a1)
+        np.testing.assert_array_equal(given.a2, default.a2)
+
     @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -0.01])
     def test_invalid_step_rejected(self, step):
         with pytest.raises(ParameterError):
