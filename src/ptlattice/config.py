@@ -1,8 +1,10 @@
 """Experiment configuration: one JSON document per run, parsed fail-fast.
 
 Each kind is one table, {field: (checker, default)}, with nested sections as
-nested tables.  One walker rejects unknown and missing fields, type-checks
-every value (numbers finite, integers not booleans) and fills the defaults.
+nested tables; the lattice, drive, integrator and twomode tables are read off
+the fields of the dataclasses those sections become.  One walker rejects
+unknown and missing fields, type-checks every value (numbers finite, integers
+not booleans) and fills the defaults, and the dataclasses check the ranges.
 The filled document is what run outputs embed as metadata.
 """
 
@@ -10,13 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
 from .dynamics import DriveParams, IntegratorConfig
 from .errors import ConfigError, ParameterError
-from .lattice import DEFAULT_L_MAX, LatticeParams, _is_integer
+from .lattice import LatticeParams, _is_integer
 from .twomode import TwoModeParams
 
 # default marker of a field that must be given
@@ -49,21 +51,20 @@ _boolean = _check(lambda v: isinstance(v, bool), "a boolean")
 _string = _check(lambda v: isinstance(v, str), "a string")
 _count = _check(lambda v: _is_integer(v) and v >= 1, "a positive integer")
 
-_LATTICE = {
-    "v_real": (_number, _REQUIRED),
-    "v_imag": (_number, _REQUIRED),
-    "l_max": (_count, DEFAULT_L_MAX),
-}
-_DRIVE = {
-    "rate": (_number, _REQUIRED),
-    "q_start": (_number, _REQUIRED),
-    "q_stop": (_number, _REQUIRED),
-}
-_INTEGRATOR = {
-    "step": (_optional(_number), None),
-    "sample_stride": (_optional(_count), None),
-    "convergence_check": (_boolean, False),
-}
+# filled sections that become typed parameter objects; each one's field table
+# is read off its dataclass: the annotation picks the checker, and the default
+# (if any) is the section default.  The parameter modules keep `from __future__
+# import annotations`, so a field's type is its annotation string.
+_TYPED = {"lattice": LatticeParams, "drive": DriveParams,
+          "integrator": IntegratorConfig, "twomode": TwoModeParams}
+_ANNOTATED = {"float": _number, "int": _count, "bool": _boolean,
+              "float | None": _optional(_number), "int | None": _optional(_count)}
+_LATTICE, _DRIVE, _INTEGRATOR, _TWOMODE = (
+    {f.name: (_ANNOTATED[f.type], _REQUIRED if f.default is MISSING else f.default)
+     for f in fields(cls)}
+    for cls in _TYPED.values()
+)
+
 _COMMON = {
     "kind": (_string, _REQUIRED),
     "jobs": (_count, 1),
@@ -103,24 +104,12 @@ _SCHEMAS = {
     },
     "multicross": _DRIVEN,
     "twomode": _COMMON | {
-        "twomode": ({
-            "coupling": (_number, _REQUIRED),
-            "skew": (_number, _REQUIRED),
-            "rate": (_number, _REQUIRED),
-        }, _REQUIRED),
+        "twomode": (_TWOMODE, _REQUIRED),
         "t_max": (_optional(_number), None),
         "integrator": (_INTEGRATOR, {}),
     },
 }
 KINDS = tuple(_SCHEMAS)
-
-# filled sections that become typed parameter objects
-_TYPED = {
-    "lattice": LatticeParams,
-    "drive": DriveParams,
-    "integrator": IntegratorConfig,
-    "twomode": TwoModeParams,
-}
 
 
 def _walk(table: dict, raw, where: str) -> dict:

@@ -215,16 +215,16 @@ def _grid(duration: float, step: float, stride: int | None, samples: int,
     n is the fewest grid steps no longer than step, and the stride defaults
     to ceil(n/samples): at most samples + 1 samples, the last at the end.
     With table_step, step bounds the table steps of _march instead: one
-    spans at most min(stride, 3) grid steps, so the grid step is step over
-    that span, refit until the stride the grid gets spans no more.
+    spans min(stride, 3) grid steps, so the grid step is step over that
+    span.  A default stride spans 1 when ceil(duration/step) <= samples;
+    above that the stride on the finer grid is at least 3.
     """
     span = 1
-    while True:
-        n_steps = max(1, math.ceil(duration / (step / span)))
-        s = stride or math.ceil(n_steps / samples)
-        if not table_step or min(s, _GRID_STEPS) <= span:
-            return n_steps, s
-        span = min(s, _GRID_STEPS)
+    if table_step:
+        default = 1 if math.ceil(duration / step) <= samples else _GRID_STEPS
+        span = min(stride or default, _GRID_STEPS)
+    n_steps = max(1, math.ceil(duration / (step / span)))
+    return n_steps, stride or math.ceil(n_steps / samples)
 
 
 def _march(coupling: np.ndarray, n_steps: int, stride: int, refine: int, dz: float,

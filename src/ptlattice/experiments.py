@@ -42,10 +42,16 @@ def _base_metadata(cfg: ExperimentConfig) -> dict:
     return {"config": cfg.resolved(), "version": __version__, "warnings": []}
 
 
+def _traced_metadata(cfg: ExperimentConfig, trace) -> dict:
+    """_base_metadata with a trace's warnings; the rest of its metadata goes under integration."""
+    metadata = _base_metadata(cfg)
+    metadata["warnings"] = list(trace.metadata["warnings"])
+    metadata["integration"] = {k: v for k, v in trace.metadata.items() if k != "warnings"}
+    return metadata
+
+
 def run_bands(cfg: ExperimentConfig) -> ResultTable:
     """Band energies over a momentum grid: columns (q, band, energy_re, energy_im)."""
-    if cfg.kind != "bands":
-        raise ConfigError(f"run_bands got kind {cfg.kind!r}")
     q_grid = cfg.doc["q_grid"]
     grid = np.linspace(q_grid["start"], q_grid["stop"], q_grid["count"])
     # every band is solved once: the table keeps band_count of them, the
@@ -69,11 +75,7 @@ def run_bands(cfg: ExperimentConfig) -> ResultTable:
 def _trace_table(cfg: ExperimentConfig) -> tuple[ResultTable, object]:
     state = prepare_band_state(cfg.lattice, cfg.drive.q_start, 1)
     trace = evolve(state, cfg.lattice, cfg.drive, cfg.integrator)
-    metadata = _base_metadata(cfg)
-    metadata["warnings"] = list(trace.metadata.get("warnings", []))
-    metadata["integration"] = {
-        k: v for k, v in trace.metadata.items() if k != "warnings"
-    }
+    metadata = _traced_metadata(cfg, trace)
     columns = {
         "z": trace.z,
         "q": trace.q,
@@ -86,8 +88,6 @@ def _trace_table(cfg: ExperimentConfig) -> tuple[ResultTable, object]:
 
 def run_evolve(cfg: ExperimentConfig) -> ResultTable:
     """One driven run: columns (z, q, power, band1_prob, band2_prob)."""
-    if cfg.kind != "evolve":
-        raise ConfigError(f"run_evolve got kind {cfg.kind!r}")
     table, trace = _trace_table(cfg)
     table.metadata["final_power"] = float(trace.power[-1])
     two = TwoModeParams.from_lattice(cfg.lattice, cfg.drive.rate)
@@ -103,8 +103,6 @@ def run_evolve(cfg: ExperimentConfig) -> ResultTable:
 
 def run_multicross(cfg: ExperimentConfig) -> ResultTable:
     """Staircase run over >= 2 crossings: columns (z, q, power), plateau summary in metadata."""
-    if cfg.kind != "multicross":
-        raise ConfigError(f"run_multicross got kind {cfg.kind!r}")
     if _crossings_between(cfg.drive.q_start, cfg.drive.q_stop) < 2:
         raise ConfigError("multicross drive must cross at least two odd-integer momenta")
     wide, trace = _trace_table(cfg)
@@ -131,11 +129,12 @@ def _sweep_point(job) -> tuple[float, float]:
 
 def run_sweep(cfg: ExperimentConfig) -> ResultTable:
     """Transition probability over a rate grid: rate, p_numeric, p_analytic, abs_error."""
-    if cfg.kind != "sweep":
-        raise ConfigError(f"run_sweep got kind {cfg.kind!r}")
     sweep = cfg.doc["sweep"]
     spaced = np.geomspace if sweep["spacing"] == "log" else np.linspace
     rates = spaced(sweep["rate_min"], sweep["rate_max"], sweep["count"])
+    # the closed form raises outside the real-gap regime, before any propagation
+    twos = [TwoModeParams.from_lattice(cfg.lattice, rate) for rate in rates.tolist()]
+    analytic = np.array([lz_probability(two.coupling, two.skew, two.rate) for two in twos])
     jobs = [
         (cfg.lattice, DriveParams(float(rate), sweep["q_start"], sweep["q_stop"]), cfg.integrator)
         for rate in rates
@@ -149,8 +148,6 @@ def run_sweep(cfg: ExperimentConfig) -> ResultTable:
     else:
         points = [_sweep_point(job) for job in jobs]
     numeric, halving = np.array(points).T
-    twos = [TwoModeParams.from_lattice(cfg.lattice, rate) for rate in rates.tolist()]
-    analytic = np.array([lz_probability(two.coupling, two.skew, two.rate) for two in twos])
     error = np.abs(numeric - analytic)
     metadata = _base_metadata(cfg)
     metadata["max_abs_error"] = float(error.max())
@@ -167,18 +164,15 @@ def run_sweep(cfg: ExperimentConfig) -> ResultTable:
 
 def run_twomode(cfg: ExperimentConfig) -> ResultTable:
     """Two-level sweep: columns (t, a1_sq, a2_sq, power) plus analytic asymptotes."""
-    if cfg.kind != "twomode":
-        raise ConfigError(f"run_twomode got kind {cfg.kind!r}")
     t_max = cfg.doc["t_max"]
     span = None if t_max is None else (-t_max, t_max)
     trace = evolve_two_mode(cfg.twomode, t_span=span, config=cfg.integrator)
     a1_sq, a2_sq = np.abs(trace.a1) ** 2, np.abs(trace.a2) ** 2
-    metadata = _base_metadata(cfg)
-    metadata["warnings"] = list(trace.metadata.get("warnings", []))
+    metadata = _traced_metadata(cfg, trace)
     tail1, tail2 = trace.tail_intensities()
     metadata["tail_intensities"] = {"a1_sq": tail1, "a2_sq": tail2}
     two = cfg.twomode
-    if abs(two.skew) < two.coupling and two.rate != 0:
+    if abs(two.skew) < two.coupling:
         metadata["analytic"] = {
             "transition": lz_probability(two.coupling, two.skew, two.rate),
             "survival": lz_survival(two.coupling, two.skew, two.rate),

@@ -210,6 +210,12 @@ def _solver_path(params: LatticeParams, solver: str) -> str:
         return "symmetric" if params.v_real**2 - params.v_imag**2 > 0 else "general"
     if solver not in ("symmetric", "general"):
         raise ParameterError(f"unknown solver {solver!r}")
+    upper, lower = params.v_real + params.v_imag, params.v_real - params.v_imag
+    if solver == "symmetric" and upper * lower <= 0.0 and (upper, lower) != (0.0, 0.0):
+        raise PhaseError(
+            "similarity symmetrization needs (v_real + v_imag)*(v_real - v_imag) > 0 "
+            "(unbroken phase); use the general solver instead"
+        )
     return solver
 
 
@@ -229,11 +235,6 @@ def _solve_block(
     h = build_hamiltonian(params, q)
     if symmetric:
         upper, lower = params.v_real + params.v_imag, params.v_real - params.v_imag
-        if upper * lower <= 0.0 and (upper, lower) != (0.0, 0.0):
-            raise PhaseError(
-                "similarity symmetrization needs (v_real + v_imag)*(v_real - v_imag) > 0 "
-                "(unbroken phase); use the general solver instead"
-            )
         i = np.arange(params.size - 1)
         h[:, i, i + 1] = h[:, i + 1, i] = math.sqrt(upper * lower)
     if not cols:

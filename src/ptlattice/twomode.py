@@ -53,7 +53,7 @@ _CHUNK = 1024
 
 @dataclass(frozen=True)
 class TwoModeParams:
-    """Reduced two-level problem; a negative rate is stored as (-skew, |rate|)."""
+    """Reduced two-level problem, rate non-zero; a negative rate is stored as (-skew, |rate|)."""
 
     coupling: float
     skew: float
@@ -64,6 +64,8 @@ class TwoModeParams:
             raise ParameterError("coupling, skew and rate must be finite")
         if self.coupling < 0:
             raise ParameterError("coupling must be non-negative")
+        if self.rate == 0.0:
+            raise ParameterError("rate must be non-zero")
         if self.rate < 0:
             object.__setattr__(self, "skew", -self.skew)
             object.__setattr__(self, "rate", -self.rate)
@@ -238,8 +240,6 @@ def evolve_two_mode(
     With config.convergence_check the run is repeated with twice the steps;
     a change of the final intensities above 1e-4 adds an accuracy warning.
     """
-    if params.rate == 0.0:
-        raise ParameterError("rate must be non-zero")
     if t_span is None:
         t_max = max(300.0, 20.0 / math.sqrt(params.rate))
         t_span = (-t_max, t_max)

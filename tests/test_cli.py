@@ -8,9 +8,10 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from ptlattice import experiments
 from ptlattice.cli import main
 from ptlattice.config import load_config, parse_config
-from ptlattice.errors import ConfigError
+from ptlattice.errors import ConfigError, ParameterError
 from ptlattice.lattice import band_structure
 from ptlattice.experiments import run_bands, run_evolve, run_multicross, run_sweep, run_twomode
 from ptlattice.results import ResultTable, load_csv
@@ -82,6 +83,10 @@ class TestConfig:
         assert resolved["svg"] is False
         assert resolved["out"] == "bands"
         assert resolved["lattice"]["l_max"] == 12
+        # sections read off their dataclasses keep the fields' order and defaults
+        two = parse_config(twomode_doc()).resolved()
+        assert list(two["twomode"]) == ["coupling", "skew", "rate"]
+        assert two["integrator"] == {"step": None, "sample_stride": None, "convergence_check": False}
 
     @pytest.mark.parametrize("make, path, value", [
         (bands_doc, ("q_grid", "count"), True),
@@ -132,6 +137,16 @@ class TestConfig:
         }
         with pytest.raises(ConfigError):
             parse_config(doc)
+
+    def test_twomode_rejects_zero_rate(self, tmp_path, capsys):
+        doc = twomode_doc()
+        doc["twomode"]["rate"] = 0.0
+        with pytest.raises(ConfigError, match="twomode: rate must be non-zero"):
+            parse_config(doc)
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        assert main(["twomode", "--config", str(path), "--out", str(tmp_path / "z")]) == 2
+        assert "rate must be non-zero" in capsys.readouterr().err
 
 
 class TestResultTable:
@@ -270,6 +285,19 @@ class TestRunners:
         with pytest.raises(ConfigError):
             run_multicross(parse_config(doc))
 
+    @pytest.mark.parametrize("v_imag", [0.2, 0.25])
+    def test_sweep_outside_real_gap_fails_before_propagating(self, v_imag, monkeypatch):
+        # the closed form has no value at |skew| >= coupling: the sweep must
+        # say so before it spends any propagation on the numeric column
+        calls = []
+        monkeypatch.setattr(experiments, "transition_probability",
+                            lambda *args: calls.append(args) or 0.0)
+        doc = sweep_doc()
+        doc["lattice"]["v_imag"] = v_imag
+        with pytest.raises(ParameterError, match="real gap"):
+            run_sweep(parse_config(doc))
+        assert calls == []
+
     def test_run_twomode_metadata(self):
         doc = {
             "kind": "twomode",
@@ -293,11 +321,15 @@ class TestRunners:
         }
         cfg = parse_config(doc)
         assert cfg.resolved()["integrator"]["convergence_check"] is False
-        t = run_twomode(cfg).column("t")
+        table = run_twomode(cfg)
+        t = table.column("t")
         # 1600 grid steps of 0.05, one sample every 10, each interval marched
         # in 4 table steps
         assert t.size == 161
         np.testing.assert_allclose(np.diff(t), 0.5, rtol=1e-9)
+        integration = table.metadata["integration"]
+        assert integration["steps"] == 1600
+        assert integration["step"] == pytest.approx(0.05, rel=1e-12)
 
 
 class TestCli:

@@ -169,6 +169,10 @@ class TestSymmetrize:
                 solve(LatticeParams(0.2, 0.25), 0.0, solver="symmetric")
             with pytest.raises(PhaseError):
                 solve(LatticeParams(0.2, 0.2), 0.0, solver="symmetric")
+        # the empty lattice is symmetric already and stays allowed
+        free = LatticeParams(0.0, 0.0)
+        np.testing.assert_allclose(band_energies(free, 0.3, solver="symmetric"),
+                                   band_energies(free, 0.3, solver="general"), atol=1e-12)
 
     @pytest.mark.filterwarnings("error")
     def test_no_overflow_near_criticality_at_large_basis(self):

@@ -270,8 +270,9 @@ class TestEvolution:
         assert math.log2(errs[0] / errs[1]) == pytest.approx(6.0, abs=0.3)
 
     def test_zero_rate_rejected(self):
-        with pytest.raises(ParameterError):
-            evolve_two_mode(TwoModeParams(0.4, 0.0, 0.0))
+        # rejected when the parameters are built, before any integration
+        with pytest.raises(ParameterError, match="rate must be non-zero"):
+            TwoModeParams(0.4, 0.0, 0.0)
 
     def test_initial_state_must_start_the_span(self):
         # the state is marched from t_span[0], so one prepared at another time
