@@ -50,14 +50,14 @@ def main(argv=None) -> int:
             cfg.doc["jobs"] = args.jobs
         if args.svg:
             cfg.doc["svg"] = True
-        if args.out is not None:
+        if args.out:
             cfg.doc["out"] = args.out
         table = RUNNERS[cfg.kind](cfg)
     except (ConfigError, ParameterError, PhaseError, DegenerateBandError) as exc:
         print(f"ptlattice: error: {exc}", file=sys.stderr)
         return 2
 
-    prefix = cfg.doc["out"] or cfg.kind
+    prefix = cfg.doc["out"]
     csv_path = Path(f"{prefix}.csv")
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     table.write_csv(csv_path)

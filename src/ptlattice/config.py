@@ -16,7 +16,7 @@ from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
-from .dynamics import DriveParams, IntegratorConfig
+from .dynamics import DriveParams, IntegratorConfig, _crossings_between
 from .errors import ConfigError, ParameterError
 from .lattice import LatticeParams, _is_integer
 from .twomode import TwoModeParams
@@ -148,10 +148,6 @@ class ExperimentConfig:
     def kind(self) -> str:
         return self.doc["kind"]
 
-    def resolved(self) -> dict:
-        """Full configuration, defaults included, for output metadata."""
-        return {**self.doc, "out": self.doc["out"] or self.kind}
-
 
 def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
@@ -160,6 +156,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
     doc = _walk(_SCHEMAS[kind], doc, "")
+    doc["out"] = doc["out"] or kind
 
     typed = {}
     for name, build in _TYPED.items():
@@ -172,8 +169,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     if kind == "bands" and doc["band_count"] > cfg.lattice.size:
         raise ConfigError(f"band_count: expected an integer in 1..{cfg.lattice.size}")
-    if kind == "sweep" and (doc["sweep"]["rate_min"] <= 0 or doc["sweep"]["rate_max"] <= 0):
+    sweep = doc.get("sweep")
+    if sweep and (sweep["rate_min"] <= 0 or sweep["rate_max"] <= 0):
         raise ConfigError("sweep rates must be positive")
+    if sweep and _crossings_between(sweep["q_start"], sweep["q_stop"]) != 1:
+        raise ConfigError("sweep q_start -> q_stop must cross exactly one odd-integer momentum")
+    if kind == "multicross" and _crossings_between(cfg.drive.q_start, cfg.drive.q_stop) < 2:
+        raise ConfigError("multicross drive must cross at least two odd-integer momenta")
     return cfg
 
 

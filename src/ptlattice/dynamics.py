@@ -178,15 +178,14 @@ def project_onto_band(
     return c, abs(c) ** 2
 
 
-def default_step(params: LatticeParams, drive: DriveParams) -> float:
+def default_step(drive: DriveParams) -> float:
     qm = drive.q_extreme
     return 0.03 / max(1.0, qm * qm)
 
 
-def _lattice_grid(params: LatticeParams, drive: DriveParams,
-                  config: IntegratorConfig) -> tuple[int, int]:
+def _lattice_grid(drive: DriveParams, config: IntegratorConfig) -> tuple[int, int]:
     """Grid steps and sample stride of a run at the configured or default step."""
-    step = config.step if config.step is not None else default_step(params, drive)
+    step = config.step if config.step is not None else default_step(drive)
     return _grid(drive.duration, step, config.sample_stride, 2000)
 
 
@@ -318,7 +317,7 @@ def evolve(
     """
     if abs(state.q_ref - drive.q_start) > 1e-9:
         raise ParameterError("state q_ref must match the drive's q_start")
-    n_steps, stride = _lattice_grid(params, drive, config)
+    n_steps, stride = _lattice_grid(drive, config)
 
     y, samples = _integrate(state.amplitudes, params, drive, n_steps, stride)
 
@@ -406,7 +405,7 @@ def transition_probability(
 def _refined_probability(params: LatticeParams, drive: DriveParams, step: float | None) -> float:
     """transition_probability at step, rerun with twice the table steps in its one interval."""
     state = prepare_band_state(params, drive.q_start, 1)
-    n_steps, _ = _lattice_grid(params, drive, IntegratorConfig(step=step))
+    n_steps, _ = _lattice_grid(drive, IntegratorConfig(step=step))
     y, _ = _integrate(state.amplitudes, params, drive, n_steps, refine=2)
     return project_onto_band(ModeVector(y, drive.q_stop), params, drive.q_stop, 2)[1]
 

@@ -1,11 +1,17 @@
-"""The five experiment runners behind the command-line front end.
+"""The five experiment runners behind the command-line front end, and their charts.
 
 Each runner takes a parsed ExperimentConfig and produces a ResultTable: the
 arrays it computed, handed over as named columns, and metadata carrying the
 resolved configuration, the package version, and any accuracy warnings.
-Sweep points are independent computations and run on a process pool when
-jobs > 1; output rows keep grid order either way.  Analytic reference
-columns always come from the twomode module.
+evolve and multicross share one driven run, _driven, which launches band 1,
+keeps the trace columns asked for and lists the power plateaus with their
+two-mode predictions.  Sweep points are independent computations and run on
+a process pool when jobs > 1; output rows keep grid order either way.
+Analytic reference columns always come from the twomode module.
+
+CHARTS declares each kind's SVG once: title, x column (also the x-axis
+label), y label, log-x, and its lines as (legend, column, dashed).  Bands
+add one line per band and multicross one dashed line per predicted plateau.
 """
 
 from __future__ import annotations
@@ -18,14 +24,12 @@ from .dynamics import (
     POWER_HALVING_TOL,
     DriveParams,
     IntegratorConfig,
-    _crossings_between,
     _refined_probability,
     evolve,
     plateau_averages,
     prepare_band_state,
     transition_probability,
 )
-from .errors import ConfigError
 from .lattice import band_structure, phase_of
 from .results import ResultTable
 from .svgplot import Series, render_line_chart
@@ -39,7 +43,7 @@ from .twomode import (
 
 
 def _base_metadata(cfg: ExperimentConfig) -> dict:
-    return {"config": cfg.resolved(), "version": __version__, "warnings": []}
+    return {"config": cfg.doc, "version": __version__, "warnings": []}
 
 
 def _traced_metadata(cfg: ExperimentConfig, trace) -> dict:
@@ -72,41 +76,10 @@ def run_bands(cfg: ExperimentConfig) -> ResultTable:
     return ResultTable(columns, metadata)
 
 
-def _trace_table(cfg: ExperimentConfig) -> tuple[ResultTable, object]:
+def _driven(cfg: ExperimentConfig, columns: tuple[str, ...]) -> tuple[ResultTable, list]:
+    """Drive band 1: a table of the trace's columns, and its plateaus with two-mode predictions."""
     state = prepare_band_state(cfg.lattice, cfg.drive.q_start, 1)
     trace = evolve(state, cfg.lattice, cfg.drive, cfg.integrator)
-    metadata = _traced_metadata(cfg, trace)
-    columns = {
-        "z": trace.z,
-        "q": trace.q,
-        "power": trace.power,
-        "band1_prob": trace.band1_prob,
-        "band2_prob": trace.band2_prob,
-    }
-    return ResultTable(columns, metadata), trace
-
-
-def run_evolve(cfg: ExperimentConfig) -> ResultTable:
-    """One driven run: columns (z, q, power, band1_prob, band2_prob)."""
-    table, trace = _trace_table(cfg)
-    table.metadata["final_power"] = float(trace.power[-1])
-    two = TwoModeParams.from_lattice(cfg.lattice, cfg.drive.rate)
-    if abs(two.skew) < two.coupling:
-        crossings = plateau_averages(trace)
-        n = max(crossings) if crossings else 0
-        if n >= 1:
-            table.metadata["predicted_terminal_power"] = multicross_power(
-                two.coupling, two.skew, two.rate, n
-            )
-    return table
-
-
-def run_multicross(cfg: ExperimentConfig) -> ResultTable:
-    """Staircase run over >= 2 crossings: columns (z, q, power), plateau summary in metadata."""
-    if _crossings_between(cfg.drive.q_start, cfg.drive.q_stop) < 2:
-        raise ConfigError("multicross drive must cross at least two odd-integer momenta")
-    wide, trace = _trace_table(cfg)
-    table = ResultTable({k: wide.column(k) for k in ("z", "q", "power")}, wide.metadata)
     two = TwoModeParams.from_lattice(cfg.lattice, cfg.drive.rate)
     plateaus = []
     for n, mean_power in plateau_averages(trace).items():
@@ -114,6 +87,22 @@ def run_multicross(cfg: ExperimentConfig) -> ResultTable:
         if n >= 1 and abs(two.skew) < two.coupling:
             entry["predicted_power"] = multicross_power(two.coupling, two.skew, two.rate, n)
         plateaus.append(entry)
+    table = ResultTable({k: getattr(trace, k) for k in columns}, _traced_metadata(cfg, trace))
+    return table, plateaus
+
+
+def run_evolve(cfg: ExperimentConfig) -> ResultTable:
+    """One driven run: columns (z, q, power, band1_prob, band2_prob)."""
+    table, plateaus = _driven(cfg, ("z", "q", "power", "band1_prob", "band2_prob"))
+    table.metadata["final_power"] = float(table.column("power")[-1])
+    if plateaus and "predicted_power" in plateaus[-1]:
+        table.metadata["predicted_terminal_power"] = plateaus[-1]["predicted_power"]
+    return table
+
+
+def run_multicross(cfg: ExperimentConfig) -> ResultTable:
+    """Staircase run over >= 2 crossings: columns (z, q, power), plateau summary in metadata."""
+    table, plateaus = _driven(cfg, ("z", "q", "power"))
     table.metadata["plateaus"] = plateaus
     return table
 
@@ -190,49 +179,29 @@ RUNNERS = {
 }
 
 
+# kind: (title, x column and label, y label, log-x, lines as (legend, column, dashed))
+_POWER = ("Beam power", "z", "power", False, (("power", "power", False),))
+CHARTS = {
+    "bands": ("Band structure", "q", "energy", False, ()),
+    "evolve": _POWER,
+    "sweep": ("Transition probability", "rate", "P", True,
+              (("numeric", "p_numeric", False), ("two-mode theory", "p_analytic", True))),
+    "multicross": _POWER,
+    "twomode": ("Two-level sweep", "t", "intensity", False,
+                (("|a1|^2", "a1_sq", False), ("|a2|^2", "a2_sq", False), ("power", "power", True))),
+}
+
+
 def render_chart(cfg: ExperimentConfig, table: ResultTable, path) -> None:
-    """Draw the SVG companion of a result table, axes matching the run kind."""
-    kind = cfg.kind
-    if kind == "bands":
-        q = table.column("q")
-        bands = table.column("band")
-        energy = table.column("energy_re")
-        series = [
-            Series(f"band {b}", q[bands == b], energy[bands == b])
-            for b in np.unique(bands)
-        ]
-        render_line_chart(path, series, title="Band structure", x_label="q", y_label="energy")
-    elif kind in ("evolve", "multicross"):
-        series = [Series("power", table.column("z"), table.column("power"))]
-        plateaus = table.metadata.get("plateaus", [])
-        z = table.column("z")
-        for entry in plateaus:
-            if "predicted_power" in entry:
-                level = entry["predicted_power"]
-                series.append(
-                    Series(
-                        f"plateau {entry['crossings']} theory",
-                        np.array([z[0], z[-1]]),
-                        np.array([level, level]),
-                        dashed=True,
-                    )
-                )
-        render_line_chart(path, series, title="Beam power", x_label="z", y_label="power")
-    elif kind == "sweep":
-        rate = table.column("rate")
-        series = [
-            Series("numeric", rate, table.column("p_numeric")),
-            Series("two-mode theory", rate, table.column("p_analytic"), dashed=True),
-        ]
-        render_line_chart(
-            path, series, title="Transition probability", x_label="rate",
-            y_label="P", x_log=True,
-        )
-    else:
-        t = table.column("t")
-        series = [
-            Series("|a1|^2", t, table.column("a1_sq")),
-            Series("|a2|^2", t, table.column("a2_sq")),
-            Series("power", t, table.column("power"), dashed=True),
-        ]
-        render_line_chart(path, series, title="Two-level sweep", x_label="t", y_label="intensity")
+    """Draw the SVG companion of a result table, as CHARTS declares for its kind."""
+    title, x_name, y_label, x_log, lines = CHARTS[cfg.kind]
+    x = table.column(x_name)
+    series = [Series(label, x, table.column(name), dashed) for label, name, dashed in lines]
+    if cfg.kind == "bands":
+        band, energy = table.column("band"), table.column("energy_re")
+        series = [Series(f"band {b}", x[band == b], energy[band == b]) for b in np.unique(band)]
+    for entry in table.metadata.get("plateaus", []):
+        if "predicted_power" in entry:
+            level = np.full(2, entry["predicted_power"])
+            series.append(Series(f"plateau {entry['crossings']} theory", x[[0, -1]], level, True))
+    render_line_chart(path, series, title=title, x_label=x_name, y_label=y_label, x_log=x_log)

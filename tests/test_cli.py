@@ -8,9 +8,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from ptlattice import experiments
+from ptlattice import experiments, svgplot
 from ptlattice.cli import main
-from ptlattice.config import load_config, parse_config
+from ptlattice.config import KINDS, load_config, parse_config
 from ptlattice.errors import ConfigError, ParameterError
 from ptlattice.lattice import band_structure
 from ptlattice.experiments import run_bands, run_evolve, run_multicross, run_sweep, run_twomode
@@ -77,14 +77,13 @@ class TestConfig:
             parse_config(doc)
 
     def test_resolved_includes_defaults(self):
-        cfg = parse_config(bands_doc())
-        resolved = cfg.resolved()
-        assert resolved["jobs"] == 1
-        assert resolved["svg"] is False
-        assert resolved["out"] == "bands"
-        assert resolved["lattice"]["l_max"] == 12
+        doc = parse_config(bands_doc()).doc
+        assert doc["jobs"] == 1
+        assert doc["svg"] is False
+        assert doc["out"] == "bands"
+        assert doc["lattice"]["l_max"] == 12
         # sections read off their dataclasses keep the fields' order and defaults
-        two = parse_config(twomode_doc()).resolved()
+        two = parse_config(twomode_doc()).doc
         assert list(two["twomode"]) == ["coupling", "skew", "rate"]
         assert two["integrator"] == {"step": None, "sample_stride": None, "convergence_check": False}
 
@@ -116,6 +115,25 @@ class TestConfig:
         }
         with pytest.raises(ConfigError):
             parse_config(doc)
+
+    def test_drive_spans_fail_fast(self, tmp_path, monkeypatch, capsys):
+        # a sweep point crosses exactly one odd-integer momentum: a wider or
+        # shorter span is a config error before any propagation
+        for q_stop in (3.9, 0.9):
+            doc = sweep_doc()
+            doc["sweep"]["q_stop"] = q_stop
+            with pytest.raises(ConfigError, match="exactly one odd-integer"):
+                parse_config(doc)
+        calls = []
+        monkeypatch.setattr(experiments, "transition_probability",
+                            lambda *args: calls.append(args) or 0.0)
+        doc = sweep_doc()
+        doc["sweep"]["q_stop"] = 3.9
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "w")]) == 2
+        assert "exactly one odd-integer" in capsys.readouterr().err
+        assert calls == []
 
     def test_load_config_takes_a_preset_name(self, tmp_path, monkeypatch):
         root = resources.files("ptlattice").joinpath("presets")
@@ -282,8 +300,8 @@ class TestRunners:
             "lattice": {"v_real": 0.2, "v_imag": 0.1},
             "drive": {"rate": 0.1, "q_start": 0.0, "q_stop": 1.8},
         }
-        with pytest.raises(ConfigError):
-            run_multicross(parse_config(doc))
+        with pytest.raises(ConfigError, match="at least two"):
+            parse_config(doc)
 
     @pytest.mark.parametrize("v_imag", [0.2, 0.25])
     def test_sweep_outside_real_gap_fails_before_propagating(self, v_imag, monkeypatch):
@@ -320,7 +338,7 @@ class TestRunners:
             "integrator": {"step": 0.05, "sample_stride": 10},
         }
         cfg = parse_config(doc)
-        assert cfg.resolved()["integrator"]["convergence_check"] is False
+        assert cfg.doc["integrator"]["convergence_check"] is False
         table = run_twomode(cfg)
         t = table.column("t")
         # 1600 grid steps of 0.05, one sample every 10, each interval marched
@@ -476,7 +494,99 @@ class TestCli:
         cfg = load_config(name)
         assert main([cfg.kind, "--config", name, "--out", "run"]) == 0
         table = load_csv(tmp_path / "run.csv")
-        assert table.metadata["config"] == {**cfg.resolved(), "out": "run"}
+        assert table.metadata["config"] == {**cfg.doc, "out": "run"}
+
+
+NS = "{http://www.w3.org/2000/svg}"
+
+
+def chart_parts(path) -> dict:
+    """The parts of a rendered chart that its run kind decides."""
+    root = ET.parse(path).getroot()
+    texts = list(root.iter(f"{NS}text"))
+    tick_y = str(svgplot.HEIGHT - svgplot.MARGIN_B + 18)
+    lines = list(root.iter(f"{NS}polyline"))
+    return {
+        "title": next(t.text for t in texts if t.get("font-size") == "14"),
+        "x_label": next(t.text for t in texts if t.get("y") == str(svgplot.HEIGHT - 10)),
+        "y_label": next(t.text for t in texts if t.get("transform")),
+        "x_ticks": [t.text for t in texts if t.get("y") == tick_y],
+        "legend": [t.text for t in texts if t.get("text-anchor") is None],
+        "dashed": [line.get("points").split() for line in lines if line.get("stroke-dasharray")],
+        "solid": [line.get("points").split() for line in lines if not line.get("stroke-dasharray")],
+    }
+
+
+class TestCharts:
+    def render(self, tmp_path, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main([doc["kind"], "--config", str(cfg), "--out", str(out), "--svg"]) == 0
+        return chart_parts(out.with_suffix(".svg")), load_csv(out.with_suffix(".csv"))
+
+    def test_every_kind_has_a_runner_and_a_chart(self):
+        assert set(experiments.RUNNERS) == set(KINDS) == set(experiments.CHARTS)
+
+    def test_bands_chart_draws_one_line_per_band(self, tmp_path):
+        parts, _ = self.render(tmp_path, bands_doc())
+        assert (parts["title"], parts["x_label"], parts["y_label"]) == (
+            "Band structure", "q", "energy")
+        assert parts["legend"] == ["band 1", "band 2"]
+        assert (len(parts["solid"]), len(parts["dashed"])) == (2, 0)
+
+    def test_evolve_chart_draws_the_power(self, tmp_path):
+        parts, _ = self.render(tmp_path, evolve_doc())
+        assert (parts["title"], parts["x_label"], parts["y_label"]) == ("Beam power", "z", "power")
+        assert parts["legend"] == ["power"]
+        assert (len(parts["solid"]), len(parts["dashed"])) == (1, 0)
+
+    def test_sweep_chart_has_log_rate_decades(self, tmp_path):
+        doc = sweep_doc()
+        doc["lattice"]["l_max"] = 4
+        doc["integrator"] = {"step": 0.02}
+        doc["sweep"].update(rate_min=0.01, rate_max=1.0, count=3)
+        parts, _ = self.render(tmp_path, doc)
+        assert (parts["title"], parts["x_label"], parts["y_label"]) == (
+            "Transition probability", "rate", "P")
+        assert parts["x_ticks"] == ["1e-2", "1e-1", "1e0"]
+        assert parts["legend"] == ["numeric", "two-mode theory"]
+        assert (len(parts["solid"]), len(parts["dashed"])) == (1, 1)
+
+    def test_multicross_chart_draws_plateau_theory_lines(self, tmp_path):
+        doc = {
+            "kind": "multicross",
+            "lattice": {"v_real": 0.2, "v_imag": 0.1, "l_max": 4},
+            "drive": {"rate": 0.3, "q_start": 0.0, "q_stop": 3.9},
+            "integrator": {"step": 0.005},
+        }
+        parts, table = self.render(tmp_path, doc)
+        assert (parts["title"], parts["x_label"], parts["y_label"]) == ("Beam power", "z", "power")
+        assert parts["legend"] == ["power", "plateau 1 theory", "plateau 2 theory"]
+        assert len(parts["solid"]) == 1
+        predicted = [p["predicted_power"] for p in table.metadata["plateaus"][1:]]
+        assert len(predicted) == len(parts["dashed"]) == 2
+        power = parts["solid"][0]
+        for line in parts["dashed"]:
+            # a level line across the whole run
+            (x0, y0), (x1, y1) = (point.split(",") for point in line)
+            assert y0 == y1
+            assert (x0, x1) == (power[0].split(",")[0], power[-1].split(",")[0])
+        # the higher predicted plateau is drawn higher up, at a smaller pixel y
+        heights = [float(line[0].split(",")[1]) for line in parts["dashed"]]
+        assert (heights[0] > heights[1]) == (predicted[0] < predicted[1])
+
+    def test_twomode_chart_draws_both_levels_and_power(self, tmp_path):
+        doc = {
+            "kind": "twomode",
+            "twomode": {"coupling": 0.4, "skew": 0.1, "rate": 0.12},
+            "t_max": 40.0,
+        }
+        parts, _ = self.render(tmp_path, doc)
+        assert (parts["title"], parts["x_label"], parts["y_label"]) == (
+            "Two-level sweep", "t", "intensity")
+        assert parts["legend"] == ["|a1|^2", "|a2|^2", "power"]
+        assert (len(parts["solid"]), len(parts["dashed"])) == (2, 1)
 
 
 class TestPresets:
@@ -487,7 +597,7 @@ class TestPresets:
         for name in names:
             cfg = load_config(str(root.joinpath(name)))
             assert cfg.kind in ("bands", "evolve", "sweep", "multicross", "twomode")
-            assert parse_config(cfg.resolved()).resolved() == cfg.resolved()
+            assert parse_config(cfg.doc).doc == cfg.doc
 
     def test_expected_presets_exist(self):
         root = resources.files("ptlattice").joinpath("presets")
