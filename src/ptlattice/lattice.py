@@ -298,6 +298,8 @@ def band_arrays(params: LatticeParams, q, solver: str = "auto", bands=None) -> B
     and an empty sequence skips the eigenvectors.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
+    if q.size == 0:
+        raise ParameterError("momentum grid must be non-empty")
     symmetric = _solver_path(params, solver) == "symmetric"
     if bands is None:
         bands = range(1, params.size + 1)
@@ -329,8 +331,6 @@ def band_energies(params: LatticeParams, q: float, solver: str = "auto") -> np.n
 def band_structure(params: LatticeParams, q_grid, band_count: int | None = None) -> BandStructure:
     """Band energies over a momentum grid, lowest band_count bands kept."""
     q_grid = np.asarray(q_grid, dtype=float)
-    if q_grid.size == 0:
-        raise ParameterError("momentum grid must be non-empty")
     if band_count is None:
         band_count = params.size
     if not 1 <= band_count <= params.size:

@@ -64,8 +64,8 @@ def _parse_column(cells: list[str]) -> np.ndarray:
 def load_csv(path) -> ResultTable:
     """Parse a file written by ResultTable.write_csv."""
     text = Path(path).read_text(encoding="utf-8").splitlines()
-    if not text or not text[0].startswith("#"):
-        raise ValueError(f"{path}: missing metadata header line")
+    if len(text) < 2 or not text[0].startswith("#"):
+        raise ValueError(f"{path}: missing metadata header line or column header row")
     metadata = json.loads(text[0].lstrip("#").strip())
     names = text[1].split(",")
     rows = [line.split(",") for line in text[2:] if line]

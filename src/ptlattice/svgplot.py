@@ -42,13 +42,22 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = math.ceil(lo / step) * step
     ticks = []
-    t = first
+    t = math.ceil(lo / step) * step
     while t <= hi + 1e-12 * step:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
+        if t + step == t:  # the step is below the spacing of doubles at t
+            break
         t += step
     return ticks
+
+
+def _widen(lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi); a single value widens by max(0.5, 1e-9 of it), which no rounding undoes."""
+    if hi > lo:
+        return lo, hi
+    half = max(0.5, 1e-9 * abs(lo))
+    return lo - half, hi + half
 
 
 def _fmt(value: float) -> str:
@@ -101,12 +110,7 @@ def render_line_chart(
     ys = np.concatenate([y for _, _, y in cleaned])
     if x_log:
         xs = np.log10(xs)
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(ys.min()), float(ys.max())
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    (x_lo, x_hi), (y_lo, y_hi) = (_widen(float(v.min()), float(v.max())) for v in (xs, ys))
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

@@ -7,9 +7,9 @@ Near an avoided crossing the lattice reduces to two modes governed by
 
 with eps(t) = -rate*t/2.  The reduction from the lattice is
 coupling = 2*v_real, skew = 2*v_imag, rate = 4*drive_rate; a reversed drive
-maps onto the same problem with the sign of skew flipped (transposition),
-and TwoModeParams stores a negative rate that way, so every function here
-sees rate >= 0.
+maps onto the same problem with the sign of skew flipped (transposition).
+TwoModeParams stores a negative rate that way, and the closed forms build
+one from their arguments, so every formula here sees rate > 0.
 
 Component 2 is the lower level for t -> -inf and component 1 for t -> +inf,
 so a sweep prepared in the ground level starts as (0, 1).  After the
@@ -30,10 +30,11 @@ integrated exactly, the constant coupling C enters through the same
 exponential dynamics._expm, and Strang steps are composed by the same table
 of weights into one sixth-order step, marched over the same grid of sample
 intervals.  evolve_two_mode takes the lattice propagator's IntegratorConfig.
-The 2x2 step matrices are built with numpy a chunk of steps at a time, and
-the chunk's states come from their prefix products (a doubling scan)
-applied to the state carried into it, with no loop over steps; the step is
-bounded by the diagonal phase advance per step, not by stability.
+A chunk of steps is one complex (2, 2, steps) array of 2x2 step matrices,
+built with numpy from the kicks as dynamics._march yields them and turned
+in place into its prefix products (a doubling scan), which applied to the
+state carried into the chunk give its states, with no loop over steps; the
+step is bounded by the diagonal phase advance per step, not by stability.
 """
 
 from __future__ import annotations
@@ -99,10 +100,7 @@ class TwoModeTrace:
         so this is the asymptotic-intensity estimator.
         """
         n = max(1, int(round(fraction * self.t.size)))
-        return (
-            float(np.mean(np.abs(self.a1[-n:]) ** 2)),
-            float(np.mean(np.abs(self.a2[-n:]) ** 2)),
-        )
+        return tuple(float(np.mean(np.abs(a[-n:]) ** 2)) for a in (self.a1, self.a2))
 
 
 def two_mode_eigenvalues(detuning: float, coupling: float, skew: float) -> tuple[complex, complex]:
@@ -118,30 +116,32 @@ def amplification_ratio(coupling: float, skew: float) -> float:
     return (coupling + skew) / (coupling - skew)
 
 
-def _exponent(coupling: float, skew: float, rate: float) -> float:
-    if rate == 0.0:
-        raise ParameterError("rate must be non-zero")
-    if abs(skew) >= coupling:
+def _exponent(coupling: float, skew: float, rate: float) -> tuple[TwoModeParams, float]:
+    """The checked TwoModeParams and pi (coupling^2 - skew^2)/(2|rate|)."""
+    p = TwoModeParams(coupling, skew, rate)
+    if abs(p.skew) >= p.coupling:
         raise ParameterError("transition formulas require |skew| < coupling (real gap)")
-    return math.pi * (coupling * coupling - skew * skew) / (2.0 * abs(rate))
+    return p, math.pi * (p.coupling * p.coupling - p.skew * p.skew) / (2.0 * p.rate)
 
 
 def lz_probability(coupling: float, skew: float, rate: float) -> float:
     """Asymptotic transition intensity exp(-pi (coupling^2 - skew^2)/(2|rate|))."""
-    return math.exp(-_exponent(coupling, skew, rate))
+    return math.exp(-_exponent(coupling, skew, rate)[1])
 
 
 def lz_survival(coupling: float, skew: float, rate: float) -> float:
-    """Asymptotic ground intensity amplification_ratio * (1 - P)."""
+    """Asymptotic ground intensity amplification_ratio * (1 - P); rate < 0 flips the skew."""
+    p, exponent = _exponent(coupling, skew, rate)
     # expm1 keeps 1 - P accurate when the gap is tiny and P is close to 1
-    return amplification_ratio(coupling, skew) * -math.expm1(-_exponent(coupling, skew, rate))
+    return amplification_ratio(p.coupling, p.skew) * -math.expm1(-exponent)
 
 
 def critical_survival(coupling: float, rate: float) -> float:
-    """Ground intensity left per crossing in the vanishing-gap limit, 2 pi c^2/|rate|."""
-    if rate == 0.0:
-        raise ParameterError("rate must be non-zero")
-    return 2.0 * math.pi * coupling * coupling / abs(rate)
+    """Ground intensity left per crossing at skew = +coupling, 2 pi c^2/rate; 0 for rate < 0."""
+    p = TwoModeParams(coupling, coupling, rate)
+    if p.skew < 0:  # the reversed sweep has skew = -coupling: anti_critical_limit
+        return anti_critical_limit()[0]
+    return 2.0 * math.pi * p.coupling * p.coupling / p.rate
 
 
 def anti_critical_limit() -> tuple[float, float]:
@@ -180,35 +180,30 @@ def ground_state(params: TwoModeParams, t: float) -> TwoModeState:
 
 
 def _step_matrices(t: np.ndarray, widths: np.ndarray, ends: np.ndarray, rate: float,
-                   kicks: list) -> tuple:
-    """Entries (m11, m12, m21, m22) of the matrices of table steps with phase nodes t.
+                   kicks: list) -> np.ndarray:
+    """Matrices of table steps with phase nodes t, shape (2, 2, steps).
 
     Each row of t and of their spacings is one step (dynamics._march): the
     exact diagonal flow diag(z, conj z), z = exp(i rate (b^2 - a^2)/4), runs
-    between consecutive nodes a and b, and the coupling kicks, given as their
-    four entries (k11, k12, k21, k22), sit at the inner nodes.  The flow from
-    the last kick to the last node applies only where the step ends a sample
-    interval.
+    between consecutive nodes a and b, and the 2x2 coupling kicks sit at the
+    inner nodes.  The flow from the last kick to the last node applies only
+    where the step ends a sample interval.
     """
     z = np.exp(0.25j * rate * widths * (t[:, :-1] + t[:, 1:])).T
-    m = (1.0, 0.0, 0.0, 1.0)
-    for zi, (k11, k12, k21, k22) in zip(z, kicks):
-        zc = zi.conj()
-        x11, x12, x21, x22 = zi * m[0], zi * m[1], zc * m[2], zc * m[3]
-        m = (k11 * x11 + k12 * x21, k11 * x12 + k12 * x22,
-             k21 * x11 + k22 * x21, k21 * x12 + k22 * x22)
+    m = np.eye(2)[:, :, None]
+    for zi, kick in zip(z, kicks):
+        x = np.stack((zi, zi.conj()))[:, None] * m
+        m = kick[:, :1, None] * x[0] + kick[:, 1:, None] * x[1]
     z = np.where(ends, z[-1], 1.0)
-    zc = z.conj()
-    return z * m[0], z * m[1], zc * m[2], zc * m[3]
+    return np.stack((z, z.conj()))[:, None] * m
 
 
-def _prefix_products(m: tuple) -> np.ndarray:
-    """Prefix products m[j] @ ... @ m[0] of the 2x2 matrices with entries m, shape (2, 2, len).
+def _prefix_products(p: np.ndarray) -> np.ndarray:
+    """Prefix products p[..., j] @ ... @ p[..., 0] of 2x2 matrices (2, 2, len), in place.
 
     A Hillis-Steele doubling scan: after the pass with offset d, column j
     holds the product of the min(j + 1, 2d) matrices ending at j.
     """
-    p = np.array(m, dtype=complex).reshape(2, 2, -1)
     d = 1
     while d < p.shape[-1]:
         a, b = p[..., d:], p[..., :-d]
@@ -246,13 +241,13 @@ def evolve_two_mode(
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise ParameterError("t_span must be finite and increasing")
-    if config.step is None:
-        # at most 1.08 rad of diagonal phase per table step where the sweep is
-        # farthest out
-        bound = min(0.06, 1.08 / (params.rate * max(abs(t0), abs(t1)) / 2.0))
-        n_steps, stride = _grid(t1 - t0, bound, config.sample_stride, 20000, table_step=True)
-    else:
-        n_steps, stride = _grid(t1 - t0, config.step, config.sample_stride, 20000)
+    # at most 1.08 rad of diagonal phase per table step where the sweep is
+    # farthest out
+    bound = min(0.06, 1.08 / (params.rate * max(abs(t0), abs(t1)) / 2.0))
+    step = config.step if config.step is not None else bound
+    n_steps, stride = _grid(t1 - t0, step, config.sample_stride, 20000,
+                            table_step=config.step is None)
+    dt = (t1 - t0) / n_steps
     if initial is None:
         initial = ground_state(params, t0)
     elif abs(initial.t - t0) > 1e-9:
@@ -260,27 +255,25 @@ def evolve_two_mode(
     coupling = np.array([[0.0, params.coupling + params.skew],
                          [params.coupling - params.skew, 0.0]]) / 2.0
 
-    def run(n_steps: int, stride: int, refine: int = 1):
-        dt = (t1 - t0) / n_steps
+    def run(refine: int):
         a = np.array([initial.a1, initial.a2], dtype=complex)
         ts, amps = [[t0]], [a[:, None]]
         for kicks, t, widths, ends in _march(coupling, n_steps, stride, refine, dt, _CHUNK):
-            entries = [kick.ravel().tolist() for kick in kicks]
-            p = _prefix_products(_step_matrices(t0 + t, widths, ends, params.rate, entries))
+            p = _prefix_products(_step_matrices(t0 + t, widths, ends, params.rate, kicks))
             # states after the chunk's steps, from the state carried into it
             b = p[:, 0] * a[0] + p[:, 1] * a[1]
             take = (ends > 0) & (ends < n_steps)
             ts.append(t0 + ends[take] * dt), amps.append(b[:, take])
             a = b[:, -1]
         ts.append([t1]), amps.append(a[:, None])
-        return np.concatenate(ts), np.concatenate(amps, axis=1), dt
+        return np.concatenate(ts), np.concatenate(amps, axis=1)
 
-    t, amps, dt = run(n_steps, stride)
+    t, amps = run(1)
     trace = TwoModeTrace(
         t=t, a1=amps[0], a2=amps[1], metadata={"step": dt, "steps": n_steps, "warnings": []}
     )
     if config.convergence_check:
-        _, finer, _ = run(n_steps, stride, refine=2)
+        _, finer = run(2)
         diff = float(np.sum(np.abs(np.abs(amps[:, -1]) ** 2 - np.abs(finer[:, -1]) ** 2)))
         trace.metadata["final_intensity_halving_diff"] = diff
         if diff > 1e-4:

@@ -110,6 +110,30 @@ def test_criterion_3_staircase_plateaus():
     assert ok1 and ok2 and ok3
 
 
+def test_criterion_3_reversed_staircase_plateaus():
+    """Reverse drive (fig. 5b): each crossing's step follows the transposed sweep's closed forms.
+
+    The target takes the preset's raw values, negative rate included: the
+    closed forms flip the skew for a reversed sweep, as TwoModeParams does.
+    """
+    table = run_preset("fig5b")
+    means = _plateau_means(table)
+    config = table.metadata["config"]
+    lattice, rate = config["lattice"], config["drive"]["rate"]
+    targets = {
+        n: multicross_power(2.0 * lattice["v_real"], 2.0 * lattice["v_imag"], 4.0 * rate, n)
+        for n in (1, 2)
+    }
+    ok = all(abs(means[n] - targets[n]) <= 0.1 * targets[n] for n in (1, 2))
+    report(
+        "3 reversed staircase plateaus",
+        ok,
+        f"plateaus {means[1]:.4f}/{means[2]:.4f} "
+        f"(targets {targets[1]:.4f}/{targets[2]:.4f} +-10%)",
+    )
+    assert ok
+
+
 def test_criterion_3_critical_reverse_stays_at_unity():
     """Reverse drive at criticality: power within 1e-3 of 1 past the first crossing.
 

@@ -200,6 +200,12 @@ class TestResultTable:
             b"False,True,-7,5,0.5,-0.0,y z,0.3333333333333333\n"
         )
 
+    def test_metadata_line_alone_is_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('# {"warnings":[]}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match="column header row"):
+            load_csv(path)
+
     def test_rows_must_be_rectangular(self):
         # columns of unequal length make ragged rows
         with pytest.raises(ValueError):

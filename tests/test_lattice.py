@@ -310,8 +310,9 @@ class TestBandStructure:
             assert list(stacked.degenerate[iq]) == [p.degenerate for p in pairs]
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ParameterError):
-            band_structure(LatticeParams(0.2, 0.1), [])
+        for solve in (band_structure, band_arrays):
+            with pytest.raises(ParameterError, match="momentum grid must be non-empty"):
+                solve(LatticeParams(0.2, 0.1), [])
 
 
 class TestPhase:

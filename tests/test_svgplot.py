@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import signal
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -90,3 +91,39 @@ def test_non_monotone_and_log_charts_render(tmp_path):
                             x_log=True)
     (points,) = polylines(out)
     assert 2 < len(points) < rates.size
+
+
+@pytest.fixture
+def one_second():
+    """Fail a test that runs past 1 s instead of letting it hang."""
+    def expire(signum, frame):
+        raise TimeoutError("chart took more than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0.0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def y_tick_labels(path):
+    root = ET.parse(path).getroot()
+    return [t.text for t in root.iterfind("svg:text[@text-anchor='end']", NS)]
+
+
+def test_ticks_end_when_the_step_is_below_the_double_spacing(tmp_path, one_second):
+    # 5 is below the spacing of doubles (16) at 1e17: adding it leaves a tick in place
+    x = np.arange(21.0)
+    out = render_line_chart(tmp_path / "big.svg", [Series("y", x, 1e17 + x)])
+    labels = y_tick_labels(out)
+    assert 1 <= len(labels) <= 7 and len(set(labels)) == len(labels)
+
+
+@pytest.mark.parametrize("level", [1e16, -1e16, 3.0])
+def test_constant_series_range_is_widened(tmp_path, one_second, level):
+    x = np.arange(5.0)
+    out = render_line_chart(tmp_path / "flat.svg", [Series("y", x, np.full(5, level))])
+    (points,) = polylines(out)
+    heights = {float(p.split(",")[1]) for p in points}
+    assert len(heights) == 1 and all(map(math.isfinite, heights))
+    assert y_tick_labels(out)

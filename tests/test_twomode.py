@@ -92,6 +92,26 @@ class TestTransitionFormulas:
     def test_rate_sign_is_ignored(self):
         assert lz_probability(0.4, 0.3, -0.12) == lz_probability(0.4, 0.3, 0.12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        for args in ((bad, 0.3, 0.12), (0.4, bad, 0.12), (0.4, 0.3, bad)):
+            for formula in (lz_probability, lz_survival):
+                with pytest.raises(ParameterError):
+                    formula(*args)
+            with pytest.raises(ParameterError):
+                multicross_power(*args, 2)
+        for args in ((bad, 0.12), (0.4, bad)):
+            with pytest.raises(ParameterError):
+                critical_survival(*args)
+
+    def test_negative_rate_is_the_transposed_sweep(self):
+        # a reversed sweep is the forward one with the skew flipped, as in TwoModeParams
+        assert lz_survival(0.4, 0.3, -0.12) == lz_survival(0.4, -0.3, 0.12)
+        assert lz_survival(0.4, 0.3, -0.12) == pytest.approx(0.0857, abs=1e-4)
+        for n in (1, 2, 3):
+            assert multicross_power(0.4, 0.3, -0.12, n) == multicross_power(0.4, -0.3, 0.12, n)
+        assert critical_survival(0.4, -0.12) == anti_critical_limit()[0] == 0.0
+
 
 class TestSurvival:
     def test_symmetric_reduction(self):
@@ -193,6 +213,13 @@ class TestEvolution:
         tail1, tail2 = trace.tail_intensities()
         assert tail1 == pytest.approx(lz_survival(0.4, -0.3, 0.12), rel=0.02)
         assert tail2 == pytest.approx(lz_probability(0.4, -0.3, 0.12), rel=0.02)
+        # the closed forms take the reversed rate as it is
+        assert tail1 == pytest.approx(lz_survival(0.4, 0.3, -0.12), rel=0.02)
+
+    def test_reversed_critical_run_empties_the_ground_level(self):
+        trace = evolve_two_mode(TwoModeParams(0.4, 0.4, -0.12))
+        tail1, _ = trace.tail_intensities()
+        assert tail1 == pytest.approx(critical_survival(0.4, -0.12), abs=1e-3)
 
     def test_ground_state_is_instantaneous_eigenvector(self):
         params = TwoModeParams(0.4, 0.3, 0.12)
