@@ -24,27 +24,21 @@ from .errors import ConfigError, DegenerateBandError, ParameterError, PhaseError
 from .lattice import (
     BandEigenpair,
     BandStructure,
-    DimensionlessParams,
     LatticeParams,
-    PhysicalParams,
     band_structure,
     build_hamiltonian,
     eigensystem,
-    physical_to_dimensionless,
     pt_phase,
 )
 from .twomode import (
     TwoModeParams,
-    TwoModeState,
     TwoModeTrace,
     amplification_ratio,
-    anti_critical_limit,
     critical_survival,
     evolve_two_mode,
     lz_probability,
     lz_survival,
     multicross_power,
-    two_mode_eigenvalues,
 )
 
 __all__ = [
@@ -53,7 +47,6 @@ __all__ = [
     "BandStructure",
     "ConfigError",
     "DegenerateBandError",
-    "DimensionlessParams",
     "DriveParams",
     "EvolutionTrace",
     "IntegratorConfig",
@@ -61,12 +54,9 @@ __all__ = [
     "ModeVector",
     "ParameterError",
     "PhaseError",
-    "PhysicalParams",
     "TwoModeParams",
-    "TwoModeState",
     "TwoModeTrace",
     "amplification_ratio",
-    "anti_critical_limit",
     "band_structure",
     "build_hamiltonian",
     "critical_survival",
@@ -76,12 +66,10 @@ __all__ = [
     "lz_probability",
     "lz_survival",
     "multicross_power",
-    "physical_to_dimensionless",
     "plateau_averages",
     "power",
     "prepare_band_state",
     "project_onto_band",
     "pt_phase",
     "transition_probability",
-    "two_mode_eigenvalues",
 ]

@@ -45,6 +45,9 @@ from .errors import DegenerateBandError, ParameterError
 from .lattice import LatticeParams, _is_integer, band_arrays, build_hamiltonian
 
 POWER_HALVING_TOL = 1e-6
+# The finest grid a run may take, hours of lattice propagation at about
+# 10 us a step; a rate near 0 that needs more fails before any step.
+MAX_GRID_STEPS = 10**9
 
 # Kahan & Li (1997) s9odr6a: the Strang sub-steps of one sixth-order step,
 # as fractions of it; the table is palindromic and sums to 1
@@ -213,6 +216,7 @@ def _grid(duration: float, step: float, stride: int | None, samples: int,
 
     n is the fewest grid steps no longer than step, and the stride defaults
     to ceil(n/samples): at most samples + 1 samples, the last at the end.
+    An n above MAX_GRID_STEPS raises ParameterError.
     With table_step, step bounds the table steps of _march instead: one
     spans min(stride, 3) grid steps, so the grid step is step over that
     span.  A default stride spans 1 when ceil(duration/step) <= samples;
@@ -220,9 +224,12 @@ def _grid(duration: float, step: float, stride: int | None, samples: int,
     """
     span = 1
     if table_step:
-        default = 1 if math.ceil(duration / step) <= samples else _GRID_STEPS
+        default = 1 if duration / step <= samples else _GRID_STEPS
         span = min(stride or default, _GRID_STEPS)
-    n_steps = max(1, math.ceil(duration / (step / span)))
+    steps = duration / (step / span)
+    if not steps <= MAX_GRID_STEPS:
+        raise ParameterError(f"the run needs {steps:.3g} grid steps, over MAX_GRID_STEPS")
+    n_steps = max(1, math.ceil(steps))
     return n_steps, stride or math.ceil(n_steps / samples)
 
 

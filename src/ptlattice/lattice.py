@@ -61,34 +61,6 @@ def _is_integer(value) -> bool:
 
 
 @dataclass(frozen=True)
-class PhysicalParams:
-    """Laboratory parameters of the waveguide lattice.
-
-    Lengths share one unit (wavelength, period); real_amplitude and
-    imag_amplitude are refractive-index modulation depths, gradient is the
-    transverse index gradient standing in for a DC force (index per length).
-    """
-
-    wavelength: float
-    substrate_index: float
-    period: float
-    real_amplitude: float
-    imag_amplitude: float
-    gradient: float = 0.0
-
-    def __post_init__(self):
-        if self.wavelength <= 0 or self.substrate_index <= 0 or self.period <= 0:
-            raise ParameterError("wavelength, substrate_index and period must be positive")
-
-    @property
-    def recoil_energy(self) -> float:
-        """Natural energy scale (lambda/2pi)**2 * (pi/a)**2 / (2 n_s)."""
-        lam_bar = self.wavelength / (2.0 * math.pi)
-        k = math.pi / self.period
-        return lam_bar**2 * k**2 / (2.0 * self.substrate_index)
-
-
-@dataclass(frozen=True)
 class LatticeParams:
     """Dimensionless lattice: modulation amplitudes and basis truncation.
 
@@ -115,34 +87,6 @@ class LatticeParams:
     @property
     def mode_indices(self) -> np.ndarray:
         return np.arange(-self.l_max, self.l_max + 1)
-
-
-@dataclass(frozen=True)
-class DimensionlessParams:
-    """Result of reducing PhysicalParams to dimensionless form."""
-
-    v_real: float
-    v_imag: float
-    drive_rate: float   # dq/dz induced by the index gradient
-    z_scale: float      # physical propagation length per unit z
-
-    def lattice(self, l_max: int = DEFAULT_L_MAX) -> LatticeParams:
-        return LatticeParams(self.v_real, self.v_imag, l_max)
-
-
-def physical_to_dimensionless(p: PhysicalParams) -> DimensionlessParams:
-    """Reduce lab parameters: v_j = u_j/(2 E), rate = F/(k E), z = Z*E/lam_bar."""
-    energy = p.recoil_energy
-    k = math.pi / p.period
-    lam_bar = p.wavelength / (2.0 * math.pi)
-    return DimensionlessParams(
-        v_real=p.real_amplitude / (2.0 * energy),
-        v_imag=p.imag_amplitude / (2.0 * energy),
-        drive_rate=p.gradient / (k * energy),
-        z_scale=lam_bar / energy,
-    )
-
-
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import html
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -36,7 +37,7 @@ class Series:
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         return [lo]
-    raw = (hi - lo) / target
+    raw = (hi / 2 - lo / 2) / target * 2  # in halves: a span of two doubles may overflow
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -46,22 +47,31 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     t = math.ceil(lo / step) * step
     while t <= hi + 1e-12 * step:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
-        if t + step == t:  # the step is below the spacing of doubles at t
+        if not t < t + step < math.inf:  # past the largest double, or below its spacing at t
             break
         t += step
     return ticks
 
 
 def _widen(lo: float, hi: float) -> tuple[float, float]:
-    """(lo, hi); a single value widens by max(0.5, 1e-9 of it), which no rounding undoes."""
-    if hi > lo:
-        return lo, hi
-    half = max(0.5, 1e-9 * abs(lo))
-    return lo - half, hi + half
+    """(lo, hi) within the finite doubles; a single value widens by max(0.5, 1e-9 of it).
+
+    A span below the smallest normal double counts as a single value; no
+    rounding undoes the widening.
+    """
+    if hi - lo < sys.float_info.min:
+        half = max(0.5, 1e-9 * abs(lo))
+        lo, hi = lo - half, hi + half
+    return max(lo, -sys.float_info.max), min(hi, sys.float_info.max)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:g}"
+def _labels(ticks: list[float]) -> list[str]:
+    """Tick labels in the fewest significant digits, at least {:g}'s 6, that tell them apart."""
+    for digits in range(6, 18):
+        labels = [f"{t:.{digits}g}" for t in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return labels
 
 
 def _m4(px: np.ndarray, py: np.ndarray) -> np.ndarray:
@@ -111,18 +121,18 @@ def render_line_chart(
     if x_log:
         xs = np.log10(xs)
     (x_lo, x_hi), (y_lo, y_hi) = (_widen(float(v.min()), float(v.max())) for v in (xs, ys))
-    pad = 0.04 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    pad = 0.08 * (y_hi / 2 - y_lo / 2)  # 4% of the span, in halves as in _nice_ticks
+    y_lo, y_hi = _widen(y_lo - pad, y_hi + pad)
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    # pixel coordinates of scalars or, in one pass, of whole arrays
+    # pixel coordinates of scalars or whole arrays; halves keep the differences finite
     def px(x):
-        return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return MARGIN_L + (x / 2 - x_lo / 2) / (x_hi / 2 - x_lo / 2) * plot_w
 
     def py(y):
-        return MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
+        return MARGIN_T + (y_hi / 2 - y / 2) / (y_hi / 2 - y_lo / 2) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -140,18 +150,16 @@ def render_line_chart(
         'fill="none" stroke="black"/>'
     )
 
-    if x_log:
-        lo_dec, hi_dec = math.floor(x_lo), math.ceil(x_hi)
-        x_ticks = [d for d in range(lo_dec, hi_dec + 1) if x_lo - 1e-9 <= d <= x_hi + 1e-9]
+    x_ticks = []
+    if x_log:  # decades, where the range holds one
+        decades = range(math.floor(x_lo), math.ceil(x_hi) + 1)
+        x_ticks = [d for d in decades if x_lo - 1e-9 <= d <= x_hi + 1e-9]
         x_tick_labels = [f"1e{d}" for d in x_ticks]
-        if not x_ticks:
-            x_ticks, x_tick_labels = _nice_ticks(x_lo, x_hi), None
-    else:
+    if not x_ticks:
         x_ticks = _nice_ticks(x_lo, x_hi)
-        x_tick_labels = None
-    for i, t in enumerate(x_ticks):
+        x_tick_labels = _labels(x_ticks)
+    for t, label in zip(x_ticks, x_tick_labels):
         x = px(t)
-        label = x_tick_labels[i] if x_tick_labels else _fmt(t)
         parts.append(
             f'<line x1="{x:.1f}" y1="{MARGIN_T + plot_h}" x2="{x:.1f}" '
             f'y2="{MARGIN_T + plot_h + 5}" stroke="black"/>'
@@ -160,13 +168,14 @@ def render_line_chart(
             f'<text x="{x:.1f}" y="{MARGIN_T + plot_h + 18}" text-anchor="middle">'
             f"{escape(label)}</text>"
         )
-    for t in _nice_ticks(y_lo, y_hi):
+    y_ticks = _nice_ticks(y_lo, y_hi)
+    for t, label in zip(y_ticks, _labels(y_ticks)):
         y = py(t)
         parts.append(
             f'<line x1="{MARGIN_L - 5}" y1="{y:.1f}" x2="{MARGIN_L}" y2="{y:.1f}" stroke="black"/>'
         )
         parts.append(
-            f'<text x="{MARGIN_L - 8}" y="{y + 4:.1f}" text-anchor="end">{escape(_fmt(t))}</text>'
+            f'<text x="{MARGIN_L - 8}" y="{y + 4:.1f}" text-anchor="end">{escape(label)}</text>'
         )
     if x_label:
         parts.append(

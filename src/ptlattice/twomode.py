@@ -78,13 +78,6 @@ class TwoModeParams:
 
 
 @dataclass
-class TwoModeState:
-    a1: complex
-    a2: complex
-    t: float
-
-
-@dataclass
 class TwoModeTrace:
     """Sampled amplitudes of one two-level sweep."""
 
@@ -101,12 +94,6 @@ class TwoModeTrace:
         """
         n = max(1, int(round(fraction * self.t.size)))
         return tuple(float(np.mean(np.abs(a[-n:]) ** 2)) for a in (self.a1, self.a2))
-
-
-def two_mode_eigenvalues(detuning: float, coupling: float, skew: float) -> tuple[complex, complex]:
-    """Instantaneous level pair +-sqrt(detuning^2 + (coupling^2 - skew^2)/4)."""
-    root = np.sqrt(complex(detuning**2 + (coupling**2 - skew**2) / 4.0))
-    return complex(root), complex(-root)
 
 
 def amplification_ratio(coupling: float, skew: float) -> float:
@@ -139,14 +126,9 @@ def lz_survival(coupling: float, skew: float, rate: float) -> float:
 def critical_survival(coupling: float, rate: float) -> float:
     """Ground intensity left per crossing at skew = +coupling, 2 pi c^2/rate; 0 for rate < 0."""
     p = TwoModeParams(coupling, coupling, rate)
-    if p.skew < 0:  # the reversed sweep has skew = -coupling: anti_critical_limit
-        return anti_critical_limit()[0]
+    if p.skew < 0:  # the reversed sweep has skew = -coupling: the ground level empties
+        return 0.0
     return 2.0 * math.pi * p.coupling * p.coupling / p.rate
-
-
-def anti_critical_limit() -> tuple[float, float]:
-    """(|a1|^2, |a2|^2) for skew -> -coupling: the ground level empties fully."""
-    return 0.0, 1.0
 
 
 def multicross_power(coupling: float, skew: float, rate: float, crossings: int) -> float:
@@ -164,8 +146,8 @@ def multicross_power(coupling: float, skew: float, rate: float, crossings: int) 
     return survival**crossings + transition * sum(survival**i for i in range(crossings))
 
 
-def ground_state(params: TwoModeParams, t: float) -> TwoModeState:
-    """Instantaneous lower-level right eigenvector at time t, unit power.
+def ground_state(params: TwoModeParams, t: float) -> np.ndarray:
+    """Instantaneous lower-level right eigenvector (a1, a2) at time t, unit power.
 
     Starting a sweep from this state (rather than from a bare component)
     avoids seeding a spurious coherent admixture of the upper level.
@@ -176,7 +158,7 @@ def ground_state(params: TwoModeParams, t: float) -> TwoModeState:
     low = -np.sqrt(complex(eps * eps + upper_coupling * lower_coupling))
     a1 = -upper_coupling / (eps - low) if eps != low else 0.0
     norm = math.sqrt(abs(a1) ** 2 + 1.0)
-    return TwoModeState(a1=complex(a1 / norm), a2=complex(1.0 / norm), t=t)
+    return np.array([a1 / norm, 1.0 / norm], dtype=complex)
 
 
 def _step_matrices(t: np.ndarray, widths: np.ndarray, ends: np.ndarray, rate: float,
@@ -216,22 +198,19 @@ def _prefix_products(p: np.ndarray) -> np.ndarray:
 def evolve_two_mode(
     params: TwoModeParams,
     t_span: tuple[float, float] | None = None,
-    initial: TwoModeState | None = None,
     config: IntegratorConfig = IntegratorConfig(),
 ) -> TwoModeTrace:
-    """Integrate the sweep with the module's split-step scheme; sample the amplitudes.
+    """Integrate the sweep from the ground level at t_span[0] (split-step); sample the amplitudes.
 
-    Defaults: t_span = (-T, T) with T = max(300, 20/sqrt(rate)), the initial
-    state is the instantaneous ground level at t_span[0] (a given one must
-    be at t_span[0], else ParameterError), the table step is
-    at most min(0.06, 1.08/eps_max) with eps_max = rate*max|t|/2 (a bounded
-    phase advance per step), so the grid step is that over the most grid
-    steps a table step spans, min(stride, 3) (dynamics._grid), and the
+    Defaults: t_span = (-T, T) with T = max(300, 20/sqrt(rate)), the table
+    step is at most min(0.06, 1.08/eps_max) with eps_max = rate*max|t|/2 (a
+    bounded phase advance per step), so the grid step is that over the most
+    grid steps a table step spans, min(stride, 3) (dynamics._grid), and the
     sample stride is ceil(steps/20000), so a default trace holds at most
-    20001 samples, the last one at t_span[1].
-    The state at grid point i is sampled at t_span[0] + i*dt; each sample
-    interval of L grid steps is marched in ceil(L/3) table steps
-    (dynamics._march), a chunk at a time, which bounds the working memory.
+    20001 samples, the last one at t_span[1].  An eps_max that underflows to
+    0 or a grid above dynamics.MAX_GRID_STEPS raises ParameterError.  Grid
+    point i is sampled at t_span[0] + i*dt; a sample interval of L grid
+    steps takes ceil(L/3) table steps (dynamics._march), a chunk at a time.
     With config.convergence_check the run is repeated with twice the steps;
     a change of the final intensities above 1e-4 adds an accuracy warning.
     """
@@ -239,24 +218,21 @@ def evolve_two_mode(
         t_max = max(300.0, 20.0 / math.sqrt(params.rate))
         t_span = (-t_max, t_max)
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
-        raise ParameterError("t_span must be finite and increasing")
-    # at most 1.08 rad of diagonal phase per table step where the sweep is
-    # farthest out
-    bound = min(0.06, 1.08 / (params.rate * max(abs(t0), abs(t1)) / 2.0))
+    # at most 1.08 rad of diagonal phase per table step where the sweep is farthest out
+    eps_max = params.rate * max(abs(t0), abs(t1)) / 2.0
+    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0 and eps_max > 0.0):
+        raise ParameterError("t_span must be finite and increasing, and the detuning "
+                             "rate*max|t|/2 at its far end must not underflow to 0")
+    bound = min(0.06, 1.08 / eps_max)
     step = config.step if config.step is not None else bound
     n_steps, stride = _grid(t1 - t0, step, config.sample_stride, 20000,
                             table_step=config.step is None)
     dt = (t1 - t0) / n_steps
-    if initial is None:
-        initial = ground_state(params, t0)
-    elif abs(initial.t - t0) > 1e-9:
-        raise ParameterError(f"initial state is at t={initial.t}, the span starts at t={t0}")
     coupling = np.array([[0.0, params.coupling + params.skew],
                          [params.coupling - params.skew, 0.0]]) / 2.0
 
     def run(refine: int):
-        a = np.array([initial.a1, initial.a2], dtype=complex)
+        a = ground_state(params, t0)
         ts, amps = [[t0]], [a[:, None]]
         for kicks, t, widths, ends in _march(coupling, n_steps, stride, refine, dt, _CHUNK):
             p = _prefix_products(_step_matrices(t0 + t, widths, ends, params.rate, kicks))

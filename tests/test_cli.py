@@ -8,7 +8,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from ptlattice import experiments, svgplot
+from ptlattice import dynamics, experiments, svgplot, twomode
 from ptlattice.cli import main
 from ptlattice.config import KINDS, load_config, parse_config
 from ptlattice.errors import ConfigError, ParameterError
@@ -165,6 +165,35 @@ class TestConfig:
         path.write_text(json.dumps(doc))
         assert main(["twomode", "--config", str(path), "--out", str(tmp_path / "z")]) == 2
         assert "rate must be non-zero" in capsys.readouterr().err
+
+    @pytest.fixture
+    def no_march(self, monkeypatch):
+        """Steps marched by either kernel; a run rejected before any step marches none."""
+        marched = []
+        for module in (dynamics, twomode):
+            monkeypatch.setattr(module, "_march", lambda *args: marched.append(args) or iter(()))
+        return marched
+
+    def test_twomode_detuning_underflow_exits_2(self, tmp_path, capsys, no_march):
+        # rate * t_max / 2 underflows to 0, so there is no sweep to bound the step by
+        doc = twomode_doc()
+        doc["twomode"]["rate"] = 5e-324
+        doc["t_max"] = 1.0
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        assert main(["twomode", "--config", str(path), "--out", str(tmp_path / "t")]) == 2
+        assert "must not underflow to 0" in capsys.readouterr().err
+        assert no_march == []
+
+    def test_evolve_grid_above_the_largest_exits_2(self, tmp_path, capsys, no_march):
+        # about 2e302 grid steps, far above MAX_GRID_STEPS
+        doc = evolve_doc()
+        doc["drive"]["rate"] = 1e-300
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "e")]) == 2
+        assert "MAX_GRID_STEPS" in capsys.readouterr().err
+        assert no_march == []
 
 
 class TestResultTable:

@@ -17,6 +17,8 @@ from ptlattice import (
     power,
     prepare_band_state,
     project_onto_band,
+    lz_probability,
+    lz_survival,
     transition_probability,
 )
 from ptlattice import dynamics
@@ -425,6 +427,26 @@ class TestEvolve:
         p_plus = transition_probability(LatticeParams(0.2, 0.15), drive)
         p_minus = transition_probability(LatticeParams(0.2, -0.15), drive)
         assert p_plus == pytest.approx(p_minus, abs=1e-2)
+
+    @pytest.mark.parametrize("rate, v_imag", [(0.03, 0.15), (0.03, -0.10), (0.01, 0.19),
+                                              (0.01, -0.19)])
+    def test_band_occupations_follow_the_closed_forms(self, rate, v_imag):
+        # v_imag manages both occupations after one crossing: band 2 takes the
+        # transition P and band 1 keeps the survival, amplified for v_imag > 0
+        # and damped for v_imag < 0 (measured within 0.51% and 0.80%)
+        params = LatticeParams(0.2, v_imag)
+        trace = evolve(prepare_band_state(params, 0.0, 1), params, DriveParams(rate, 0.0, 1.8))
+        two = (2 * 0.2, 2 * v_imag, 4 * rate)
+        assert trace.band1_prob[-1] == pytest.approx(lz_survival(*two), rel=0.02)
+        assert trace.band2_prob[-1] == pytest.approx(lz_probability(*two), rel=0.02)
+
+    def test_grid_above_the_largest_is_rejected(self):
+        # checked on the unrounded step count, so one that overflows is caught too
+        assert dynamics._grid(5e8, 0.5, None, 2000)[0] == dynamics.MAX_GRID_STEPS
+        for duration, step in ((5e8, 0.4999999), (1e308, 1e-9)):
+            for table_step in (False, True):
+                with pytest.raises(ParameterError, match="MAX_GRID_STEPS"):
+                    dynamics._grid(duration, step, None, 2000, table_step=table_step)
 
     def test_zero_rate_rejected(self):
         params = LatticeParams(0.2, 0.0)

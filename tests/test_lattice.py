@@ -9,11 +9,9 @@ from ptlattice import (
     LatticeParams,
     ParameterError,
     PhaseError,
-    PhysicalParams,
     band_structure,
     build_hamiltonian,
     eigensystem,
-    physical_to_dimensionless,
     pt_phase,
 )
 from ptlattice.lattice import band_arrays, band_energies
@@ -29,47 +27,6 @@ def dense_oracle(v_real, v_imag, l_max, q):
             h[i, i + 1] = v_real + v_imag
             h[i + 1, i] = v_real - v_imag
     return h
-
-
-class TestUnitConversion:
-    def test_unit_ratio_amplitudes(self):
-        p = PhysicalParams(wavelength=1.0, substrate_index=1.0, period=1.0,
-                           real_amplitude=0.0, imag_amplitude=0.0)
-        energy = p.recoil_energy
-        p = PhysicalParams(1.0, 1.0, 1.0, real_amplitude=2 * energy, imag_amplitude=0.0)
-        dim = physical_to_dimensionless(p)
-        assert dim.v_real == pytest.approx(1.0, abs=1e-15)
-        assert dim.v_imag == 0.0
-        assert dim.drive_rate == 0.0
-
-    def test_rate_linear_in_gradient(self):
-        base = PhysicalParams(1.0, 2.0, 5.0, 0.1, 0.0, gradient=1e-4)
-        doubled = PhysicalParams(1.0, 2.0, 5.0, 0.1, 0.0, gradient=2e-4)
-        r1 = physical_to_dimensionless(base).drive_rate
-        r2 = physical_to_dimensionless(doubled).drive_rate
-        assert r2 == pytest.approx(2.0 * r1, rel=1e-15)
-
-    def test_micron_worked_example(self):
-        # one-line independent evaluation of the conversion formulas
-        lam_bar = 1.0 / (2 * math.pi)
-        k = math.pi / 5.0
-        energy = lam_bar**2 * k**2 / (2 * 2.0)
-        assert energy == pytest.approx(0.0025, rel=1e-12)
-        p = PhysicalParams(wavelength=1.0, substrate_index=2.0, period=5.0,
-                           real_amplitude=0.4 * energy, imag_amplitude=0.0)
-        dim = physical_to_dimensionless(p)
-        assert dim.v_real == pytest.approx(0.2, rel=1e-12)
-        assert dim.z_scale == pytest.approx(lam_bar / energy, rel=1e-12)
-
-    @pytest.mark.parametrize("bad", [
-        dict(wavelength=-1.0), dict(substrate_index=0.0), dict(period=-2.0),
-    ])
-    def test_invalid_parameters(self, bad):
-        fields = dict(wavelength=1.0, substrate_index=1.0, period=1.0,
-                      real_amplitude=0.1, imag_amplitude=0.0)
-        fields.update(bad)
-        with pytest.raises(ParameterError):
-            PhysicalParams(**fields)
 
 
 class TestHamiltonian:

@@ -127,3 +127,36 @@ def test_constant_series_range_is_widened(tmp_path, one_second, level):
     heights = {float(p.split(",")[1]) for p in points}
     assert len(heights) == 1 and all(map(math.isfinite, heights))
     assert y_tick_labels(out)
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1.0], [0.0, 1.7e308]),
+    ([0.0, 1.0], [-1.7e308, 1.7e308]),
+    ([-1.7e308, 1.7e308], [1.7e308, 1.7e308]),
+], ids=["padding_overflows", "span_overflows", "x_span_and_constant_y"])
+def test_ranges_near_the_largest_double_stay_finite(tmp_path, x, y):
+    # the 4% padding and the span of the range are taken in halves, and the
+    # axis ends are clamped to the finite doubles
+    out = render_line_chart(tmp_path / "huge.svg", [Series("y", np.array(x), np.array(y))])
+    (points,) = polylines(out)
+    coords = [float(v) for p in points for v in p.split(",")]
+    assert len(coords) == 4 and all(map(math.isfinite, coords))
+    root = ET.parse(out).getroot()
+    ticks = [float(t.get(k)) for t in root.iterfind("svg:line", NS) for k in ("x1", "y1")]
+    assert all(map(math.isfinite, ticks))
+    labels = [float(t.text) for t in root.iterfind("svg:text", NS) if t.text != "y"]
+    assert len(labels) >= 4 and all(map(math.isfinite, labels))
+
+
+def test_tick_labels_tell_their_ticks_apart(tmp_path):
+    x = np.arange(5.0)
+    # the five ticks of a constant series at 1e16 all read 1e+16 at {:g}'s 6 digits
+    out = render_line_chart(tmp_path / "flat.svg", [Series("y", x, np.full(5, 1e16))])
+    labels = y_tick_labels(out)
+    assert len(labels) == 5 and len(set(labels)) == 5
+    assert [float(label) for label in labels] == [1e16 + k * 5e6 for k in range(-2, 3)]
+    assert "1e+16" in labels
+    # labels that {:g} keeps apart stay as they are
+    out = render_line_chart(tmp_path / "unit.svg", [Series("y", x, x / 4)])
+    assert y_tick_labels(out) == ["0", "0.2", "0.4", "0.6", "0.8", "1"]
+    assert svgplot._labels([1.0, 1.0 + 1e-6, 2.5e-7]) == ["1", "1.000001", "2.5e-07"]

@@ -1,6 +1,5 @@
 """Two-level sweep closed forms, exact identities, and the numerical check."""
 
-import cmath
 import math
 
 import numpy as np
@@ -11,39 +10,17 @@ from ptlattice import (
     ParameterError,
     TwoModeParams,
     amplification_ratio,
-    anti_critical_limit,
     critical_survival,
     evolve_two_mode,
     lz_probability,
     lz_survival,
     multicross_power,
-    two_mode_eigenvalues,
 )
 from ptlattice import twomode
 from ptlattice import dynamics
 from ptlattice.dynamics import _NODES, _WEIGHTS, _expm
 from ptlattice.lattice import LatticeParams
 from ptlattice.twomode import _CHUNK, ground_state
-
-
-class TestEigenvalues:
-    def test_real_gap(self):
-        plus, minus = two_mode_eigenvalues(0.0, 0.4, 0.3)
-        expected = math.sqrt((0.4**2 - 0.3**2) / 4.0)
-        assert plus == pytest.approx(expected, rel=1e-12)
-        assert minus == pytest.approx(-expected, rel=1e-12)
-
-    def test_gap_closes_at_matched_amplitudes(self):
-        assert two_mode_eigenvalues(0.0, 0.4, 0.4) == (0.0, 0.0)
-
-    def test_imaginary_pair_beyond_criticality(self):
-        plus, minus = two_mode_eigenvalues(0.0, 0.4, 0.5)
-        assert plus == pytest.approx(0.15j, rel=1e-12)
-        assert minus == pytest.approx(-0.15j, rel=1e-12)
-
-    def test_large_detuning_keeps_levels_real(self):
-        plus, _ = two_mode_eigenvalues(1.0, 0.4, 0.5)
-        assert plus.imag == 0.0
 
 
 class TestAmplificationRatio:
@@ -110,7 +87,6 @@ class TestTransitionFormulas:
         assert lz_survival(0.4, 0.3, -0.12) == pytest.approx(0.0857, abs=1e-4)
         for n in (1, 2, 3):
             assert multicross_power(0.4, 0.3, -0.12, n) == multicross_power(0.4, -0.3, 0.12, n)
-        assert critical_survival(0.4, -0.12) == anti_critical_limit()[0] == 0.0
 
 
 class TestSurvival:
@@ -145,8 +121,10 @@ class TestCriticalLimits:
         with pytest.raises(ParameterError):
             critical_survival(0.4, 0.0)
 
-    def test_anti_critical_limit(self):
-        assert anti_critical_limit() == (0.0, 1.0)
+    def test_reversed_sweep_empties_the_ground_level(self):
+        # a negative rate is the transposed sweep, skew = -coupling, which leaves nothing
+        for coupling, rate in ((0.4, -0.12), (0.2, -0.004), (0.0, -0.12)):
+            assert critical_survival(coupling, rate) == 0.0
 
 
 class TestMulticross:
@@ -224,10 +202,9 @@ class TestEvolution:
     def test_ground_state_is_instantaneous_eigenvector(self):
         params = TwoModeParams(0.4, 0.3, 0.12)
         t = -250.0
-        state = ground_state(params, t)
+        vec = ground_state(params, t)
         eps = -0.12 * t / 2.0
         h = np.array([[eps, (0.4 + 0.3) / 2.0], [(0.4 - 0.3) / 2.0, -eps]], dtype=complex)
-        vec = np.array([state.a1, state.a2])
         low = min(np.linalg.eigvals(h).real)
         residual = h @ vec - low * vec
         assert np.linalg.norm(residual) < 1e-10
@@ -281,14 +258,13 @@ class TestEvolution:
 
         params = TwoModeParams(0.4, 0.3, 0.12)
         span = (-20.0, 20.0)
-        start = ground_state(params, span[0])
         cu, cl = (0.4 + 0.3) / 2.0, (0.4 - 0.3) / 2.0
 
         def deriv(t, a):
             eps = -0.12 * t / 2.0
             return -1j * np.array([eps * a[0] + cu * a[1], cl * a[0] - eps * a[1]])
 
-        ref = solve_ivp(deriv, span, np.array([start.a1, start.a2]), method="DOP853",
+        ref = solve_ivp(deriv, span, ground_state(params, span[0]), method="DOP853",
                         rtol=1e-13, atol=1e-13).y[:, -1]
         errs = []
         for h in (0.4, 0.2):
@@ -301,17 +277,13 @@ class TestEvolution:
         with pytest.raises(ParameterError, match="rate must be non-zero"):
             TwoModeParams(0.4, 0.0, 0.0)
 
-    def test_initial_state_must_start_the_span(self):
-        # the state is marched from t_span[0], so one prepared at another time
-        # is an error, not a silent restart
+    def test_sweep_starts_in_the_ground_level(self):
+        # the first sample is the instantaneous ground level at t_span[0]
         params = TwoModeParams(0.4, 0.3, 0.12)
-        span = (-40.0, 40.0)
-        with pytest.raises(ParameterError, match="span starts"):
-            evolve_two_mode(params, t_span=span, initial=ground_state(params, 10.0))
-        given = evolve_two_mode(params, t_span=span, initial=ground_state(params, span[0]))
-        default = evolve_two_mode(params, t_span=span)
-        np.testing.assert_array_equal(given.a1, default.a1)
-        np.testing.assert_array_equal(given.a2, default.a2)
+        for span in ((-40.0, 40.0), (-5.0, 60.0)):
+            trace = evolve_two_mode(params, t_span=span)
+            assert trace.t[0] == span[0]
+            assert (trace.a1[0], trace.a2[0]) == tuple(ground_state(params, span[0]))
 
     @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -0.01])
     def test_invalid_step_rejected(self, step):
@@ -338,8 +310,7 @@ def sequential_states(params, t_span, n_steps, stride):
     dt = (t1 - t0) / n_steps
     coupling = np.array([[0.0, params.coupling + params.skew],
                          [params.coupling - params.skew, 0.0]]) / 2.0
-    start = ground_state(params, t0)
-    a = np.array([start.a1, start.a2])
+    a = ground_state(params, t0)
     states, kicks = [a], {}
     for i in range(0, n_steps, stride):
         length = min(stride, n_steps - i)
@@ -454,7 +425,3 @@ class TestLatticeReduction:
     def test_negative_rate_is_the_transposed_problem(self):
         assert TwoModeParams(0.4, 0.3, -0.12) == TwoModeParams(0.4, -0.3, 0.12)
 
-
-def test_eigenvalue_root_is_principal():
-    plus, _ = two_mode_eigenvalues(0.3, 0.4, 0.5)
-    assert plus == pytest.approx(cmath.sqrt(0.3**2 + (0.16 - 0.25) / 4), rel=1e-12)
