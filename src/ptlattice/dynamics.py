@@ -328,11 +328,10 @@ def evolve(
 
     y, samples = _integrate(state.amplitudes, params, drive, n_steps, stride)
 
-    zs = np.array([s[0] for s in samples])
-    qs = np.array([s[1] for s in samples])
-    rho = np.array([float(np.sum(np.abs(s[2]) ** 2)) for s in samples])
+    zs, qs, amplitudes = (np.array(column) for column in zip(*samples))
+    rho = np.sum(np.abs(amplitudes) ** 2, axis=1)
     _, left, degenerate = _unit_bands(params, qs, (1, 2))
-    c = np.einsum("qlb,ql->qb", left, np.array([s[2] for s in samples]))
+    c = np.einsum("qlb,ql->qb", left, amplitudes)
     p1, p2 = np.where(degenerate, math.nan, np.abs(c) ** 2).T
 
     metadata = {

@@ -5,7 +5,10 @@ order, plus a metadata dict.  A result file is UTF-8 CSV whose first line is
 a '#'-prefixed JSON object carrying the fully resolved configuration and any
 accuracy warnings; the second line names the columns.  Each cell is the str
 of the column's Python value (repr for floats), so identical runs produce
-byte-identical files.
+byte-identical files.  A run of equal cells in a column is formatted once and
+its text repeated, with the same bytes; a bands table repeats each momentum
+once per band.  Distinct floats set the floor: about 0.7 us per cell for
+float.__repr__, and 1.1 us for numpy's astype(str), which gives the same bytes.
 """
 
 from __future__ import annotations
@@ -46,9 +49,25 @@ class ResultTable:
             f.write(",".join(self.columns) + "\n")
             count = len(next(iter(self.columns.values()), ()))
             for i in range(0, count, _BLOCK_ROWS):
-                cells = [map(str, v[i : i + _BLOCK_ROWS].tolist()) for v in self.columns.values()]
+                cells = [_cells(v[i : i + _BLOCK_ROWS]) for v in self.columns.values()]
                 f.write("\n".join(map(",".join, zip(*cells))) + "\n")
         return path
+
+
+def _cells(values: np.ndarray) -> list[str]:
+    """Each value's str (repr for floats), formatted once per run of equal values.
+
+    Runs are stretches of equal bytes, not of == values: 0.0 == -0.0 prints
+    two ways, and nan != nan prints one.  Object columns hold references, not
+    bytes, and take the plain map, as does a block without repeats.
+    """
+    if not values.dtype.hasobject:
+        bits = values.view(f"V{values.itemsize}")
+        first = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+        if len(first) < len(values):
+            texts = np.array(list(map(str, values[first].tolist())), dtype=object)
+            return np.repeat(texts, np.diff(first, append=len(values))).tolist()
+    return list(map(str, values.tolist()))
 
 
 def _parse_column(cells: list[str]) -> np.ndarray:

@@ -23,7 +23,7 @@ from ptlattice import (
     multicross_power,
     prepare_band_state,
 )
-from ptlattice.config import load_config
+from ptlattice.config import load_config, parse_config
 from ptlattice.experiments import RUNNERS
 from ptlattice.lattice import band_energies, eigensystem
 from ptlattice.twomode import TwoModeParams, evolve_two_mode
@@ -36,10 +36,9 @@ def report(name: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def run_preset(name: str, **overrides):
+def run_preset(name: str):
     """A bundled preset's result table, run as `ptlattice <kind> --config <name>` runs it."""
     cfg = load_config(name)
-    cfg.doc.update(overrides)
     return RUNNERS[cfg.kind](cfg)
 
 
@@ -73,10 +72,17 @@ def test_criterion_1_adiabatic_gain_and_loss():
     assert ok_up and ok_down
 
 
-# the ids are the presets' v_imag
-@pytest.mark.parametrize("preset", ["fig4a", "fig4b", "fig4c"], ids=["0.0", "0.15", "0.19"])
-def test_criterion_2_sweep_matches_closed_form(preset):
-    table = run_preset(preset, jobs=2)
+# the ids are the lattices' v_imag; -0.19 is fig4c's lattice with v_imag
+# negated, the loss side, whose closed form is the transposed sweep's
+@pytest.mark.parametrize(
+    "preset, sign",
+    [("fig4a", 1), ("fig4b", 1), ("fig4c", 1), ("fig4c", -1)],
+    ids=["0.0", "0.15", "0.19", "-0.19"],
+)
+def test_criterion_2_sweep_matches_closed_form(preset, sign):
+    doc = load_config(preset).doc
+    doc["lattice"]["v_imag"] *= sign
+    table = RUNNERS["sweep"](parse_config({**doc, "jobs": 2}))
     worst = table.metadata["max_abs_error"]
     config = table.metadata["config"]
     sweep = config["sweep"]

@@ -14,7 +14,7 @@ from ptlattice.config import KINDS, load_config, parse_config
 from ptlattice.errors import ConfigError, ParameterError
 from ptlattice.lattice import band_structure
 from ptlattice.experiments import run_bands, run_evolve, run_multicross, run_sweep, run_twomode
-from ptlattice.results import ResultTable, load_csv
+from ptlattice.results import _BLOCK_ROWS, ResultTable, load_csv
 
 
 def bands_doc(**overrides):
@@ -228,6 +228,26 @@ class TestResultTable:
             b"True,False,3,-4,0.1,1e-300,x,2.5\n"
             b"False,True,-7,5,0.5,-0.0,y z,0.3333333333333333\n"
         )
+
+    def test_csv_runs_print_each_cell(self, tmp_path):
+        # runs of equal cells, the last one across a block edge: every cell
+        # still prints as its own str, though 0.0 == -0.0 and nan != nan
+        head = [0.0, 0.0, -0.0, -0.0, 0.0, math.nan, math.nan, math.inf, math.inf, -math.inf]
+        floats = head + [1.5] * (_BLOCK_ROWS - len(head) - 1) + [-0.0] * 3
+        n = len(floats)
+        columns = {
+            "f": floats,
+            "i": [3, 3, -3] + [0] * (n - 3),
+            "b": [True, True, False] + [True] * (n - 3),
+            "s": ["a", "a", "b"] + ["c"] * (n - 3),
+            "o": [None, None] + [2**70] * (n - 2),
+        }
+        one_row = {"f": [-0.0], "s": ["x"]}
+        empty = {"f": np.array([]), "s": np.array([], dtype=str)}
+        for i, cols in enumerate([columns, one_row, empty]):
+            path = ResultTable(cols).write_csv(tmp_path / f"t{i}.csv")
+            rows = "".join(",".join(map(str, row)) + "\n" for row in zip(*cols.values()))
+            assert path.read_bytes() == ("# {}\n" + ",".join(cols) + "\n" + rows).encode()
 
     def test_metadata_line_alone_is_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
