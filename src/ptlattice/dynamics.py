@@ -13,12 +13,23 @@ an interband transition that can amplify or attenuate the beam.
 Propagation is the split-step (beam-propagation) method in the mode basis:
 the diagonal is integrated exactly, since q is linear in z, and the constant
 coupling V is applied through its exponential expm(-i w V h), computed once
-per run and weight by scaling and squaring a Taylor series, which needs no
-eigenbasis (at v_imag = v_real the coupling is a Jordan block).  One table
-of weights, Kahan & Li's nine Strang sub-steps (s9odr6a), composes them into
-one sixth-order step of nine coupling kicks; within a run each step's last
-diagonal phase folds into the next step's first.  The twomode module's
-two-level kernel uses the same table, _expm and IntegratorConfig.
+per run and weight by scaling and squaring a Taylor series, evaluated by
+Paterson-Stockmeyer, which needs no eigenbasis (at v_imag = v_real the
+coupling is a Jordan block).  One table of weights, Kahan & Li's nine
+Strang sub-steps (s9odr6a), composes them into one sixth-order step of nine
+coupling kicks; within a run each step's last diagonal phase folds into the
+next step's first.  The twomode module's two-level kernel uses the same
+table, _expm and IntegratorConfig.
+
+The diagonal phase of mode l over a sub-step of width w from qa to qb is
+w (4l^2 + 2l s + c), s = qa + qb, c = (qa^2 + qa qb + qb^2)/3.  Within a
+run every folded sub-step keeps its width and its s grows by 2 rate h per
+table step of length h, so its phase factor is the product of three exact
+exponentials: a table over the steps of a chunk, built once per run, an
+anchor in l, once per chunk, and the scalar exp(-i w c), once per kick.
+The half sub-step that opens a sample interval and the one that closes it
+take their per-mode exponentials directly.  No factor is a recurrence, so
+rounding does not grow with l_max or with the run's length.
 
 A run is a grid of n = ceil(duration/step) steps, sampled every stride of
 them.  Each sample interval of L grid steps is marched in ceil(L/3) equal
@@ -62,7 +73,12 @@ _NODES = np.concatenate([[0.0], np.cumsum(_WEIGHTS) - _WEIGHTS / 2.0, [1.0]])
 _FOLDED = np.concatenate([[_NODES[-2] - 1.0], _NODES[1:]])
 # grid steps per table step: nine kicks, at a budget of three per grid step
 _GRID_STEPS = 3
-# steps whose phases are computed at once; bounds the phase buffer's memory
+# the phase widths of a folded step's columns 0-8, each followed by a kick;
+# columns 1-8 are palindromic, so five distinct widths serve all nine
+_FOLDED_WIDTHS = np.diff(_FOLDED)[:9]
+_TABLE_COLUMNS = [0, 1, 2, 3, 4, 4, 3, 2, 1]
+# steps whose phases are computed at once; bounds the memory of the phase
+# buffer and of the per-run phase table, which is sized to the run
 _CHUNK = 256
 
 
@@ -196,15 +212,25 @@ def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring of a degree-18 Taylor series.
 
     a is halved until its 1-norm is at most 0.5, where the series' truncation
-    error is below 0.5**19/19! ~ 2e-23, and the sum is squared back.
+    error is below 0.5**19/19! ~ 2e-23, and the sum is squared back.  The
+    polynomial is evaluated by Paterson-Stockmeyer: from a^2, a^3 and a^4,
+    a Horner scheme in a^4 over blocks of four terms, seven matrix products.
+    Each block adds its identity term last, so the sum's diagonal, near 1
+    for a small a, is rounded once, as in a Horner scheme in a.
     """
     norm = np.linalg.norm(a, 1)
     squarings = math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0
     a = a / 2.0**squarings
-    eye = np.eye(a.shape[0], dtype=a.dtype)
-    result = eye
-    for k in range(18, 0, -1):
-        result = eye + (a @ result) / k
+    n = a.shape[0]
+    a2 = a @ a
+    a4 = a2 @ a2
+    powers = np.stack((a, a2, a2 @ a)).reshape(3, n * n)
+    for start in (16, 12, 8, 4, 0):
+        # the terms a^k/k! for start < k < start + 4, k <= 18, then k = start
+        coeffs = [1.0 / math.factorial(k) for k in range(start + 1, min(start + 4, 19))]
+        block = (np.array(coeffs) @ powers[:len(coeffs)]).reshape(n, n)
+        result = block + a4 @ result if start < 16 else block
+        result.flat[::n + 1] += 1.0 / math.factorial(start)
     for _ in range(squarings):
         result = result @ result
     return result
@@ -245,7 +271,9 @@ def _march(coupling: np.ndarray, n_steps: int, stride: int, refine: int, dz: flo
     first; a step that ends an interval ends at the interval's end.  Yields
     per chunk the steps' kicks, their phase nodes as offsets from the grid's
     start and the spacings between them, one row per step, and the grid
-    point each step ends on, 0 for a step inside an interval.
+    point each step ends on, 0 for a step inside an interval, with the
+    run's table-step length h and which steps start an interval: (kicks,
+    h, nodes, spacings, first, ends).
     """
     whole, rest = divmod(n_steps, stride)
     runs = [(count, length, refine * -(-length // _GRID_STEPS))
@@ -258,9 +286,10 @@ def _march(coupling: np.ndarray, n_steps: int, stride: int, refine: int, dz: flo
         kicks = [exps[w, h] for w in _WEIGHTS]
         for k0 in range(0, count * m, chunk):
             k = np.arange(k0, min(count * m, k0 + chunk))
-            rel = np.where((k % m == 0)[:, None], _NODES, _FOLDED)
+            first = k % m == 0
+            rel = np.where(first[:, None], _NODES, _FOLDED)
             ends = np.where((k + 1) % m == 0, i0 + (k + 1) // m * length, 0)
-            yield kicks, i0 * dz + h * (k[:, None] + rel), h * np.diff(rel, axis=1), ends
+            yield kicks, h, i0 * dz + h * (k[:, None] + rel), h * np.diff(rel, axis=1), first, ends
         i0 += count * length
 
 
@@ -280,24 +309,44 @@ def _integrate(
     dz = drive.duration / n_steps
     rate, q0 = drive.rate, drive.q_start
     two_l = 2.0 * params.mode_indices
-    h = build_hamiltonian(params, 0.0)
-    coupling = h - np.diag(np.diag(h))
+    ham = build_hamiltonian(params, 0.0)
+    coupling = ham - np.diag(np.diag(ham))
     y = a0.astype(complex)
+
+    def direct(w, s, c):
+        """Phase factors exp(-i w (4l^2 + 2l s + c)), one row per sub-step."""
+        return np.exp(-1j * w[:, None] * (two_l * (two_l + s[:, None]) + c[:, None]))
 
     samples = [(0.0, q0, y)]
     march = _march(coupling, n_steps, stride or n_steps, refine, dz, _CHUNK)
-    for kicks, z, widths, ends in march:
-        # (2l + q(z))^2 is quadratic in z: its integral over [a, b] in terms
-        # of the end values is (b - a)(qa^2 + qa qb + qb^2)/3
-        qn = two_l + (q0 + rate * z)[:, :, None]
-        qa, qb = qn[:, :-1], qn[:, 1:]
-        phases = np.exp(-1j / 3.0 * widths[:, :, None] * (qa * qa + qa * qb + qb * qb))
+    table_h = None
+    for kicks, h, z, widths, first, ends in march:
+        # (2l + q(z))^2 is quadratic in z: its integral over a sub-step is
+        # w (4l^2 + 2l s + c) in terms of the end values (module docstring)
+        qz = q0 + rate * z
+        qa, qb = qz[:, :-1], qz[:, 1:]
+        sub = np.stack((widths, qa + qb, (qa * qa + qa * qb + qb * qb) / 3.0))
+        w = h * _FOLDED_WIDTHS
+        if h != table_h:  # a later run of the same h is a shorter remainder
+            k = np.arange(len(z))[:, None, None]
+            table = np.exp(-2j * rate * h * k * (w[:5, None] * two_l))[:, _TABLE_COLUMNS]
+            table_h, buffer = h, np.empty_like(table)
+        s0 = sub[1, 0, :9].copy()
+        if first[0]:  # the chunk's first step starts an interval: fold its column 0
+            s0[0] += rate * h * _FOLDED[0]
+        anchor = np.exp(-1j * w[:, None] * two_l * (two_l + s0[:, None]))
+        phases = np.multiply(table[:len(z)], anchor, out=buffer[:len(z)])
+        phases *= np.exp(-1j * widths[:, :9] * sub[2, :, :9])[:, :, None]
+        # column 0 of an interval's first step spans half a sub-step from its
+        # start, and column 9 runs from the last kick to an interval's end
+        phases[first, 0] = direct(*sub[:, first, 0])
+        last = iter(direct(*sub[:, ends > 0, 9]))
         dots = [u.dot for u in kicks]
         for row, i in zip(phases, ends.tolist()):
             for p, dot in zip(row, dots):
                 y = dot(y * p)
             if i:
-                y = y * row[-1]
+                y = y * next(last)
                 if i < n_steps:
                     samples.append((i * dz, q0 + rate * i * dz, y))
     samples.append((drive.duration, drive.q_stop, y))

@@ -234,7 +234,7 @@ def evolve_two_mode(
     def run(refine: int):
         a = ground_state(params, t0)
         ts, amps = [[t0]], [a[:, None]]
-        for kicks, t, widths, ends in _march(coupling, n_steps, stride, refine, dt, _CHUNK):
+        for kicks, _, t, widths, _, ends in _march(coupling, n_steps, stride, refine, dt, _CHUNK):
             p = _prefix_products(_step_matrices(t0 + t, widths, ends, params.rate, kicks))
             # states after the chunk's steps, from the state carried into it
             b = p[:, 0] * a[0] + p[:, 1] * a[1]

@@ -69,7 +69,7 @@ def record_marches(monkeypatch):
 
     def spy(*args):
         chunks = list(march(*args))
-        runs.append((np.concatenate([z[:, -1] for _, z, _, _ in chunks]),
+        runs.append((np.concatenate([z[:, -1] for _, _, z, *_ in chunks]),
                      np.concatenate([ends for *_, ends in chunks])))
         return iter(chunks)
 
@@ -142,6 +142,60 @@ class TestKernelStep:
                     ref = expm(a)
                     err = np.max(np.abs(_expm(a) - ref)) / np.max(np.abs(ref))
                     assert err <= 1e-13, (l_max, dz, w, err)
+
+
+def direct_samples(a0, params, drive, n_steps, stride, refine):
+    """The states _integrate samples, each phase factor exponentiated on its own.
+
+    Marches the chunks of _march with exp(-i w (Qa^2 + Qa Qb + Qb^2)/3),
+    Q = 2l + q, per mode and sub-step of width w from Qa to Qb.
+    """
+    ham = build_hamiltonian(params, 0.0)
+    march = dynamics._march(ham - np.diag(np.diag(ham)), n_steps, stride or n_steps, refine,
+                            drive.duration / n_steps, dynamics._CHUNK)
+    y, states = a0.astype(complex), [a0]
+    for kicks, _, z, widths, _, ends in march:
+        big_q = 2.0 * params.mode_indices + (drive.q_start + drive.rate * z)[:, :, None]
+        qa, qb = big_q[:, :-1], big_q[:, 1:]
+        phases = np.exp(-1j / 3.0 * widths[:, :, None] * (qa * qa + qa * qb + qb * qb))
+        for row, i in zip(phases, ends):
+            for p, kick in zip(row, kicks):
+                y = kick @ (y * p)
+            if i:
+                y = y * row[-1]
+                states.append(y)
+    return states
+
+
+class TestPhaseTables:
+    # 603 grid steps: strides 2, 6 and 7 leave a remainder interval (of 1, 3
+    # and 1 grid steps; at stride 6 of the same table-step length as the
+    # whole intervals), stride 1 starts an interval at every table step; the
+    # default stride of 9720 grid steps is 5
+    @pytest.mark.parametrize("l_max, rate, stride, refine", [
+        (40, 0.05, 1, 1),
+        (40, -0.05, 2, 2),
+        (80, 0.05, 2, 1),
+        (80, -0.05, 6, 2),
+        (40, 0.05, 7, 2),
+        (80, -0.05, 7, 1),
+        (80, 0.05, None, 2),
+        (40, -0.02, "default", 1),
+    ])
+    def test_samples_match_direct_phases(self, l_max, rate, stride, refine):
+        params = LatticeParams(0.2, 0.15, l_max)
+        drive = DriveParams(rate, 0.0, math.copysign(1.8, rate))
+        if stride == "default":
+            n_steps, stride = dynamics._lattice_grid(drive, IntegratorConfig())
+            assert (n_steps, stride) == (9720, 5)
+        else:
+            n_steps = 603
+        a0 = prepare_band_state(params, 0.0, 1).amplitudes
+        _, samples = _integrate(a0, params, drive, n_steps, stride, refine)
+        want = direct_samples(a0, params, drive, n_steps, stride, refine)
+        assert len(samples) == len(want) > 1
+        for (_, _, got), ref in zip(samples, want):
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestPowerAndProjection:
@@ -230,12 +284,16 @@ class TestDrive:
         # the default step depends on the drive alone; it takes no lattice
         assert default_step(DriveParams(0.05, 0.0, 1.5)) == 0.03 / 1.5**2
 
-    @pytest.mark.parametrize("l_max, step", [(12, 0.2), (40, 0.05)])
-    def test_coarse_hermitian_run_conserves_power(self, l_max, step):
+    # l_max 80 at step 0.02 sampled every 300: 10 intervals of 100 table
+    # steps, four chunks of phases whose arguments grow with l^2
+    @pytest.mark.parametrize("l_max, step, stride", [(12, 0.2, None), (40, 0.05, None),
+                                                     (80, 0.02, 300)],
+                             ids=["12-0.2", "40-0.05", "80-0.02"])
+    def test_coarse_hermitian_run_conserves_power(self, l_max, step, stride):
         # each factor of the step is unitary, whatever the largest diagonal
         params = LatticeParams(0.2, 0.0, l_max=l_max)
         drive = DriveParams(0.03, 0.0, 1.8)
-        cfg = IntegratorConfig(step=step)
+        cfg = IntegratorConfig(step=step, sample_stride=stride)
         trace = evolve(prepare_band_state(params, 0.0, 1), params, drive, cfg)
         assert np.max(np.abs(trace.power - 1.0)) < 1e-12
 

@@ -363,7 +363,7 @@ class TestScanKernel:
 
         def spy(*args):
             chunks = list(march(*args))
-            runs.append((np.concatenate([t[:, -1] for _, t, _, _ in chunks]),
+            runs.append((np.concatenate([t[:, -1] for _, _, t, *_ in chunks]),
                          np.concatenate([ends for *_, ends in chunks])))
             return iter(chunks)
 
