@@ -23,12 +23,9 @@ from .dynamics import (
 from .errors import ConfigError, DegenerateBandError, ParameterError, PhaseError
 from .lattice import (
     BandEigenpair,
-    BandStructure,
     LatticeParams,
-    band_structure,
     build_hamiltonian,
     eigensystem,
-    pt_phase,
 )
 from .twomode import (
     TwoModeParams,
@@ -44,7 +41,6 @@ from .twomode import (
 __all__ = [
     "__version__",
     "BandEigenpair",
-    "BandStructure",
     "ConfigError",
     "DegenerateBandError",
     "DriveParams",
@@ -57,7 +53,6 @@ __all__ = [
     "TwoModeParams",
     "TwoModeTrace",
     "amplification_ratio",
-    "band_structure",
     "build_hamiltonian",
     "critical_survival",
     "eigensystem",
@@ -70,6 +65,5 @@ __all__ = [
     "power",
     "prepare_band_state",
     "project_onto_band",
-    "pt_phase",
     "transition_probability",
 ]

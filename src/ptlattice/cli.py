@@ -15,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import KINDS, load_config
+from .config import KINDS, load_config, parse_config
 from .errors import ConfigError, DegenerateBandError, ParameterError, PhaseError
 from .experiments import RUNNERS, render_chart
 
@@ -44,14 +44,9 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config kind {cfg.kind!r} does not match subcommand {args.kind!r}"
             )
-        if args.jobs is not None:
-            if args.jobs < 1:
-                raise ConfigError("--jobs must be >= 1")
-            cfg.doc["jobs"] = args.jobs
-        if args.svg:
-            cfg.doc["svg"] = True
-        if args.out:
-            cfg.doc["out"] = args.out
+        # the flags given go through the config's own checks, as if in the file
+        flags = {"jobs": args.jobs, "svg": args.svg or None, "out": args.out or None}
+        cfg = parse_config(cfg.doc | {k: v for k, v in flags.items() if v is not None})
         table = RUNNERS[cfg.kind](cfg)
     except (ConfigError, ParameterError, PhaseError, DegenerateBandError) as exc:
         print(f"ptlattice: error: {exc}", file=sys.stderr)

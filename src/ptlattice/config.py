@@ -133,10 +133,7 @@ def _walk(table: dict, raw, where: str) -> dict:
 
 @dataclass
 class ExperimentConfig:
-    """A parsed run: the filled document and the typed objects built from its sections.
-
-    The command line writes its jobs, svg and out overrides into doc.
-    """
+    """A parsed run: the filled document and the typed objects built from its sections."""
 
     doc: dict
     lattice: LatticeParams | None = None

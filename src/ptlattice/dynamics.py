@@ -48,6 +48,7 @@ it; prepare_band_state and project_onto_band are its one-momentum views.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,6 +147,33 @@ class EvolutionTrace:
     metadata: dict = field(default_factory=dict)
 
 
+def _check_state(state: ModeVector, params: LatticeParams) -> None:
+    """Raise ParameterError unless the state holds params.size finite amplitudes."""
+    a = np.asarray(state.amplitudes)
+    if a.shape != (params.size,) or a.dtype.kind not in "iufc" or not np.isfinite(a).all():
+        raise ParameterError(
+            f"state must hold {params.size} finite amplitudes (l_max {params.l_max})"
+        )
+
+
+@contextmanager
+def _overflow_raises():
+    """Turn a numpy overflow or invalid value into ParameterError.
+
+    A long drive deep in the broken phase amplifies the beam past the float
+    range; the run then fails before any row is written instead of
+    returning NaN.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ParameterError(
+            f"the beam's amplitudes leave the float range ({exc}); "
+            "shorten the drive or lower |v_imag|"
+        ) from exc
+
+
 def power(state: ModeVector) -> float:
     """Total intensity sum(|a_l|^2)."""
     return float(np.sum(np.abs(state.amplitudes) ** 2))
@@ -192,6 +220,7 @@ def project_onto_band(
     """
     if abs(q - state.q_ref) > 1e-9:
         raise ParameterError(f"state carries q_ref={state.q_ref}, asked to project at q={q}")
+    _check_state(state, params)
     _, left = _one_band(params, q, band)
     c = complex(left @ state.amplitudes)
     return c, abs(c) ** 2
@@ -293,6 +322,7 @@ def _march(coupling: np.ndarray, n_steps: int, stride: int, refine: int, dz: flo
         i0 += count * length
 
 
+@_overflow_raises()
 def _integrate(
     a0: np.ndarray,
     params: LatticeParams,
@@ -305,6 +335,7 @@ def _integrate(
 
     The samples are the start, every stride-th grid point and the end; with
     no stride only the ends.  refine multiplies the table steps (_march).
+    An overflow raises ParameterError.
     """
     dz = drive.duration / n_steps
     rate, q0 = drive.rate, drive.q_start
@@ -369,16 +400,20 @@ def evolve(
     difference above 1e-6 adds an accuracy warning.  All samples are
     projected onto bands 1 and 2 with one band_arrays call; a sample whose
     band is degenerate gets NaN in that band's column and is counted in
-    metadata["projection_failures"].
+    metadata["projection_failures"].  A state that is not params.size finite
+    amplitudes, or a beam amplified past the float range, raises
+    ParameterError.
     """
     if abs(state.q_ref - drive.q_start) > 1e-9:
         raise ParameterError("state q_ref must match the drive's q_start")
+    _check_state(state, params)
     n_steps, stride = _lattice_grid(drive, config)
 
     y, samples = _integrate(state.amplitudes, params, drive, n_steps, stride)
 
     zs, qs, amplitudes = (np.array(column) for column in zip(*samples))
-    rho = np.sum(np.abs(amplitudes) ** 2, axis=1)
+    with _overflow_raises():
+        rho = np.sum(np.abs(amplitudes) ** 2, axis=1)
     _, left, degenerate = _unit_bands(params, qs, (1, 2))
     c = np.einsum("qlb,ql->qb", left, amplitudes)
     p1, p2 = np.where(degenerate, math.nan, np.abs(c) ** 2).T

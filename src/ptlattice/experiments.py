@@ -30,7 +30,7 @@ from .dynamics import (
     prepare_band_state,
     transition_probability,
 )
-from .lattice import band_structure, phase_of
+from .lattice import band_arrays, phase_of
 from .results import ResultTable
 from .svgplot import Series, render_line_chart
 from .twomode import (
@@ -60,15 +60,15 @@ def run_bands(cfg: ExperimentConfig) -> ResultTable:
     grid = np.linspace(q_grid["start"], q_grid["stop"], q_grid["count"])
     # every band is solved once: the table keeps band_count of them, the
     # phase is classified over all; rows run over the bands of each q
-    structure = band_structure(cfg.lattice, grid)
+    energies = band_arrays(cfg.lattice, grid, bands=()).energies
     count = cfg.doc["band_count"]
-    energy = structure.energies[:count].T.ravel()
+    energy = energies[:, :count].ravel()
     metadata = _base_metadata(cfg)
-    label, max_imag = phase_of(cfg.lattice, structure.energies)
+    label, max_imag = phase_of(cfg.lattice, energies)
     metadata["phase"] = label
     metadata["max_imag_energy"] = max_imag
     columns = {
-        "q": np.repeat(structure.q_grid, count),
+        "q": np.repeat(grid, count),
         "band": np.tile(np.arange(1, count + 1), grid.size),
         "energy_re": energy.real,
         "energy_im": energy.imag,

@@ -27,9 +27,9 @@ beyond criticality.  The momenta go in blocks of at most _BLOCK matrix
 elements (419 momenta at l_max 12), which bounds memory whatever the grid
 or sample count.  It returns arrays with the band index last: energies
 (Q, N), right and left vectors (Q, N, N) with columns as bands, and
-degeneracy flags (Q, N).  eigensystem, band_energies and band_structure are
-views of it, and so are the state preparation and band projection of the
-dynamics module.
+degeneracy flags (Q, N).  eigensystem and band_energies are views of it,
+and so are the state preparation and band projection of the dynamics
+module.
 """
 
 from __future__ import annotations
@@ -120,15 +120,6 @@ class BandArrays:
     right: np.ndarray
     left: np.ndarray
     degenerate: np.ndarray
-
-
-@dataclass(frozen=True)
-class BandStructure:
-    """Band energies on a momentum grid; energies[band, iq] sorted per column."""
-
-    q_grid: np.ndarray
-    energies: np.ndarray
-    band_count: int
 
 
 def build_hamiltonian(params: LatticeParams, q) -> np.ndarray:
@@ -248,8 +239,8 @@ def band_arrays(params: LatticeParams, q, solver: str = "auto", bands=None) -> B
     if bands is None:
         bands = range(1, params.size + 1)
     for band in bands:
-        if int(band) != band or band < 1 or band > params.size:
-            raise ParameterError(f"band must be in 1..{params.size}")
+        if not (_is_integer(band) and 1 <= band <= params.size):
+            raise ParameterError(f"band must be an integer in 1..{params.size}, got {band!r}")
     cols = [int(band) - 1 for band in bands]
     step = max(1, _BLOCK // params.size**2)
     blocks = [_solve_block(params, q[k:k + step], symmetric, cols) for k in range(0, q.size, step)]
@@ -272,33 +263,17 @@ def band_energies(params: LatticeParams, q: float, solver: str = "auto") -> np.n
     return band_arrays(params, q, solver, bands=()).energies[0]
 
 
-def band_structure(params: LatticeParams, q_grid, band_count: int | None = None) -> BandStructure:
-    """Band energies over a momentum grid, lowest band_count bands kept."""
-    q_grid = np.asarray(q_grid, dtype=float)
-    if band_count is None:
-        band_count = params.size
-    if not 1 <= band_count <= params.size:
-        raise ParameterError("band_count out of range")
-    energies = band_arrays(params, q_grid, bands=()).energies[:, :band_count].T
-    return BandStructure(q_grid=q_grid, energies=energies, band_count=band_count)
-
-
 def phase_of(params: LatticeParams, energies: np.ndarray) -> tuple[str, float]:
-    """Classify the symmetry phase from all band energies on a grid; see pt_phase."""
-    max_imag = float(np.max(np.abs(energies.imag)))
-    if abs(abs(params.v_imag) - params.v_real) <= CRITICAL_WINDOW:
-        return "critical", max_imag
-    if abs(params.v_imag) < params.v_real and max_imag < REALITY_TOL:
-        return "unbroken", max_imag
-    return "broken", max_imag
-
-
-def pt_phase(params: LatticeParams, q_grid) -> tuple[str, float]:
-    """Classify the symmetry phase over a grid: (label, max |Im energy|).
+    """Classify the symmetry phase from all band energies on a grid: (label, max |Im energy|).
 
     Labels: "critical" when ||v_imag| - v_real| <= CRITICAL_WINDOW (flipping
     the sign of v_imag only transposes the operator, so -v_real is critical
     too), "unbroken" when |v_imag| < v_real and the spectrum is real on the
     grid, otherwise "broken".
     """
-    return phase_of(params, band_structure(params, q_grid).energies)
+    max_imag = float(np.max(np.abs(energies.imag)))
+    if abs(abs(params.v_imag) - params.v_real) <= CRITICAL_WINDOW:
+        return "critical", max_imag
+    if abs(params.v_imag) < params.v_real and max_imag < REALITY_TOL:
+        return "unbroken", max_imag
+    return "broken", max_imag

@@ -22,7 +22,6 @@ from ptlattice.results import ResultTable, load_csv
 EXPECTED = {
     "__version__",
     "BandEigenpair",
-    "BandStructure",
     "ConfigError",
     "DegenerateBandError",
     "DriveParams",
@@ -35,7 +34,6 @@ EXPECTED = {
     "TwoModeParams",
     "TwoModeTrace",
     "amplification_ratio",
-    "band_structure",
     "build_hamiltonian",
     "critical_survival",
     "eigensystem",
@@ -48,7 +46,6 @@ EXPECTED = {
     "power",
     "prepare_band_state",
     "project_onto_band",
-    "pt_phase",
     "transition_probability",
 }
 

@@ -12,7 +12,7 @@ from ptlattice import dynamics, experiments, svgplot, twomode
 from ptlattice.cli import main
 from ptlattice.config import KINDS, load_config, parse_config
 from ptlattice.errors import ConfigError, ParameterError
-from ptlattice.lattice import band_structure
+from ptlattice.lattice import band_arrays
 from ptlattice.experiments import run_bands, run_evolve, run_multicross, run_sweep, run_twomode
 from ptlattice.results import _BLOCK_ROWS, ResultTable, load_csv
 
@@ -195,6 +195,29 @@ class TestConfig:
         assert "MAX_GRID_STEPS" in capsys.readouterr().err
         assert no_march == []
 
+    def test_evolve_overflow_exits_2_without_output(self, tmp_path, capsys):
+        # deep in the broken phase the beam grows past the float range; the
+        # run fails with no numpy warning (warnings are errors under pytest)
+        doc = {
+            "kind": "evolve",
+            "lattice": {"v_real": 0.2, "v_imag": 1.0, "l_max": 4},
+            "drive": {"rate": 0.001, "q_start": 0.0, "q_stop": 1.9},
+            "integrator": {"step": 0.05},
+        }
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "float range" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_zero_jobs_flag_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bands.json"
+        path.write_text(json.dumps(bands_doc()))
+        out = tmp_path / "b"
+        assert main(["bands", "--config", str(path), "--jobs", "0", "--out", str(out)]) == 2
+        assert "jobs: expected a positive integer" in capsys.readouterr().err
+        assert not out.with_suffix(".csv").exists()
+
 
 class TestResultTable:
     def test_csv_round_trip(self, tmp_path):
@@ -279,11 +302,12 @@ class TestRunners:
     def test_run_bands_rows_follow_band_structure(self):
         # row order: the bands of each momentum in turn, as a per-row loop gives
         cfg = parse_config(bands_doc())
-        structure = band_structure(cfg.lattice, np.linspace(-1.0, 1.0, 41))
+        grid = np.linspace(-1.0, 1.0, 41)
+        energies = band_arrays(cfg.lattice, grid, bands=()).energies
         expected = [
             (float(q), band + 1, float(energy.real), float(energy.imag))
-            for iq, q in enumerate(structure.q_grid)
-            for band, energy in enumerate(structure.energies[:2, iq])
+            for q, row in zip(grid, energies)
+            for band, energy in enumerate(row[:2])
         ]
         assert run_bands(cfg).rows == expected
 

@@ -32,6 +32,14 @@ from ptlattice.dynamics import (
 )
 
 
+# states that are not 9 finite amplitudes (l_max 4): too short, 2-D, NaN
+BAD_AMPLITUDES = [
+    np.ones(3, dtype=complex),
+    np.ones((9, 1), dtype=complex),
+    np.full(9, math.nan, dtype=complex),
+]
+
+
 class TestPrepare:
     def test_free_particle_ground_mode(self):
         state = prepare_band_state(LatticeParams(0.0, 0.0), 0.0, 1)
@@ -59,6 +67,11 @@ class TestPrepare:
     def test_band_out_of_range(self):
         with pytest.raises(ParameterError):
             prepare_band_state(LatticeParams(0.2, 0.0), 0.0, 0)
+
+    @pytest.mark.parametrize("band", [math.nan, math.inf, True, 2.0])
+    def test_band_must_be_an_integer(self, band):
+        with pytest.raises(ParameterError, match="band must be an integer"):
+            prepare_band_state(LatticeParams(0.2, 0.0), 0.0, band)
 
 
 def record_marches(monkeypatch):
@@ -231,6 +244,11 @@ class TestPowerAndProjection:
         state = prepare_band_state(params, 0.0, 1)
         with pytest.raises(ParameterError):
             project_onto_band(state, params, 0.5, 1)
+
+    @pytest.mark.parametrize("amplitudes", BAD_AMPLITUDES)
+    def test_malformed_state_rejected(self, amplitudes):
+        with pytest.raises(ParameterError, match="9 finite amplitudes"):
+            project_onto_band(ModeVector(amplitudes, 0.0), LatticeParams(0.2, 0.0, 4), 0.0, 1)
 
 
 class TestDrive:
@@ -517,6 +535,15 @@ class TestEvolve:
         state = prepare_band_state(params, 0.5, 1)
         with pytest.raises(ParameterError):
             evolve(state, params, DriveParams(0.1, 0.0, 1.0))
+
+    @pytest.mark.parametrize("amplitudes", BAD_AMPLITUDES)
+    def test_malformed_state_rejected_before_any_step(self, amplitudes, monkeypatch):
+        marched = []
+        monkeypatch.setattr(dynamics, "_march", lambda *args: marched.append(args) or iter(()))
+        with pytest.raises(ParameterError, match="9 finite amplitudes"):
+            evolve(ModeVector(amplitudes, 0.0), LatticeParams(0.2, 0.0, 4),
+                   DriveParams(0.1, 0.0, 1.0))
+        assert marched == []
 
 
 class TestTransitionProbability:

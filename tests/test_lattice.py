@@ -9,12 +9,10 @@ from ptlattice import (
     LatticeParams,
     ParameterError,
     PhaseError,
-    band_structure,
     build_hamiltonian,
     eigensystem,
-    pt_phase,
 )
-from ptlattice.lattice import band_arrays, band_energies
+from ptlattice.lattice import band_arrays, band_energies, phase_of
 
 
 def dense_oracle(v_real, v_imag, l_max, q):
@@ -221,31 +219,36 @@ class TestEigensystem:
                 np.testing.assert_allclose(small, large, atol=1e-8)
 
 
+def energies_on(params, grid):
+    """All band energies on a momentum grid, (Q, N), as the bands run reads them."""
+    return band_arrays(params, grid, bands=()).energies
+
+
 class TestBandStructure:
     def test_minimum_gap_sits_at_zone_edge(self):
         grid = np.linspace(-1.0, 1.0, 201)
-        bs = band_structure(LatticeParams(0.2, 0.15), grid, band_count=2)
-        gap = (bs.energies[1] - bs.energies[0]).real
+        energies = energies_on(LatticeParams(0.2, 0.15), grid)
+        gap = (energies[:, 1] - energies[:, 0]).real
         edges = {grid[i] for i in np.flatnonzero(gap == gap.min())}
         assert edges <= {-1.0, 1.0} and edges
 
     def test_bands_touch_at_criticality(self):
-        bs = band_structure(LatticeParams(0.2, 0.2), np.array([1.0, -1.0]), band_count=2)
-        gap = np.abs(bs.energies[1] - bs.energies[0])
+        energies = energies_on(LatticeParams(0.2, 0.2), np.array([1.0, -1.0]))
+        gap = np.abs(energies[:, 1] - energies[:, 0])
         assert np.all(gap < 1e-8)
 
     def test_free_particle_folded_parabolas(self):
         grid = np.linspace(-1.0, 1.0, 11)
-        bs = band_structure(LatticeParams(0.0, 0.0), grid, band_count=3)
-        for iq, q in enumerate(grid):
+        energies = energies_on(LatticeParams(0.0, 0.0), grid)
+        for q, row in zip(grid, energies):
             expected = np.sort([(2 * l + q) ** 2 for l in range(-12, 13)])[:3]
-            np.testing.assert_allclose(bs.energies[:, iq].real, expected, atol=1e-12)
+            np.testing.assert_allclose(row[:3].real, expected, atol=1e-12)
 
     def test_columns_sorted_and_real_when_unbroken(self):
         grid = np.linspace(-2.0, 2.0, 41)
-        bs = band_structure(LatticeParams(0.2, 0.1), grid)
-        assert np.all(np.diff(bs.energies.real, axis=0) >= -1e-12)
-        assert np.max(np.abs(bs.energies.imag)) < 1e-9
+        energies = energies_on(LatticeParams(0.2, 0.1), grid)
+        assert np.all(np.diff(energies.real, axis=1) >= -1e-12)
+        assert np.max(np.abs(energies.imag)) < 1e-9
 
     @pytest.mark.parametrize("v_imag", [0.15, 0.2, 0.3])
     def test_stacked_grid_matches_per_momentum_views(self, v_imag):
@@ -254,9 +257,9 @@ class TestBandStructure:
         params = LatticeParams(0.2, v_imag, 6)
         grid = np.linspace(-2.0, 2.0, 17)
         stacked = band_arrays(params, grid)
-        energies = band_structure(params, grid).energies
+        energies = energies_on(params, grid)
         for iq, q in enumerate(grid):
-            np.testing.assert_allclose(energies[:, iq], band_energies(params, q), atol=1e-12)
+            np.testing.assert_allclose(energies[iq], band_energies(params, q), atol=1e-12)
             pairs = eigensystem(params, q)
             np.testing.assert_allclose(stacked.energies[iq], [p.energy for p in pairs],
                                        atol=1e-12)
@@ -267,24 +270,28 @@ class TestBandStructure:
             assert list(stacked.degenerate[iq]) == [p.degenerate for p in pairs]
 
     def test_empty_grid_rejected(self):
-        for solve in (band_structure, band_arrays):
-            with pytest.raises(ParameterError, match="momentum grid must be non-empty"):
-                solve(LatticeParams(0.2, 0.1), [])
+        with pytest.raises(ParameterError, match="momentum grid must be non-empty"):
+            band_arrays(LatticeParams(0.2, 0.1), [])
+
+
+def phase_on(params, grid):
+    """Phase label and max |Im energy| over a grid, as the bands run classifies them."""
+    return phase_of(params, energies_on(params, grid))
 
 
 class TestPhase:
     def test_unbroken(self):
-        label, max_imag = pt_phase(LatticeParams(0.2, 0.15), np.linspace(-1, 1, 21))
+        label, max_imag = phase_on(LatticeParams(0.2, 0.15), np.linspace(-1, 1, 21))
         assert label == "unbroken" and max_imag < 1e-9
 
     def test_critical(self):
-        label, _ = pt_phase(LatticeParams(0.2, 0.2), np.linspace(-1, 1, 21))
+        label, _ = phase_on(LatticeParams(0.2, 0.2), np.linspace(-1, 1, 21))
         assert label == "critical"
-        label, _ = pt_phase(LatticeParams(0.2, -0.2), np.linspace(-1, 1, 21))
+        label, _ = phase_on(LatticeParams(0.2, -0.2), np.linspace(-1, 1, 21))
         assert label == "critical"
 
     def test_broken_with_two_mode_scale(self):
-        label, max_imag = pt_phase(LatticeParams(0.2, 0.25), np.linspace(-2, 2, 81))
+        label, max_imag = phase_on(LatticeParams(0.2, 0.25), np.linspace(-2, 2, 81))
         assert label == "broken"
         # two-mode estimate at the zone edge: sqrt(skew^2 - coupling^2)/2 = 0.15
         assert max_imag == pytest.approx(0.15, rel=0.05)
