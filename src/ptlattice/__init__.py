@@ -15,7 +15,6 @@ from .dynamics import (
     ModeVector,
     evolve,
     plateau_averages,
-    power,
     prepare_band_state,
     project_onto_band,
     transition_probability,
@@ -62,7 +61,6 @@ __all__ = [
     "lz_survival",
     "multicross_power",
     "plateau_averages",
-    "power",
     "prepare_band_state",
     "project_onto_band",
     "transition_probability",

@@ -5,8 +5,10 @@
 
 --config accepts a path or the name of a bundled preset (fig1a, fig4b, ...).
 Each run writes PREFIX.csv (CSV with a '#'-prefixed JSON metadata line) and,
-with --svg, PREFIX.svg.  Exit codes: 0 success, 2 configuration error,
-3 numerical-accuracy failure (a run recorded accuracy warnings).
+with --svg, PREFIX.svg.  Exit codes: 0 success, 2 configuration error or
+operating-system error (such as an output location that cannot be created
+or written), 3 numerical-accuracy failure (a run recorded accuracy
+warnings).  The output directory is created before the run.
 """
 
 from __future__ import annotations
@@ -47,20 +49,20 @@ def main(argv=None) -> int:
         # the flags given go through the config's own checks, as if in the file
         flags = {"jobs": args.jobs, "svg": args.svg or None, "out": args.out or None}
         cfg = parse_config(cfg.doc | {k: v for k, v in flags.items() if v is not None})
+        # an output directory that cannot be created fails before the run
+        prefix = cfg.doc["out"]
+        csv_path = Path(f"{prefix}.csv")
+        csv_path.parent.mkdir(parents=True, exist_ok=True)
         table = RUNNERS[cfg.kind](cfg)
-    except (ConfigError, ParameterError, PhaseError, DegenerateBandError) as exc:
+        table.write_csv(csv_path)
+        print(f"wrote {csv_path}")
+        if cfg.doc["svg"]:
+            svg_path = Path(f"{prefix}.svg")
+            render_chart(cfg, table, svg_path)
+            print(f"wrote {svg_path}")
+    except (ConfigError, ParameterError, PhaseError, DegenerateBandError, OSError) as exc:
         print(f"ptlattice: error: {exc}", file=sys.stderr)
         return 2
-
-    prefix = cfg.doc["out"]
-    csv_path = Path(f"{prefix}.csv")
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    table.write_csv(csv_path)
-    print(f"wrote {csv_path}")
-    if cfg.doc["svg"]:
-        svg_path = Path(f"{prefix}.svg")
-        render_chart(cfg, table, svg_path)
-        print(f"wrote {svg_path}")
 
     warnings = table.metadata.get("warnings", [])
     if warnings:

@@ -174,35 +174,18 @@ def _overflow_raises():
         ) from exc
 
 
-def power(state: ModeVector) -> float:
-    """Total intensity sum(|a_l|^2)."""
-    return float(np.sum(np.abs(state.amplitudes) ** 2))
-
-
-def _unit_bands(params: LatticeParams, q, bands) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Band vectors at every momentum of q from band_arrays.
-
-    Returns the unit-power right vectors and the left vectors rescaled to
-    pair with them, each (Q, N, len(bands)), and the degeneracy flags
-    (Q, len(bands)).
-    """
-    solved = band_arrays(params, q, bands=bands)
-    norm = np.linalg.norm(solved.right, axis=1, keepdims=True)
-    return solved.right / norm, solved.left * norm, solved.degenerate
-
-
 def _one_band(params: LatticeParams, q: float, band: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit-power right vector and paired left vector of one band at q."""
-    right, left, degenerate = _unit_bands(params, [q], [band])
-    if degenerate[0, 0]:
+    solved = band_arrays(params, q, bands=[band])
+    if solved.degenerate[0, 0]:
         raise DegenerateBandError(
             f"band {band} at q={q} is degenerate; its eigenvectors are unreliable"
         )
-    return right[0, :, 0], left[0, :, 0]
+    return solved.right[0, :, 0], solved.left[0, :, 0]
 
 
 def prepare_band_state(params: LatticeParams, q: float, band: int) -> ModeVector:
-    """Right eigenvector of the requested band, scaled to unit power."""
+    """Unit-power right eigenvector of the requested band (lattice.band_arrays)."""
     right, _ = _one_band(params, q, band)
     return ModeVector(amplitudes=right, q_ref=q)
 
@@ -212,11 +195,11 @@ def project_onto_band(
 ) -> tuple[complex, float]:
     """Band amplitude c and occupation |c|^2 of the state at momentum q.
 
-    c is the coefficient of the unit-power band eigenvector in the
-    biorthogonal expansion of the state: the stored left vector is rescaled
-    to pair with the unit-power right vector, so a freshly prepared band
-    state projects onto its own band with |c|^2 = 1 and onto any other band
-    with |c|^2 = 0.  With v_imag = 0 this is the ordinary overlap squared.
+    c = left . amplitudes is the coefficient of the band's unit-power right
+    vector in the biorthogonal expansion of the state (lattice.band_arrays
+    pairs left . right = 1), so a freshly prepared band state projects onto
+    its own band with |c|^2 = 1 and onto any other band with |c|^2 = 0.
+    With v_imag = 0 this is the ordinary overlap squared.
     """
     if abs(q - state.q_ref) > 1e-9:
         raise ParameterError(f"state carries q_ref={state.q_ref}, asked to project at q={q}")
@@ -414,21 +397,21 @@ def evolve(
     zs, qs, amplitudes = (np.array(column) for column in zip(*samples))
     with _overflow_raises():
         rho = np.sum(np.abs(amplitudes) ** 2, axis=1)
-    _, left, degenerate = _unit_bands(params, qs, (1, 2))
-    c = np.einsum("qlb,ql->qb", left, amplitudes)
-    p1, p2 = np.where(degenerate, math.nan, np.abs(c) ** 2).T
+    bands = band_arrays(params, qs, bands=(1, 2))
+    c = np.einsum("qlb,ql->qb", bands.left, amplitudes)
+    p1, p2 = np.where(bands.degenerate, math.nan, np.abs(c) ** 2).T
 
     metadata = {
         "step": drive.duration / n_steps,
         "steps": n_steps,
         "sample_stride": stride,
-        "projection_failures": int(degenerate.sum()),
+        "projection_failures": int(bands.degenerate.sum()),
         "warnings": [],
     }
     if config.convergence_check:
         y_half, _ = _integrate(state.amplitudes, params, drive, n_steps, stride, refine=2)
         state_diff = float(np.linalg.norm(y - y_half))
-        power_diff = abs(float(np.sum(np.abs(y) ** 2)) - float(np.sum(np.abs(y_half) ** 2)))
+        power_diff = abs(float(rho[-1]) - float(np.sum(np.abs(y_half) ** 2)))
         metadata["final_state_halving_diff"] = state_diff
         metadata["final_power_halving_diff"] = power_diff
         if power_diff > POWER_HALVING_TOL:

@@ -6,7 +6,8 @@ resolved configuration, the package version, and any accuracy warnings.
 evolve and multicross share one driven run, _driven, which launches band 1,
 keeps the trace columns asked for and lists the power plateaus with their
 two-mode predictions.  Sweep points are independent computations and run on
-a process pool when jobs > 1; output rows keep grid order either way.
+a process pool of min(jobs, rates) workers when that is above 1; output rows
+keep grid order either way.
 Analytic reference columns always come from the twomode module.
 
 CHARTS declares each kind's SVG once: title, x column (also the x-axis
@@ -128,11 +129,13 @@ def run_sweep(cfg: ExperimentConfig) -> ResultTable:
         (cfg.lattice, DriveParams(float(rate), sweep["q_start"], sweep["q_stop"]), cfg.integrator)
         for rate in rates
     ]
-    if cfg.doc["jobs"] > 1:
+    # a pool starts all its workers at once: at most one per rate
+    workers = min(cfg.doc["jobs"], len(jobs))
+    if workers > 1:
         # imported here, so a run without a pool does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.doc["jobs"]) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_sweep_point, jobs))
     else:
         points = [_sweep_point(job) for job in jobs]

@@ -27,9 +27,11 @@ beyond criticality.  The momenta go in blocks of at most _BLOCK matrix
 elements (419 momenta at l_max 12), which bounds memory whatever the grid
 or sample count.  It returns arrays with the band index last: energies
 (Q, N), right and left vectors (Q, N, N) with columns as bands, and
-degeneracy flags (Q, N).  eigensystem and band_energies are views of it,
-and so are the state preparation and band projection of the dynamics
-module.
+degeneracy flags (Q, N).  It is the one place that scales a band vector:
+each right vector has unit power, sum |right_l|^2 = 1, and its left vector
+is paired to it, left . right = 1 (no complex conjugate).  eigensystem and
+band_energies are views of it, and so are the state preparation and band
+projection of the dynamics module.
 """
 
 from __future__ import annotations
@@ -93,11 +95,11 @@ class LatticeParams:
 class BandEigenpair:
     """One band at one Bloch momentum with biorthogonal partner vectors.
 
-    H right = energy * right and H^T left = energy * left, normalised so
-    left . right = 1 with equal Euclidean norms.  With a real spectrum and
-    v_imag = 0 the two vectors coincide.  Pairs flagged degenerate sit
-    within DEGENERACY_TOL of a neighbour (or were impossible to pair up)
-    and their vectors should not be trusted.
+    H right = energy * right and H^T left = energy * left, with right of
+    unit power and left . right = 1.  With a real spectrum and v_imag = 0
+    the two vectors coincide.  Pairs flagged degenerate sit within
+    DEGENERACY_TOL of a neighbour (or were impossible to pair up) and their
+    vectors should not be trusted.
     """
 
     energy: complex
@@ -112,8 +114,8 @@ class BandArrays:
 
     energies is (Q, N), every band.  For the B bands asked for, right and
     left are (Q, N, B), right[iq, :, j] and left[iq, :, j] being the vectors
-    of the j-th band asked for at momentum iq, paired as in BandEigenpair,
-    and degenerate is (Q, B).
+    of the j-th band asked for at momentum iq, right of unit power and
+    left . right = 1, and degenerate is (Q, B).
     """
 
     energies: np.ndarray
@@ -204,16 +206,13 @@ def _solve_block(
             unpaired = np.linalg.slogdet(v)[0] == 0
         right, left = v[:, :, cols], w.swapaxes(-1, -2)[:, :, cols]
 
-    # scale to left . right = 1 with equal norms; a vanishing overlap leaves
-    # the pair unpaired (degenerate) and only equalises the norms
+    # the one scaling of a band vector: unit-power right, left . right = 1;
+    # a vanishing overlap leaves the pair unpaired (degenerate) and its left
+    # vector unscaled
+    right = right / np.linalg.norm(right, axis=-2, keepdims=True)
     overlap = np.einsum("qlb,qlb->qb", left, right)
-    n_right = np.linalg.norm(right, axis=-2)
-    n_left = np.linalg.norm(left, axis=-2)
-    paired = np.abs(overlap) >= 1e-12 * n_right * n_left
-    overlap = np.where(paired, overlap, 1.0)
-    scale = np.sqrt(n_left / (n_right * np.abs(overlap)))
-    right = right * scale[:, None, :]
-    left = left / (scale * overlap)[:, None, :]
+    paired = np.abs(overlap) >= 1e-12 * np.linalg.norm(left, axis=-2)
+    left = left / np.where(paired, overlap, 1.0)[:, None, :]
     # phase convention: the largest right component is real positive
     pivot = np.take_along_axis(right, np.argmax(np.abs(right), axis=-2)[:, None, :], -2)
     phase = pivot / np.abs(pivot)

@@ -50,6 +50,8 @@ from .lattice import LatticeParams, _is_integer
 
 # steps whose matrices are built at once; bounds the matrix buffers' memory
 _CHUNK = 1024
+# trailing share of a trace's samples that tail_intensities averages over
+_TAIL_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
@@ -86,13 +88,13 @@ class TwoModeTrace:
     a2: np.ndarray
     metadata: dict = field(default_factory=dict)
 
-    def tail_intensities(self, fraction: float = 0.05) -> tuple[float, float]:
-        """Mean |a1|^2 and |a2|^2 over the trailing fraction of samples.
+    def tail_intensities(self) -> tuple[float, float]:
+        """Mean |a1|^2 and |a2|^2 over the trailing _TAIL_FRACTION of samples.
 
         Averaging suppresses the slowly decaying post-crossing oscillations,
         so this is the asymptotic-intensity estimator.
         """
-        n = max(1, int(round(fraction * self.t.size)))
+        n = max(1, int(round(_TAIL_FRACTION * self.t.size)))
         return tuple(float(np.mean(np.abs(a[-n:]) ** 2)) for a in (self.a1, self.a2))
 
 

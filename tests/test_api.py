@@ -43,7 +43,6 @@ EXPECTED = {
     "lz_survival",
     "multicross_power",
     "plateau_averages",
-    "power",
     "prepare_band_state",
     "project_onto_band",
     "transition_probability",

@@ -360,6 +360,34 @@ class TestRunners:
         two_ref = math.exp(-math.pi * (0.16 - 0.09) / (2 * 4 * 0.3))
         assert table.rows[-1][2] == pytest.approx(two_ref, rel=1e-12)
 
+    @pytest.mark.parametrize("count, jobs, pools", [(2, 3, [2]), (1, 2, [])])
+    def test_sweep_pool_has_at_most_one_worker_per_rate(self, monkeypatch, count, jobs, pools):
+        # a pool starts all its workers at once; this stand-in records the
+        # size asked for and maps in this process, starting no worker
+        import concurrent.futures
+
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        doc = dict(sweep_doc(), jobs=jobs)
+        doc["sweep"]["count"] = count
+        table = run_sweep(parse_config(doc))
+        assert asked == pools
+        assert len(table.rows) == count
+
     def test_run_multicross_plateau_metadata(self):
         doc = {
             "kind": "multicross",
@@ -473,6 +501,26 @@ class TestCli:
         # metadata echoes the out prefix; compare data payloads
         assert a_bytes.split(b"\n", 1)[1] == b_bytes.split(b"\n", 1)[1]
         assert a.with_suffix(".svg").read_bytes() == b.with_suffix(".svg").read_bytes()
+
+    def test_unusable_out_exits_2_before_the_run(self, tmp_path, monkeypatch, capsys):
+        # the output directory would have to replace a regular file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("")
+        runs = []
+        monkeypatch.setitem(experiments.RUNNERS, "twomode", runs.append)
+        assert main(["twomode", "--config", "twomode", "--out", "file/x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ptlattice: error: ") and len(err.splitlines()) == 1
+        assert runs == []
+
+    def test_unwritable_csv_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the CSV path is a directory: the write fails after the run
+        (tmp_path / "d.csv").mkdir()
+        table = ResultTable({"t": [0.0]}, {"warnings": []})
+        monkeypatch.setitem(experiments.RUNNERS, "twomode", lambda cfg: table)
+        assert main(["twomode", "--config", "twomode", "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ptlattice: error: ") and len(err.splitlines()) == 1
 
     def test_unknown_field_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -14,7 +14,6 @@ from ptlattice import (
     ParameterError,
     build_hamiltonian,
     evolve,
-    power,
     prepare_band_state,
     project_onto_band,
     lz_probability,
@@ -58,7 +57,7 @@ class TestPrepare:
     def test_unit_power(self):
         for band in (1, 2, 5):
             state = prepare_band_state(LatticeParams(0.2, 0.15), 0.3, band)
-            assert power(state) == pytest.approx(1.0, abs=1e-12)
+            assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_point_raises(self):
         with pytest.raises(DegenerateBandError):
@@ -212,12 +211,6 @@ class TestPhaseTables:
 
 
 class TestPowerAndProjection:
-    def test_power_values(self):
-        a = np.zeros(25, complex)
-        a[12], a[13] = 0.6, 0.8j
-        assert power(ModeVector(a, 0.0)) == pytest.approx(1.0, abs=1e-15)
-        assert power(ModeVector(2 * a, 0.0)) == pytest.approx(4.0, abs=1e-14)
-
     def test_biorthonormal_projection(self):
         params = LatticeParams(0.2, 0.15)
         state = prepare_band_state(params, 0.3, 1)
@@ -322,7 +315,7 @@ class TestEvolve:
         drive = DriveParams(0.03, 0.0, 1.8)
         trace = evolve(prepare_band_state(params, 0.0, 1), params, drive)
         assert np.max(np.abs(trace.power - 1.0)) < 1e-6
-        assert trace.power[-1] == power(trace.final_state)
+        assert trace.power[-1] == np.sum(np.abs(trace.final_state.amplitudes) ** 2)
         assert np.all(np.diff(trace.z) > 0)
 
     def test_power_column_matches_state_norm(self):

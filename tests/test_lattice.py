@@ -139,8 +139,7 @@ class TestSymmetrize:
         ground = pairs[0]
         assert not ground.degenerate
         assert np.dot(ground.left, ground.right) == pytest.approx(1.0, abs=1e-8)
-        assert np.linalg.norm(ground.right) == pytest.approx(np.linalg.norm(ground.left),
-                                                             rel=1e-9)
+        assert np.linalg.norm(ground.right) == pytest.approx(1.0, rel=1e-9)
         small = band_energies(LatticeParams(0.2, 0.2 - 1e-7, 12), 0.0)
         assert ground.energy == pytest.approx(small[0], abs=1e-12)
 
@@ -174,7 +173,7 @@ class TestEigensystem:
         for p in pairs:
             assert np.linalg.norm(h @ p.right - p.energy * p.right) < 1e-8
             assert np.linalg.norm(h.T @ p.left - p.energy * p.left) < 1e-8
-            assert np.linalg.norm(p.right) == pytest.approx(np.linalg.norm(p.left), rel=1e-9)
+            assert np.linalg.norm(p.right) == pytest.approx(1.0, rel=1e-9)
 
     def test_hermitian_limit_left_equals_right(self):
         pairs = eigensystem(LatticeParams(0.2, 0.0), 0.4)
@@ -268,6 +267,24 @@ class TestBandStructure:
             np.testing.assert_allclose(stacked.left[iq], np.array([p.left for p in pairs]).T,
                                        atol=1e-12)
             assert list(stacked.degenerate[iq]) == [p.degenerate for p in pairs]
+
+    @pytest.mark.parametrize(
+        "v_imag, l_max",
+        [(0.15, 12), (0.2, 12), (0.3, 12), (0.2 - 1e-7, 80)],
+        ids=["unbroken", "critical", "broken", "near-critical-l80"],
+    )
+    def test_unit_power_right_and_paired_left(self, v_imag, l_max):
+        # the one scaling of a band vector, on both solver paths: every
+        # non-degenerate right vector has unit power and left . right = 1
+        params = LatticeParams(0.2, v_imag, l_max)
+        stacked = band_arrays(params, np.linspace(-2.0, 2.0, 17))
+        kept = ~stacked.degenerate
+        # free levels pair up at integer q; most of the others are kept
+        assert kept.sum() > kept.size // 2
+        norms = np.linalg.norm(stacked.right, axis=1)[kept]
+        overlaps = np.einsum("qlb,qlb->qb", stacked.left, stacked.right)[kept]
+        np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(overlaps, 1.0, rtol=0, atol=1e-8)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ParameterError, match="momentum grid must be non-empty"):
