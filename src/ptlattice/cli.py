@@ -8,12 +8,15 @@ Each run writes PREFIX.csv (CSV with a '#'-prefixed JSON metadata line) and,
 with --svg, PREFIX.svg.  Exit codes: 0 success, 2 configuration error or
 operating-system error (such as an output location that cannot be created
 or written), 3 numerical-accuracy failure (a run recorded accuracy
-warnings).  The output directory is created before the run.
+warnings).  The output directory is created, and the output files are
+checked to be writable, before the run.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -49,15 +52,20 @@ def main(argv=None) -> int:
         # the flags given go through the config's own checks, as if in the file
         flags = {"jobs": args.jobs, "svg": args.svg or None, "out": args.out or None}
         cfg = parse_config(cfg.doc | {k: v for k, v in flags.items() if v is not None})
-        # an output directory that cannot be created fails before the run
+        # an output directory that cannot be created, or an output file that
+        # cannot be written there, fails before the run
         prefix = cfg.doc["out"]
-        csv_path = Path(f"{prefix}.csv")
+        csv_path, svg_path = Path(f"{prefix}.csv"), Path(f"{prefix}.svg")
         csv_path.parent.mkdir(parents=True, exist_ok=True)
+        for path in (csv_path, svg_path) if cfg.doc["svg"] else (csv_path,):
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
+            if not os.access(path if path.exists() else path.parent, os.W_OK):
+                raise PermissionError(errno.EACCES, "Permission denied", str(path))
         table = RUNNERS[cfg.kind](cfg)
         table.write_csv(csv_path)
         print(f"wrote {csv_path}")
         if cfg.doc["svg"]:
-            svg_path = Path(f"{prefix}.svg")
             render_chart(cfg, table, svg_path)
             print(f"wrote {svg_path}")
     except (ConfigError, ParameterError, PhaseError, DegenerateBandError, OSError) as exc:

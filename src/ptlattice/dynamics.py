@@ -42,7 +42,9 @@ the table steps in every interval.
 
 Band occupations are biorthogonal projections onto the band eigenvectors of
 lattice.band_arrays.  evolve projects all of its samples with one call of
-it; prepare_band_state and project_onto_band are its one-momentum views.
+it; prepare_band_state, project_onto_band and transition_probability, which
+projects a sweep point's end state onto band 2 at q_stop, are its
+one-momentum views.
 """
 
 from __future__ import annotations
@@ -436,51 +438,33 @@ def _crossings_between(q_from: float, q_to: float) -> int:
     return max(0, math.ceil((hi - 1.0) / 2.0) - math.floor((lo - 1.0) / 2.0) - 1)
 
 
-def transition_probability(
-    params: LatticeParams,
-    drive: DriveParams,
-    config: IntegratorConfig = IntegratorConfig(),
-) -> float:
+def transition_probability(params: LatticeParams, drive: DriveParams,
+                           step: float | None = None, refine: int = 1) -> float:
     """Occupation of the second band after sweeping through one Bragg point.
 
-    Prepares the lowest band at q_start, evolves, and reads the final
-    sample's projection onto band 2 of the eigensystem solved directly at
-    the extended-zone q_stop (bands indexed by sorted real energy).  The
+    Launches band 1 at q_start, marches the drive's grid at step (default
+    default_step) as one sample interval, refine times the table steps
+    (2 is the convergence rerun of experiments.run_sweep), and projects the
+    end state onto band 2 of the eigensystem solved directly at the
+    extended-zone q_stop (bands indexed by sorted real energy).  The
     sorted band-2 index coincides with the swept-through mode only until the
     free-mode parabolas reorder, so q_stop should stay within one unit past
     the crossing (the standard protocol uses 0 -> 1.8).  A degenerate band 2
-    at q_stop raises DegenerateBandError.  config.convergence_check raises
-    ParameterError: a bare probability cannot carry the check, and
-    experiments.run_sweep reruns each point with twice the steps instead.
-    config.sample_stride raises ParameterError too: only the ends are sampled.
+    at q_stop raises DegenerateBandError; a refine that is not an integer
+    >= 1, or a beam amplified past the float range, raises ParameterError.
     """
-    if config.convergence_check:
-        raise ParameterError(
-            "transition_probability cannot check convergence; run_sweep with "
-            "integrator.convergence_check reruns each rate with twice the steps"
-        )
-    if config.sample_stride is not None:
-        raise ParameterError("transition_probability samples only the drive's ends; "
-                             "it takes no sample_stride")
+    if not (_is_integer(refine) and refine >= 1):
+        raise ParameterError(f"refine must be an integer >= 1, got {refine}")
     if _crossings_between(drive.q_start, drive.q_stop) != 1:
         raise ParameterError("drive must cross exactly one odd-integer Bragg point")
-    state = prepare_band_state(params, drive.q_start, 1)
-    # band tracking along the way is not needed here; sample endpoints only
-    trace = evolve(state, params, drive, IntegratorConfig(step=config.step, sample_stride=10**9))
-    prob = float(trace.band2_prob[-1])
-    if math.isnan(prob):
-        raise DegenerateBandError(
-            f"band 2 at q={drive.q_stop} is degenerate; its eigenvectors are unreliable"
-        )
-    return prob
-
-
-def _refined_probability(params: LatticeParams, drive: DriveParams, step: float | None) -> float:
-    """transition_probability at step, rerun with twice the table steps in its one interval."""
-    state = prepare_band_state(params, drive.q_start, 1)
+    right, _ = _one_band(params, drive.q_start, 1)
+    _, left = _one_band(params, drive.q_stop, 2)
     n_steps, _ = _lattice_grid(drive, IntegratorConfig(step=step))
-    y, _ = _integrate(state.amplitudes, params, drive, n_steps, refine=2)
-    return project_onto_band(ModeVector(y, drive.q_stop), params, drive.q_stop, 2)[1]
+    y, _ = _integrate(right, params, drive, n_steps, refine=refine)
+    # evolve's einsum, so that P equals evolve's last band2_prob to the bit
+    with _overflow_raises():
+        c = np.einsum("qlb,ql->qb", left[None, :, None], y[None])
+        return (np.abs(c) ** 2).item()
 
 
 def plateau_averages(trace: EvolutionTrace) -> dict[int, float]:

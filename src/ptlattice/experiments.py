@@ -24,8 +24,6 @@ from .config import ExperimentConfig
 from .dynamics import (
     POWER_HALVING_TOL,
     DriveParams,
-    IntegratorConfig,
-    _refined_probability,
     evolve,
     plateau_averages,
     prepare_band_state,
@@ -111,10 +109,10 @@ def run_multicross(cfg: ExperimentConfig) -> ResultTable:
 def _sweep_point(job) -> tuple[float, float]:
     """P at the configured step and, with convergence_check, |P - P at twice the table steps|."""
     lattice, drive, integrator = job
-    p = transition_probability(lattice, drive, IntegratorConfig(step=integrator.step))
+    p = transition_probability(lattice, drive, integrator.step)
     if not integrator.convergence_check:
         return p, 0.0
-    return p, abs(_refined_probability(lattice, drive, integrator.step) - p)
+    return p, abs(transition_probability(lattice, drive, integrator.step, refine=2) - p)
 
 
 def run_sweep(cfg: ExperimentConfig) -> ResultTable:

@@ -513,14 +513,25 @@ class TestCli:
         assert err.startswith("ptlattice: error: ") and len(err.splitlines()) == 1
         assert runs == []
 
-    def test_unwritable_csv_exits_2(self, tmp_path, monkeypatch, capsys):
-        # the CSV path is a directory: the write fails after the run
-        (tmp_path / "d.csv").mkdir()
-        table = ResultTable({"t": [0.0]}, {"warnings": []})
-        monkeypatch.setitem(experiments.RUNNERS, "twomode", lambda cfg: table)
-        assert main(["twomode", "--config", "twomode", "--out", str(tmp_path / "d")]) == 2
+    @staticmethod
+    def run_into_directory(name, flags, tmp_path, monkeypatch, capsys):
+        """Run twomode with the output file `name` an existing directory: exit 2 before the run."""
+        (tmp_path / name).mkdir()
+        runs = []
+        monkeypatch.setitem(experiments.RUNNERS, "twomode", runs.append)
+        assert main(["twomode", "--config", "twomode", "--out", str(tmp_path / "d"), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("ptlattice: error: ") and len(err.splitlines()) == 1
+        assert name in err
+        # the runner never ran, and no CSV was written
+        assert runs == []
+        assert not (tmp_path / "d.csv").is_file()
+
+    def test_unwritable_csv_exits_2(self, tmp_path, monkeypatch, capsys):
+        self.run_into_directory("d.csv", [], tmp_path, monkeypatch, capsys)
+
+    def test_unwritable_svg_exits_2(self, tmp_path, monkeypatch, capsys):
+        self.run_into_directory("d.svg", ["--svg"], tmp_path, monkeypatch, capsys)
 
     def test_unknown_field_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

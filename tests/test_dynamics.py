@@ -20,7 +20,7 @@ from ptlattice import (
     lz_survival,
     transition_probability,
 )
-from ptlattice import dynamics
+from ptlattice import dynamics, experiments
 from ptlattice.experiments import _sweep_point
 from ptlattice.dynamics import (
     _crossings_between,
@@ -559,15 +559,36 @@ class TestTransitionProbability:
         with pytest.raises(ParameterError):
             transition_probability(LatticeParams(0.2, 0.0), DriveParams(0.1, 0.0, 0.9))
 
-    def test_convergence_check_rejected(self):
-        config = IntegratorConfig(step=0.2, convergence_check=True)
-        with pytest.raises(ParameterError, match="run_sweep"):
-            transition_probability(LatticeParams(0.2, 0.15, 4), DriveParams(0.3, 0.0, 1.8), config)
+    @pytest.mark.parametrize("v_imag", [0.0, 0.15, 0.19])
+    def test_equals_the_last_sample_of_evolve(self, v_imag):
+        # one interval and evolve's projection: a sweep point is bit-for-bit
+        # the band-2 occupation of evolve's final sample at q_stop
+        params, drive = LatticeParams(0.2, v_imag, 12), DriveParams(0.03, 0.0, 1.8)
+        trace = evolve(prepare_band_state(params, 0.0, 1), params, drive,
+                       IntegratorConfig(sample_stride=10**9))
+        assert transition_probability(params, drive) == trace.band2_prob[-1]
 
-    def test_sample_stride_rejected(self):
-        config = IntegratorConfig(sample_stride=10)
-        with pytest.raises(ParameterError, match="sample_stride"):
-            transition_probability(LatticeParams(0.2, 0.15, 4), DriveParams(0.3, 0.0, 1.8), config)
+    @pytest.mark.parametrize("refine", [0, 1.5, True])
+    def test_refine_must_be_a_positive_integer(self, refine):
+        with pytest.raises(ParameterError, match="refine"):
+            transition_probability(LatticeParams(0.2, 0.15, 4), DriveParams(0.3, 0.0, 1.8),
+                                   refine=refine)
+
+    @pytest.mark.parametrize("check, refines", [(False, [1]), (True, [1, 2])])
+    def test_sweep_point_calls_through_experiments(self, check, refines, monkeypatch):
+        # perfbench's tracer wraps experiments.transition_probability: every
+        # call of a sweep point, the convergence rerun too, goes through it
+        calls = []
+
+        def recorder(params, drive, step=None, refine=1):
+            calls.append((step, refine))
+            return 0.5
+
+        monkeypatch.setattr(experiments, "transition_probability", recorder)
+        job = (LatticeParams(0.2, 0.15, 4), DriveParams(0.3, 0.0, 1.8),
+               IntegratorConfig(step=0.2, convergence_check=check))
+        assert _sweep_point(job) == (0.5, 0.0)
+        assert calls == [(0.2, refine) for refine in refines]
 
     def test_degenerate_final_momentum_raises(self):
         # at criticality the bands touch at every odd integer, here q_stop = 3
