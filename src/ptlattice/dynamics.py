@@ -31,14 +31,15 @@ The half sub-step that opens a sample interval and the one that closes it
 take their per-mode exponentials directly.  No factor is a recurrence, so
 rounding does not grow with l_max or with the run's length.
 
-A run is a grid of n = ceil(duration/step) steps, sampled every stride of
-them.  Each sample interval of L grid steps is marched in ceil(L/3) equal
-table steps: three kicks per grid step where L is a multiple of 3, up to
-nine at L = 1, since a table step cannot end between samples.  The
-step defaults to 0.03/max(1, q_max^2); for v_imag = 0 every factor is
-unitary, so power is conserved to roundoff at any step, which is limited by
-accuracy only.  The convergence check reruns the grid with exactly twice
-the table steps in every interval.
+A run of either model is a grid of n = ceil(duration/step) steps, sampled
+every stride of them.  The two-level model takes one table step per grid
+step, the lattice one per three: a sample interval of L grid steps takes
+ceil(L/3) equal table steps, three kicks per grid step where L is a
+multiple of 3, up to nine at L = 1, since a table step cannot end between
+samples.  The lattice step defaults to 0.03/max(1, q_max^2); for v_imag = 0
+every factor is unitary, so power is conserved to roundoff at any step,
+which is limited by accuracy only.  The convergence check reruns the grid
+with exactly twice the table steps in every interval.
 
 Band occupations are biorthogonal projections onto the band eigenvectors of
 lattice.band_arrays.  evolve projects all of its samples with one call of
@@ -74,7 +75,7 @@ _NODES = np.concatenate([[0.0], np.cumsum(_WEIGHTS) - _WEIGHTS / 2.0, [1.0]])
 # the nodes of a step inside a sample interval: it starts from the last kick
 # of the step before, which folds that step's last phase into its own first
 _FOLDED = np.concatenate([[_NODES[-2] - 1.0], _NODES[1:]])
-# grid steps per table step: nine kicks, at a budget of three per grid step
+# grid steps per lattice table step: nine kicks, three per grid step
 _GRID_STEPS = 3
 # the phase widths of a folded step's columns 0-8, each followed by a kick;
 # columns 1-8 are palindromic, so five distinct widths serve all nine
@@ -124,6 +125,7 @@ class DriveParams:
 class IntegratorConfig:
     """Fixed-step integrator knobs; None picks the documented defaults."""
 
+    # the grid step: a third of a lattice table step, a whole two-level one
     step: float | None = None
     sample_stride: int | None = None
     convergence_check: bool = False
@@ -250,47 +252,39 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return result
 
 
-def _grid(duration: float, step: float, stride: int | None, samples: int,
-          table_step: bool = False) -> tuple[int, int]:
+def _grid(duration: float, step: float, stride: int | None, samples: int) -> tuple[int, int]:
     """Grid steps n and sample stride of a run over duration.
 
     n is the fewest grid steps no longer than step, and the stride defaults
     to ceil(n/samples): at most samples + 1 samples, the last at the end.
     An n above MAX_GRID_STEPS raises ParameterError.
-    With table_step, step bounds the table steps of _march instead: one
-    spans min(stride, 3) grid steps, so the grid step is step over that
-    span.  A default stride spans 1 when ceil(duration/step) <= samples;
-    above that the stride on the finer grid is at least 3.
     """
-    span = 1
-    if table_step:
-        default = 1 if duration / step <= samples else _GRID_STEPS
-        span = min(stride or default, _GRID_STEPS)
-    steps = duration / (step / span)
+    steps = duration / step
     if not steps <= MAX_GRID_STEPS:
         raise ParameterError(f"the run needs {steps:.3g} grid steps, over MAX_GRID_STEPS")
     n_steps = max(1, math.ceil(steps))
     return n_steps, stride or math.ceil(n_steps / samples)
 
 
-def _march(coupling: np.ndarray, n_steps: int, stride: int, refine: int, dz: float,
-           chunk: int):
+def _march(coupling: np.ndarray, n_steps: int, stride: int, span: int, refine: int,
+           dz: float, chunk: int):
     """Chunks of the table steps that march a grid of n_steps steps dz sampled every stride.
 
-    Each sample interval of L grid steps takes ceil(L/3) equal table steps,
-    refine times as many for a convergence rerun: at most two step lengths,
-    for the whole intervals and the remainder, and one _expm per distinct
-    weight and step length.  A step inside an interval starts from the last
-    kick of the step before, which folds that step's last phase into its own
-    first; a step that ends an interval ends at the interval's end.  Yields
-    per chunk the steps' kicks, their phase nodes as offsets from the grid's
-    start and the spacings between them, one row per step, and the grid
-    point each step ends on, 0 for a step inside an interval, with the
-    run's table-step length h and which steps start an interval: (kicks,
-    h, nodes, spacings, first, ends).
+    span is the model's grid steps per table step, _GRID_STEPS for the
+    lattice and 1 for the two-level model: a sample interval of L grid steps
+    takes ceil(L/span) equal table steps, refine times as many for a
+    convergence rerun: at most two step lengths, for the whole intervals and
+    the remainder, and one _expm per distinct weight and step length.  A step
+    inside an interval starts from the last kick of the step before, which
+    folds that step's last phase into its own first; a step that ends an
+    interval ends at the interval's end.  Yields per chunk the steps' kicks,
+    their phase nodes as offsets from the grid's start and the spacings
+    between them, one row per step, and the grid point each step ends on, 0
+    for a step inside an interval, with the run's table-step length h and
+    which steps start an interval: (kicks, h, nodes, spacings, first, ends).
     """
     whole, rest = divmod(n_steps, stride)
-    runs = [(count, length, refine * -(-length // _GRID_STEPS))
+    runs = [(count, length, refine * -(-length // span))
             for count, length in ((whole, stride), (1, rest)) if count and length]
     steps = {length * dz / m for _, length, m in runs}
     exps = {(w, h): _expm(-1j * w * h * coupling) for w in set(_WEIGHTS) for h in steps}
@@ -334,7 +328,7 @@ def _integrate(
         return np.exp(-1j * w[:, None] * (two_l * (two_l + s[:, None]) + c[:, None]))
 
     samples = [(0.0, q0, y)]
-    march = _march(coupling, n_steps, stride or n_steps, refine, dz, _CHUNK)
+    march = _march(coupling, n_steps, stride or n_steps, _GRID_STEPS, refine, dz, _CHUNK)
     table_h = None
     for kicks, h, z, widths, first, ends in march:
         # (2l + q(z))^2 is quadratic in z: its integral over a sub-step is

@@ -28,13 +28,13 @@ independent numerical check of every formula here.
 Its scheme is the lattice propagator's (dynamics module): the diagonal is
 integrated exactly, the constant coupling C enters through the same
 exponential dynamics._expm, and Strang steps are composed by the same table
-of weights into one sixth-order step, marched over the same grid of sample
-intervals.  evolve_two_mode takes the lattice propagator's IntegratorConfig.
-A chunk of steps is one complex (2, 2, steps) array of 2x2 step matrices,
-built with numpy from the kicks as dynamics._march yields them and turned
-in place into its prefix products (a doubling scan), which applied to the
-state carried into the chunk give its states, with no loop over steps; the
-step is bounded by the diagonal phase advance per step, not by stability.
+of weights into one sixth-order step per grid step, marched over the same
+grid of sample intervals with the same IntegratorConfig.  A chunk of steps
+is one complex (2, 2, steps) array of 2x2 step matrices, built with numpy
+from the kicks as dynamics._march yields them and turned in place into its
+prefix products (a doubling scan), which applied to the state carried into
+the chunk give its states, with no loop over steps; the step is bounded by
+the diagonal phase advance per step, not by stability.
 """
 
 from __future__ import annotations
@@ -204,15 +204,14 @@ def evolve_two_mode(
 ) -> TwoModeTrace:
     """Integrate the sweep from the ground level at t_span[0] (split-step); sample the amplitudes.
 
-    Defaults: t_span = (-T, T) with T = max(300, 20/sqrt(rate)), the table
-    step is at most min(0.06, 1.08/eps_max) with eps_max = rate*max|t|/2 (a
-    bounded phase advance per step), so the grid step is that over the most
-    grid steps a table step spans, min(stride, 3) (dynamics._grid), and the
-    sample stride is ceil(steps/20000), so a default trace holds at most
-    20001 samples, the last one at t_span[1].  An eps_max that underflows to
-    0 or a grid above dynamics.MAX_GRID_STEPS raises ParameterError.  Grid
-    point i is sampled at t_span[0] + i*dt; a sample interval of L grid
-    steps takes ceil(L/3) table steps (dynamics._march), a chunk at a time.
+    config.step, default or configured, is the sixth-order table step, and
+    each grid step is one table step (dynamics._march).  Defaults: t_span =
+    (-T, T) with T = max(300, 20/sqrt(rate)), a step of at most
+    min(0.06, 1.08/eps_max) with eps_max = rate*max|t|/2 (a bounded phase
+    advance per step), and a sample stride of ceil(steps/20000), so a
+    default trace holds at most 20001 samples, the last one at t_span[1].
+    An eps_max that underflows to 0 or a grid above dynamics.MAX_GRID_STEPS
+    raises ParameterError.  Grid point i is sampled at t_span[0] + i*dt.
     With config.convergence_check the run is repeated with twice the steps;
     a change of the final intensities above 1e-4 adds an accuracy warning.
     """
@@ -225,10 +224,8 @@ def evolve_two_mode(
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0 and eps_max > 0.0):
         raise ParameterError("t_span must be finite and increasing, and the detuning "
                              "rate*max|t|/2 at its far end must not underflow to 0")
-    bound = min(0.06, 1.08 / eps_max)
-    step = config.step if config.step is not None else bound
-    n_steps, stride = _grid(t1 - t0, step, config.sample_stride, 20000,
-                            table_step=config.step is None)
+    step = config.step if config.step is not None else min(0.06, 1.08 / eps_max)
+    n_steps, stride = _grid(t1 - t0, step, config.sample_stride, 20000)
     dt = (t1 - t0) / n_steps
     coupling = np.array([[0.0, params.coupling + params.skew],
                          [params.coupling - params.skew, 0.0]]) / 2.0
@@ -236,7 +233,8 @@ def evolve_two_mode(
     def run(refine: int):
         a = ground_state(params, t0)
         ts, amps = [[t0]], [a[:, None]]
-        for kicks, _, t, widths, _, ends in _march(coupling, n_steps, stride, refine, dt, _CHUNK):
+        march = _march(coupling, n_steps, stride, 1, refine, dt, _CHUNK)
+        for kicks, _, t, widths, _, ends in march:
             p = _prefix_products(_step_matrices(t0 + t, widths, ends, params.rate, kicks))
             # states after the chunk's steps, from the state carried into it
             b = p[:, 0] * a[0] + p[:, 1] * a[1]

@@ -236,22 +236,47 @@ class TestEvolution:
         assert trace.t[0] == -300.0
         assert trace.t[-1] == 300.0
         np.testing.assert_allclose(np.diff(trace.t[:-1]), stride * dt, rtol=1e-9)
-        # a table step spans at most min(stride, 3) grid steps, and advances
-        # the diagonal phase by at most 1.08 rad where the sweep is farthest out
-        assert rate * 300.0 / 2.0 * min(stride, 3) * dt <= 1.08 * (1 + 1e-12)
+        # a table step spans one grid step, and advances the diagonal phase
+        # by at most 1.08 rad where the sweep is farthest out
+        assert rate * 300.0 / 2.0 * dt <= 1.08 * (1 + 1e-12)
 
     @pytest.mark.parametrize("stride", [2, 3, 10])
     def test_default_step_holds_at_any_stride(self, stride):
-        # a table step spans up to min(stride, 3) grid steps, so a configured
-        # stride shrinks the default grid step and leaves the accuracy as it is
+        # a table step spans one grid step at any stride, so a configured
+        # stride keeps the default grid step and the accuracy as they are
         params = TwoModeParams(0.4, 0.3, 0.12)
         base = evolve_two_mode(params)
         trace = evolve_two_mode(params, config=IntegratorConfig(sample_stride=stride))
-        assert base.metadata["steps"] == 10000
-        assert trace.metadata["steps"] == 10000 * min(stride, 3)
-        assert 0.12 * 300.0 / 2.0 * min(stride, 3) * trace.metadata["step"] <= 1.08 * (1 + 1e-12)
+        assert base.metadata["steps"] == trace.metadata["steps"] == 10000
+        assert 0.12 * 300.0 / 2.0 * trace.metadata["step"] <= 1.08 * (1 + 1e-12)
         for got, want in zip((trace.a1, trace.a2), (base.a1, base.a2)):
             assert abs(abs(got[-1]) ** 2 - abs(want[-1]) ** 2) < 1e-5
+
+    @pytest.mark.parametrize("stride", [2, 3, 10])
+    def test_stride_only_thins_the_samples(self, stride):
+        # the strided run marches the unstrided run's 10000 table steps and
+        # samples every stride-th of its grid points
+        params = TwoModeParams(0.4, 0.3, 0.12)
+        base = evolve_two_mode(params)
+        trace = evolve_two_mode(params, config=IntegratorConfig(sample_stride=stride))
+        assert trace.metadata["steps"] == base.metadata["steps"] == 10000
+        grid = [*range(0, 10000, stride), 10000]
+        assert trace.t.tolist() == base.t[grid].tolist()
+        for got, want in zip((trace.a1, trace.a2), (base.a1, base.a2)):
+            assert np.max(np.abs(got - want[grid])) <= 1e-12
+            assert abs(abs(got[-1]) ** 2 - abs(want[-1]) ** 2) <= 1e-12
+
+    @pytest.mark.parametrize("rate, t_span, config, marched", [
+        # the default step at rate 0.5 is 1.08/75 = 0.0144 over a span of 600
+        (0.5, None, IntegratorConfig(), 41667),
+        # a configured step is the table step, whatever the stride
+        (0.12, (-40.0, 40.0), IntegratorConfig(step=0.02, sample_stride=7), 4000),
+    ])
+    def test_one_table_step_per_grid_step(self, monkeypatch, rate, t_span, config, marched):
+        runs = record_marches(monkeypatch)
+        trace = evolve_two_mode(TwoModeParams(0.4, 0.3, rate), t_span=t_span, config=config)
+        assert trace.metadata["steps"] == marched
+        assert [t.size for t, _ in runs] == [marched]
 
     def test_sixth_order_convergence(self):
         from scipy.integrate import solve_ivp
@@ -299,31 +324,43 @@ class TestEvolution:
             TwoModeParams(**values)
 
 
+def record_marches(monkeypatch):
+    """Spy on twomode._march: per run, where each table step ends and the
+    grid point it ends a sample interval on (0 inside an interval)."""
+    runs = []
+    march = twomode._march
+
+    def spy(*args):
+        chunks = list(march(*args))
+        runs.append((np.concatenate([t[:, -1] for _, _, t, *_ in chunks]),
+                     np.concatenate([ends for *_, ends in chunks])))
+        return iter(chunks)
+
+    monkeypatch.setattr(twomode, "_march", spy)
+    return runs
+
+
 def sequential_states(params, t_span, n_steps, stride):
     """States at the grid points 0, stride, 2 stride, ..., n_steps, one sub-step at a time.
 
-    Each interval of L grid steps takes ceil(L/3) equal steps of the weight
-    table, each the diagonal flow to a kick node, the kick, and so on to the
-    step's end, as one sequential product of 2x2 matrices with no phase folded.
+    Each grid step is one step of the weight table, the diagonal flow to a
+    kick node, the kick, and so on to the step's end, as one sequential
+    product of 2x2 matrices with no phase folded.
     """
     t0, t1 = t_span
     dt = (t1 - t0) / n_steps
     coupling = np.array([[0.0, params.coupling + params.skew],
                          [params.coupling - params.skew, 0.0]]) / 2.0
+    kicks = [_expm(-1j * w * dt * coupling) for w in _WEIGHTS] + [np.eye(2)]
     a = ground_state(params, t0)
-    states, kicks = [a], {}
-    for i in range(0, n_steps, stride):
-        length = min(stride, n_steps - i)
-        m = math.ceil(length / 3)
-        h = length * dt / m
-        if h not in kicks:
-            kicks[h] = [_expm(-1j * w * h * coupling) for w in _WEIGHTS] + [np.eye(2)]
-        for j in range(m):
-            t = t0 + i * dt + h * (j + _NODES)
-            z = np.exp(0.25j * params.rate * h * np.diff(_NODES) * (t[:-1] + t[1:]))
-            for zi, kick in zip(z, kicks[h]):
-                a = kick @ (np.array([zi, zi.conjugate()]) * a)
-        states.append(a)
+    states = [a]
+    for i in range(n_steps):
+        t = t0 + dt * (i + _NODES)
+        z = np.exp(0.25j * params.rate * dt * np.diff(_NODES) * (t[:-1] + t[1:]))
+        for zi, kick in zip(z, kicks):
+            a = kick @ (np.array([zi, zi.conjugate()]) * a)
+        if (i + 1) % stride == 0 or i + 1 == n_steps:
+            states.append(a)
     return np.array(states).T, dt
 
 
@@ -357,18 +394,9 @@ class TestScanKernel:
 
     def test_convergence_rerun_uses_twice_the_steps(self, monkeypatch):
         # 4000 grid steps sampled every 22: 181 intervals of 22 grid steps
-        # take 8 table steps each and the remaining 18 take 6; the rerun takes
-        # 16 and 12, where ceil(2L/3) would give 15 for L = 22
-        runs = []
-
-        def spy(*args):
-            chunks = list(march(*args))
-            runs.append((np.concatenate([t[:, -1] for _, _, t, *_ in chunks]),
-                         np.concatenate([ends for *_, ends in chunks])))
-            return iter(chunks)
-
-        march = twomode._march
-        monkeypatch.setattr(twomode, "_march", spy)
+        # take 22 table steps each and the remaining 18 take 18; the rerun
+        # takes 44 and 36
+        runs = record_marches(monkeypatch)
         config = IntegratorConfig(step=0.02, sample_stride=22, convergence_check=True)
         trace = evolve_two_mode(TwoModeParams(0.4, 0.3, 0.12), t_span=self.SPAN, config=config)
         assert trace.metadata["steps"] == 4000
@@ -376,7 +404,7 @@ class TestScanKernel:
         # where each table step ends, from the start, and the grid point it
         # ends an interval on
         steps = np.diff(t, prepend=0.0)
-        np.testing.assert_allclose(steps, [0.44 / 8] * (181 * 8) + [0.36 / 6] * 6, rtol=1e-9)
+        np.testing.assert_allclose(steps, [0.02] * 4000, rtol=1e-9)
         np.testing.assert_allclose(t_finer[1::2], t, rtol=1e-12)
         np.testing.assert_allclose(np.diff(t_finer, prepend=0.0), np.repeat(steps / 2, 2),
                                    rtol=1e-9)
@@ -392,10 +420,12 @@ class TestScanKernel:
 
         expm = dynamics._expm
         monkeypatch.setattr(dynamics, "_expm", spy)
-        # 4000 grid steps sampled every 7: two step lengths, five distinct weights
+        # 4000 grid steps sampled every 7: intervals of 7 and of 3 grid steps
+        # both take table steps of one grid step, one step length for five
+        # distinct weights
         config = IntegratorConfig(step=0.02, sample_stride=7)
         evolve_two_mode(TwoModeParams(0.4, 0.3, 0.12), t_span=self.SPAN, config=config)
-        assert len(calls) == 2 * 5
+        assert len(calls) == 5
 
 
 class TestCouplingExponential:
