@@ -15,11 +15,13 @@ the diagonal is integrated exactly, since q is linear in z, and the constant
 coupling V is applied through its exponential expm(-i w V h), computed once
 per run and weight by scaling and squaring a Taylor series, evaluated by
 Paterson-Stockmeyer, which needs no eigenbasis (at v_imag = v_real the
-coupling is a Jordan block).  One table of weights, Kahan & Li's nine
-Strang sub-steps (s9odr6a), composes them into one sixth-order step of nine
-coupling kicks; within a run each step's last diagonal phase folds into the
-next step's first.  The twomode module's two-level kernel uses the same
-table, _expm and IntegratorConfig.
+coupling is a Jordan block).  A palindromic table of weights composes
+Strang sub-steps into one table step (_table).  The lattice's is Kahan &
+Li's fifteen sub-steps s15odr8, one eighth-order step of fifteen coupling
+kicks; within a run each step's last diagonal phase folds into the next
+step's first.  The twomode module's two-level kernel builds its own table,
+Kahan & Li's sixth-order s9odr6a, with the same _table, and shares _march,
+_expm and IntegratorConfig.
 
 The diagonal phase of mode l over a sub-step of width w from qa to qb is
 w (4l^2 + 2l s + c), s = qa + qb, c = (qa^2 + qa qb + qb^2)/3.  Within a
@@ -33,13 +35,13 @@ rounding does not grow with l_max or with the run's length.
 
 A run of either model is a grid of n = ceil(duration/step) steps, sampled
 every stride of them.  The two-level model takes one table step per grid
-step, the lattice one per three: a sample interval of L grid steps takes
-ceil(L/3) equal table steps, three kicks per grid step where L is a
-multiple of 3, up to nine at L = 1, since a table step cannot end between
-samples.  The lattice step defaults to 0.03/max(1, q_max^2); for v_imag = 0
-every factor is unitary, so power is conserved to roundoff at any step,
-which is limited by accuracy only.  The convergence check reruns the grid
-with exactly twice the table steps in every interval.
+step, the lattice one per eight: a sample interval of L grid steps takes
+ceil(L/8) equal table steps, 1.875 kicks per grid step where L is a
+multiple of 8, up to fifteen at L = 1, since a table step cannot end
+between samples.  The lattice step defaults to 0.03/max(1, q_max^2); for
+v_imag = 0 every factor is unitary, so power is conserved to roundoff at
+any step, which is limited by accuracy only.  The convergence check reruns
+the grid with exactly twice the table steps in every interval.
 
 Band occupations are biorthogonal projections onto the band eigenvectors of
 lattice.band_arrays.  evolve projects all of its samples with one call of
@@ -61,26 +63,39 @@ from .lattice import LatticeParams, _is_integer, band_arrays, build_hamiltonian
 
 POWER_HALVING_TOL = 1e-6
 # The finest grid a run may take, hours of lattice propagation at about
-# 10 us a step; a rate near 0 that needs more fails before any step.
+# 5 us a grid step; a rate near 0 that needs more fails before any step.
 MAX_GRID_STEPS = 10**9
 
-# Kahan & Li (1997) s9odr6a: the Strang sub-steps of one sixth-order step,
-# as fractions of it; the table is palindromic and sums to 1
-_GAMMA = [0.39216144400731413928, 0.33259913678935943860, -0.70624617255763935981,
-          0.08221359629355080023, 0.79854399093482996340]
-_WEIGHTS = np.array(_GAMMA + _GAMMA[-2::-1])
-# phase nodes of one step: each sub-step splits its diagonal flow in half
-# around its coupling kick, so the kicks sit at cumsum(w) - w/2
-_NODES = np.concatenate([[0.0], np.cumsum(_WEIGHTS) - _WEIGHTS / 2.0, [1.0]])
-# the nodes of a step inside a sample interval: it starts from the last kick
-# of the step before, which folds that step's last phase into its own first
-_FOLDED = np.concatenate([[_NODES[-2] - 1.0], _NODES[1:]])
-# grid steps per lattice table step: nine kicks, three per grid step
-_GRID_STEPS = 3
-# the phase widths of a folded step's columns 0-8, each followed by a kick;
-# columns 1-8 are palindromic, so five distinct widths serve all nine
-_FOLDED_WIDTHS = np.diff(_FOLDED)[:9]
-_TABLE_COLUMNS = [0, 1, 2, 3, 4, 4, 3, 2, 1]
+def _table(gamma: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights, phase nodes and folded phase nodes of a palindromic table.
+
+    gamma is the first half of the Strang sub-steps of one table step, as
+    fractions of it, up to and including the middle one; the weights mirror
+    it and sum to 1.  Each sub-step splits its diagonal flow in half around
+    its coupling kick, so the kicks sit at cumsum(w) - w/2, between the
+    nodes 0 and 1.  A step inside a sample interval starts from the last
+    kick of the step before, which folds that step's last phase into its
+    own first: its folded nodes start at that kick's offset, minus 1.
+    """
+    weights = np.array(gamma + gamma[-2::-1])
+    nodes = np.concatenate([[0.0], np.cumsum(weights) - weights / 2.0, [1.0]])
+    return weights, nodes, np.concatenate([[nodes[-2] - 1.0], nodes[1:]])
+
+
+# Kahan & Li (1997) s15odr8: the fifteen Strang sub-steps of one
+# eighth-order lattice step
+_TABLE = _table([0.74167036435061295345, -0.40910082580003159400, 0.19075471029623837995,
+                 -0.57386247111608226666, 0.29906418130365592384, 0.33462491824529818378,
+                 0.31529309239676659663, -0.79688793935291635402])
+_SUBSTEPS = len(_TABLE[0])
+# grid steps per lattice table step: fifteen kicks, 1.875 per grid step
+_GRID_STEPS = 8
+# the phase widths of a folded step's columns 0 to _SUBSTEPS - 1, each
+# followed by a kick; columns 1 onwards are palindromic, so the first
+# _SUBSTEPS // 2 + 1 widths serve all of them
+_FOLDED = _TABLE[2]
+_FOLDED_WIDTHS = np.diff(_FOLDED)[:_SUBSTEPS]
+_TABLE_COLUMNS = [min(j, _SUBSTEPS - j) for j in range(_SUBSTEPS)]
 # steps whose phases are computed at once; bounds the memory of the phase
 # buffer and of the per-run phase table, which is sized to the run
 _CHUNK = 256
@@ -125,7 +140,7 @@ class DriveParams:
 class IntegratorConfig:
     """Fixed-step integrator knobs; None picks the documented defaults."""
 
-    # the grid step: a third of a lattice table step, a whole two-level one
+    # the grid step: an eighth of a lattice table step, a whole two-level one
     step: float | None = None
     sample_stride: int | None = None
     convergence_check: bool = False
@@ -266,12 +281,13 @@ def _grid(duration: float, step: float, stride: int | None, samples: int) -> tup
     return n_steps, stride or math.ceil(n_steps / samples)
 
 
-def _march(coupling: np.ndarray, n_steps: int, stride: int, span: int, refine: int,
-           dz: float, chunk: int):
+def _march(coupling: np.ndarray, n_steps: int, stride: int, span: int, table: tuple,
+           refine: int, dz: float, chunk: int):
     """Chunks of the table steps that march a grid of n_steps steps dz sampled every stride.
 
     span is the model's grid steps per table step, _GRID_STEPS for the
-    lattice and 1 for the two-level model: a sample interval of L grid steps
+    lattice and 1 for the two-level model, and table its (weights, nodes,
+    folded nodes) from _table: a sample interval of L grid steps
     takes ceil(L/span) equal table steps, refine times as many for a
     convergence rerun: at most two step lengths, for the whole intervals and
     the remainder, and one _expm per distinct weight and step length.  A step
@@ -287,15 +303,16 @@ def _march(coupling: np.ndarray, n_steps: int, stride: int, span: int, refine: i
     runs = [(count, length, refine * -(-length // span))
             for count, length in ((whole, stride), (1, rest)) if count and length]
     steps = {length * dz / m for _, length, m in runs}
-    exps = {(w, h): _expm(-1j * w * h * coupling) for w in set(_WEIGHTS) for h in steps}
+    weights, nodes, folded = table
+    exps = {(w, h): _expm(-1j * w * h * coupling) for w in set(weights) for h in steps}
     i0 = 0  # grid point of the run's start
     for count, length, m in runs:
         h = length * dz / m
-        kicks = [exps[w, h] for w in _WEIGHTS]
+        kicks = [exps[w, h] for w in weights]
         for k0 in range(0, count * m, chunk):
             k = np.arange(k0, min(count * m, k0 + chunk))
             first = k % m == 0
-            rel = np.where(first[:, None], _NODES, _FOLDED)
+            rel = np.where(first[:, None], nodes, folded)
             ends = np.where((k + 1) % m == 0, i0 + (k + 1) // m * length, 0)
             yield kicks, h, i0 * dz + h * (k[:, None] + rel), h * np.diff(rel, axis=1), first, ends
         i0 += count * length
@@ -328,7 +345,7 @@ def _integrate(
         return np.exp(-1j * w[:, None] * (two_l * (two_l + s[:, None]) + c[:, None]))
 
     samples = [(0.0, q0, y)]
-    march = _march(coupling, n_steps, stride or n_steps, _GRID_STEPS, refine, dz, _CHUNK)
+    march = _march(coupling, n_steps, stride or n_steps, _GRID_STEPS, _TABLE, refine, dz, _CHUNK)
     table_h = None
     for kicks, h, z, widths, first, ends in march:
         # (2l + q(z))^2 is quadratic in z: its integral over a sub-step is
@@ -339,18 +356,20 @@ def _integrate(
         w = h * _FOLDED_WIDTHS
         if h != table_h:  # a later run of the same h is a shorter remainder
             k = np.arange(len(z))[:, None, None]
-            table = np.exp(-2j * rate * h * k * (w[:5, None] * two_l))[:, _TABLE_COLUMNS]
+            table = np.exp(-2j * rate * h * k * (w[:_SUBSTEPS // 2 + 1, None] * two_l))
+            table = table[:, _TABLE_COLUMNS]
             table_h, buffer = h, np.empty_like(table)
-        s0 = sub[1, 0, :9].copy()
+        s0 = sub[1, 0, :_SUBSTEPS].copy()
         if first[0]:  # the chunk's first step starts an interval: fold its column 0
             s0[0] += rate * h * _FOLDED[0]
         anchor = np.exp(-1j * w[:, None] * two_l * (two_l + s0[:, None]))
         phases = np.multiply(table[:len(z)], anchor, out=buffer[:len(z)])
-        phases *= np.exp(-1j * widths[:, :9] * sub[2, :, :9])[:, :, None]
+        phases *= np.exp(-1j * widths[:, :_SUBSTEPS] * sub[2, :, :_SUBSTEPS])[:, :, None]
         # column 0 of an interval's first step spans half a sub-step from its
-        # start, and column 9 runs from the last kick to an interval's end
+        # start, and the closing column _SUBSTEPS runs from the last kick to
+        # an interval's end
         phases[first, 0] = direct(*sub[:, first, 0])
-        last = iter(direct(*sub[:, ends > 0, 9]))
+        last = iter(direct(*sub[:, ends > 0, _SUBSTEPS]))
         dots = [u.dot for u in kicks]
         for row, i in zip(phases, ends.tolist()):
             for p, dot in zip(row, dots):

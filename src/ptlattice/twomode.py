@@ -27,9 +27,13 @@ independent numerical check of every formula here.
 
 Its scheme is the lattice propagator's (dynamics module): the diagonal is
 integrated exactly, the constant coupling C enters through the same
-exponential dynamics._expm, and Strang steps are composed by the same table
-of weights into one sixth-order step per grid step, marched over the same
-grid of sample intervals with the same IntegratorConfig.  A chunk of steps
+exponential dynamics._expm, and Strang steps are composed by a table of
+weights built by the same dynamics._table into one step per grid step,
+marched by the same dynamics._march over the same grid of sample intervals
+with the same IntegratorConfig.  The table is Kahan & Li's sixth-order
+s9odr6a, not the lattice's eighth-order s15odr8: a default run of up to
+20000 grid steps samples every one of them, so its table steps cannot span
+more grid steps, and nine kicks a step cost less than fifteen.  A chunk of steps
 is one complex (2, 2, steps) array of 2x2 step matrices, built with numpy
 from the kicks as dynamics._march yields them and turned in place into its
 prefix products (a doubling scan), which applied to the state carried into
@@ -44,10 +48,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, _grid, _march
+from .dynamics import IntegratorConfig, _grid, _march, _table
 from .errors import ParameterError
 from .lattice import LatticeParams, _is_integer
 
+# Kahan & Li (1997) s9odr6a: the nine Strang sub-steps of one sixth-order
+# two-level step
+_TABLE = _table([0.39216144400731413928, 0.33259913678935943860, -0.70624617255763935981,
+                 0.08221359629355080023, 0.79854399093482996340])
 # steps whose matrices are built at once; bounds the matrix buffers' memory
 _CHUNK = 1024
 # trailing share of a trace's samples that tail_intensities averages over
@@ -204,7 +212,7 @@ def evolve_two_mode(
 ) -> TwoModeTrace:
     """Integrate the sweep from the ground level at t_span[0] (split-step); sample the amplitudes.
 
-    config.step, default or configured, is the sixth-order table step, and
+    config.step, default or configured, is the table step of s9odr6a, and
     each grid step is one table step (dynamics._march).  Defaults: t_span =
     (-T, T) with T = max(300, 20/sqrt(rate)), a step of at most
     min(0.06, 1.08/eps_max) with eps_max = rate*max|t|/2 (a bounded phase
@@ -233,7 +241,7 @@ def evolve_two_mode(
     def run(refine: int):
         a = ground_state(params, t0)
         ts, amps = [[t0]], [a[:, None]]
-        march = _march(coupling, n_steps, stride, 1, refine, dt, _CHUNK)
+        march = _march(coupling, n_steps, stride, 1, _TABLE, refine, dt, _CHUNK)
         for kicks, _, t, widths, _, ends in march:
             p = _prefix_products(_step_matrices(t0 + t, widths, ends, params.rate, kicks))
             # states after the chunk's steps, from the state carried into it

@@ -552,7 +552,8 @@ class TestCli:
             "kind": "evolve",
             "lattice": {"v_real": 0.2, "v_imag": 0.1, "l_max": 4},
             "drive": {"rate": 0.3, "q_start": 0.0, "q_stop": 1.8},
-            "integrator": {"step": 0.2, "convergence_check": True},
+            # one table step over the whole drive
+            "integrator": {"step": 0.75, "convergence_check": True},
         }
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))

@@ -18,9 +18,9 @@ from ptlattice import (
 )
 from ptlattice import twomode
 from ptlattice import dynamics
-from ptlattice.dynamics import _NODES, _WEIGHTS, _expm
+from ptlattice.dynamics import _expm
 from ptlattice.lattice import LatticeParams
-from ptlattice.twomode import _CHUNK, ground_state
+from ptlattice.twomode import _CHUNK, _TABLE, ground_state
 
 
 class TestAmplificationRatio:
@@ -343,20 +343,21 @@ def record_marches(monkeypatch):
 def sequential_states(params, t_span, n_steps, stride):
     """States at the grid points 0, stride, 2 stride, ..., n_steps, one sub-step at a time.
 
-    Each grid step is one step of the weight table, the diagonal flow to a
-    kick node, the kick, and so on to the step's end, as one sequential
-    product of 2x2 matrices with no phase folded.
+    Each grid step is one step of the two-level weight table, the diagonal
+    flow to a kick node, the kick, and so on to the step's end, as one
+    sequential product of 2x2 matrices with no phase folded.
     """
+    weights, nodes, _ = _TABLE
     t0, t1 = t_span
     dt = (t1 - t0) / n_steps
     coupling = np.array([[0.0, params.coupling + params.skew],
                          [params.coupling - params.skew, 0.0]]) / 2.0
-    kicks = [_expm(-1j * w * dt * coupling) for w in _WEIGHTS] + [np.eye(2)]
+    kicks = [_expm(-1j * w * dt * coupling) for w in weights] + [np.eye(2)]
     a = ground_state(params, t0)
     states = [a]
     for i in range(n_steps):
-        t = t0 + dt * (i + _NODES)
-        z = np.exp(0.25j * params.rate * dt * np.diff(_NODES) * (t[:-1] + t[1:]))
+        t = t0 + dt * (i + nodes)
+        z = np.exp(0.25j * params.rate * dt * np.diff(nodes) * (t[:-1] + t[1:]))
         for zi, kick in zip(z, kicks):
             a = kick @ (np.array([zi, zi.conjugate()]) * a)
         if (i + 1) % stride == 0 or i + 1 == n_steps:
