@@ -66,6 +66,7 @@ POWER_HALVING_TOL = 1e-6
 # 5 us a grid step; a rate near 0 that needs more fails before any step.
 MAX_GRID_STEPS = 10**9
 
+
 def _table(gamma: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weights, phase nodes and folded phase nodes of a palindromic table.
 
@@ -90,11 +91,11 @@ _TABLE = _table([0.74167036435061295345, -0.40910082580003159400, 0.190754710296
 _SUBSTEPS = len(_TABLE[0])
 # grid steps per lattice table step: fifteen kicks, 1.875 per grid step
 _GRID_STEPS = 8
-# the phase widths of a folded step's columns 0 to _SUBSTEPS - 1, each
-# followed by a kick; columns 1 onwards are palindromic, so the first
+# the phase widths of a folded step's columns, each followed by a kick, and
+# before its closing column; columns 1 onwards are palindromic, so the first
 # _SUBSTEPS // 2 + 1 widths serve all of them
 _FOLDED = _TABLE[2]
-_FOLDED_WIDTHS = np.diff(_FOLDED)[:_SUBSTEPS]
+_FOLDED_WIDTHS = np.diff(_FOLDED)[:-1]
 _TABLE_COLUMNS = [min(j, _SUBSTEPS - j) for j in range(_SUBSTEPS)]
 # steps whose phases are computed at once; bounds the memory of the phase
 # buffer and of the per-run phase table, which is sized to the run
@@ -359,17 +360,17 @@ def _integrate(
             table = np.exp(-2j * rate * h * k * (w[:_SUBSTEPS // 2 + 1, None] * two_l))
             table = table[:, _TABLE_COLUMNS]
             table_h, buffer = h, np.empty_like(table)
-        s0 = sub[1, 0, :_SUBSTEPS].copy()
+        s0 = sub[1, 0, :-1].copy()
         if first[0]:  # the chunk's first step starts an interval: fold its column 0
             s0[0] += rate * h * _FOLDED[0]
         anchor = np.exp(-1j * w[:, None] * two_l * (two_l + s0[:, None]))
         phases = np.multiply(table[:len(z)], anchor, out=buffer[:len(z)])
-        phases *= np.exp(-1j * widths[:, :_SUBSTEPS] * sub[2, :, :_SUBSTEPS])[:, :, None]
+        phases *= np.exp(-1j * widths[:, :-1] * sub[2, :, :-1])[:, :, None]
         # column 0 of an interval's first step spans half a sub-step from its
-        # start, and the closing column _SUBSTEPS runs from the last kick to
-        # an interval's end
+        # start, and the closing column runs from the last kick to an
+        # interval's end
         phases[first, 0] = direct(*sub[:, first, 0])
-        last = iter(direct(*sub[:, ends > 0, _SUBSTEPS]))
+        last = iter(direct(*sub[:, ends > 0, -1]))
         dots = [u.dot for u in kicks]
         for row, i in zip(phases, ends.tolist()):
             for p, dot in zip(row, dots):
