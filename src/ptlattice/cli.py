@@ -36,7 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind, help=f"run a {kind} experiment")
         p.add_argument("--config", required=True, help="JSON config file or preset name")
         p.add_argument("--svg", action="store_true", help="also write an SVG chart")
-        p.add_argument("--jobs", type=int, default=None, help="worker processes for sweeps")
+        p.add_argument("--jobs", type=int, default=None,
+                       help="processes for sweep points, this one included")
         p.add_argument("--out", default=None, help="output path prefix")
     return parser
 

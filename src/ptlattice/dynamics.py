@@ -30,8 +30,11 @@ table step of length h, so its phase factor is the product of three exact
 exponentials: a table over the steps of a chunk, built once per run, an
 anchor in l, once per chunk, and the scalar exp(-i w c), once per kick.
 The half sub-step that opens a sample interval and the one that closes it
-take their per-mode exponentials directly.  No factor is a recurrence, so
-rounding does not grow with l_max or with the run's length.
+take their per-mode exponentials directly.  No factor is a recurrence: each
+is an exponential of its own exact argument, not a product of earlier
+factors.  Rounding still enters at every kick: fig3's final power moves by
+up to 1.2e-10 relative between runs at n, 2n and 4n grid steps
+(BENCH_23.json, fig3_power_floor).
 
 A run of either model is a grid of n = ceil(duration/step) steps, sampled
 every stride of them.  The two-level model takes one table step per grid

@@ -5,9 +5,10 @@ arrays it computed, handed over as named columns, and metadata carrying the
 resolved configuration, the package version, and any accuracy warnings.
 evolve and multicross share one driven run, _driven, which launches band 1,
 keeps the trace columns asked for and lists the power plateaus with their
-two-mode predictions.  Sweep points are independent computations and run on
-a process pool of min(jobs, rates) workers when that is above 1; output rows
-keep grid order either way.
+two-mode predictions.  Sweep points are independent computations and run in
+min(jobs, rates) processes, the calling one included, when that is above 1:
+each process takes the next point, costliest first, until none is left
+(_fan_out).  Output rows keep grid order either way.
 Analytic reference columns always come from the twomode module.
 
 CHARTS declares each kind's SVG once: title, x column (also the x-axis
@@ -24,6 +25,7 @@ from .config import ExperimentConfig
 from .dynamics import (
     POWER_HALVING_TOL,
     DriveParams,
+    _lattice_grid,
     evolve,
     plateau_averages,
     prepare_band_state,
@@ -115,6 +117,84 @@ def _sweep_point(job) -> tuple[float, float]:
     return p, abs(transition_probability(lattice, drive, integrator.step, refine=2) - p)
 
 
+def _pull(queue: list, counter) -> dict:
+    """{index: point} of the (index, job) entries queue[k], for each k this process draws."""
+    points = {}
+    while True:
+        with counter.get_lock():
+            k = counter.value
+            counter.value = k + 1
+        if k >= len(queue):
+            return points
+        i, job = queue[k]
+        points[i] = _sweep_point(job)
+
+
+def _send_share(queue: list, counter, send) -> None:
+    """A child's share of _fan_out: its {index: point}, or its exception, over send."""
+    try:
+        share = _pull(queue, counter)
+    except Exception as exc:
+        # past the end: every other process stops after its current point
+        counter.value = len(queue)
+        share = exc
+    send.send(share)
+
+
+def _fan_out(jobs: list, workers: int) -> list:
+    """_sweep_point of every job over workers processes, this one included, in job order.
+
+    The workers - 1 children share a counter with this process; each process
+    draws the next index from it until the jobs run out, costliest first
+    (their grid steps), so a process slowed by the host takes fewer points.
+    A child's exception is raised here with its type; a child that dies
+    without sending raises ChildProcessError.  Every child is joined before
+    this returns or raises.
+    """
+    # imported here, so a run in one process does not load multiprocessing
+    import multiprocessing
+
+    costs = [_lattice_grid(drive, integrator)[0] for _, drive, integrator in jobs]
+    queue = sorted(enumerate(jobs), key=lambda entry: -costs[entry[0]])
+    counter = multiprocessing.Value("q", 0)
+    children, pipes, shares = [], [], []
+    try:
+        for _ in range(workers - 1):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_send_share,
+                                            args=(queue, counter, send))
+            try:
+                child.start()
+            finally:
+                # the child holds the only send end left, so its death reads as EOF
+                send.close()
+            children.append(child)
+            pipes.append(recv)
+        points = _pull(queue, counter)
+    except BaseException:
+        counter.value = len(queue)
+        raise
+    finally:
+        # read every pipe before joining: a child blocks on a full one
+        for recv in pipes:
+            try:
+                shares.append(recv.recv())
+            except EOFError:
+                shares.append(None)
+            recv.close()
+        for child in children:
+            child.join()
+    for child, share in zip(children, shares):
+        if isinstance(share, Exception):
+            raise share
+        if share is None:
+            raise ChildProcessError(
+                f"a sweep process exited with code {child.exitcode} before sending its points"
+            )
+        points.update(share)
+    return [points[i] for i in range(len(jobs))]
+
+
 def run_sweep(cfg: ExperimentConfig) -> ResultTable:
     """Transition probability over a rate grid: rate, p_numeric, p_analytic, abs_error."""
     sweep = cfg.doc["sweep"]
@@ -127,14 +207,9 @@ def run_sweep(cfg: ExperimentConfig) -> ResultTable:
         (cfg.lattice, DriveParams(float(rate), sweep["q_start"], sweep["q_stop"]), cfg.integrator)
         for rate in rates
     ]
-    # a pool starts all its workers at once: at most one per rate
     workers = min(cfg.doc["jobs"], len(jobs))
     if workers > 1:
-        # imported here, so a run without a pool does not load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_sweep_point, jobs))
+        points = _fan_out(jobs, workers)
     else:
         points = [_sweep_point(job) for job in jobs]
     numeric, halving = np.array(points).T

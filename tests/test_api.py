@@ -85,17 +85,22 @@ def test_benchmark_surface_resolves(tmp_path):
     assert back.metadata == {"warnings": []}
 
 
-def test_cli_import_stays_light():
-    # scipy (with its threaded BLAS) and xml.sax's urllib.request/http.client
-    # cost tens to hundreds of ms per run; pathlib itself needs urllib.parse;
-    # the sweep's process pool is imported only when a sweep asks for one
+def _modules_loaded_by(probe: str) -> list[str]:
+    """The modules a fresh interpreter has loaded after running probe on this source tree."""
     src = str(Path(ptlattice.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    probe = "import sys, ptlattice.cli; print(*sys.modules)"
-    loaded = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    return subprocess.run(
+        [sys.executable, "-c", f"{probe}\nimport sys; print(*sys.modules)"],
+        capture_output=True, text=True, check=True, env=env,
     ).stdout.split()
+
+
+def test_cli_import_stays_light():
+    # scipy (with its threaded BLAS) and xml.sax's urllib.request/http.client
+    # cost tens to hundreds of ms per run; pathlib itself needs urllib.parse;
+    # the sweep imports multiprocessing only when it runs in several processes
+    loaded = _modules_loaded_by("import ptlattice.cli")
     assert "ptlattice.cli" in loaded
     heavy = [
         m for m in loaded
@@ -103,3 +108,19 @@ def test_cli_import_stays_light():
         or m in ("urllib.request", "concurrent.futures.process")
     ]
     assert heavy == []
+
+
+def test_sweep_in_one_process_loads_no_multiprocessing():
+    # jobs 1, and jobs 2 over a single rate, both run every point here
+    sweep = {"kind": "sweep", "lattice": {"v_real": 0.2, "v_imag": 0.0},
+             "sweep": {"rate_min": 0.1, "rate_max": 0.3, "count": 2,
+                       "q_start": 0.0, "q_stop": 1.8}}
+    one_rate = {**sweep, "sweep": {**sweep["sweep"], "count": 1}, "jobs": 2}
+    loaded = _modules_loaded_by(
+        "from ptlattice.config import parse_config\n"
+        "from ptlattice.experiments import run_sweep\n"
+        f"for doc in {[{**sweep, 'jobs': 1}, one_rate]!r}:\n"
+        "    run_sweep(parse_config(doc))"
+    )
+    assert "ptlattice.experiments" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "multiprocessing"] == []

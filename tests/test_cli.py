@@ -2,6 +2,10 @@
 
 import json
 import math
+import multiprocessing
+import os
+import re
+import time
 import xml.etree.ElementTree as ET
 from importlib import resources
 
@@ -360,33 +364,67 @@ class TestRunners:
         two_ref = math.exp(-math.pi * (0.16 - 0.09) / (2 * 4 * 0.3))
         assert table.rows[-1][2] == pytest.approx(two_ref, rel=1e-12)
 
-    @pytest.mark.parametrize("count, jobs, pools", [(2, 3, [2]), (1, 2, [])])
-    def test_sweep_pool_has_at_most_one_worker_per_rate(self, monkeypatch, count, jobs, pools):
-        # a pool starts all its workers at once; this stand-in records the
-        # size asked for and maps in this process, starting no worker
-        import concurrent.futures
+    def test_sweep_rows_do_not_depend_on_jobs(self):
+        doc = {
+            "kind": "sweep",
+            "lattice": {"v_real": 0.2, "v_imag": 0.15, "l_max": 6},
+            "sweep": {"rate_min": 0.03, "rate_max": 0.3, "count": 5, "spacing": "log",
+                      "q_start": 0.0, "q_stop": 1.8},
+        }
+        rows = [run_sweep(parse_config(dict(doc, jobs=jobs))).rows for jobs in (1, 2, 3)]
+        assert rows[0] == rows[1] == rows[2]
+        assert multiprocessing.active_children() == []
 
-        asked = []
+    @pytest.mark.parametrize("count, jobs, children", [(2, 3, 1), (1, 2, 0)])
+    def test_sweep_starts_at_most_one_child_per_rate(self, monkeypatch, count, jobs, children):
+        # the calling process computes points too, so jobs processes need jobs - 1 children
+        started = []
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
+        class RecordingProcess(multiprocessing.Process):
+            def start(self):
+                started.append(self)
+                super().start()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return [fn(item) for item in items]
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(multiprocessing, "Process", RecordingProcess)
         doc = dict(sweep_doc(), jobs=jobs)
         doc["sweep"]["count"] = count
         table = run_sweep(parse_config(doc))
-        assert asked == pools
+        assert len(started) == children
+        assert not any(child.is_alive() for child in started)
         assert len(table.rows) == count
+
+    @pytest.mark.parametrize("failing_in, via_cli", [("child", False), ("child", True),
+                                                     ("caller", False)],
+                             ids=["child-api", "child-cli", "caller-api"])
+    def test_sweep_point_failure_reaches_the_caller(self, monkeypatch, tmp_path, capfd,
+                                                    failing_in, via_cli):
+        # one process fails on its first point, its one rate, while each point
+        # of the other waits first; the error moves the shared counter past
+        # the end, so the other process takes no second point
+        caller, real = os.getpid(), experiments.transition_probability
+        waited = multiprocessing.Value("i", 0)
+
+        def failing(lattice, drive, step=None, refine=1):
+            if (os.getpid() == caller) == (failing_in == "caller"):
+                raise ParameterError(f"rate {drive.rate:g} fails")
+            with waited.get_lock():
+                waited.value += 1
+            time.sleep(0.5)
+            return real(lattice, drive, step, refine)
+
+        monkeypatch.setattr(experiments, "transition_probability", failing)
+        doc = dict(sweep_doc(), jobs=2)
+        if via_cli:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            err = capfd.readouterr().err.splitlines()
+            assert len(err) == 1 and re.fullmatch(r"ptlattice: error: rate [0-9.]+ fails", err[0])
+        else:
+            with pytest.raises(ParameterError, match=r"rate [0-9.]+ fails"):
+                run_sweep(parse_config(doc))
+        assert waited.value <= 1
+        assert multiprocessing.active_children() == []
 
     def test_run_multicross_plateau_metadata(self):
         doc = {
