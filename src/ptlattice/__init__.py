@@ -20,12 +20,7 @@ from .dynamics import (
     transition_probability,
 )
 from .errors import ConfigError, DegenerateBandError, ParameterError, PhaseError
-from .lattice import (
-    BandEigenpair,
-    LatticeParams,
-    build_hamiltonian,
-    eigensystem,
-)
+from .lattice import LatticeParams, build_hamiltonian
 from .twomode import (
     TwoModeParams,
     TwoModeTrace,
@@ -39,7 +34,6 @@ from .twomode import (
 
 __all__ = [
     "__version__",
-    "BandEigenpair",
     "ConfigError",
     "DegenerateBandError",
     "DriveParams",
@@ -54,7 +48,6 @@ __all__ = [
     "amplification_ratio",
     "build_hamiltonian",
     "critical_survival",
-    "eigensystem",
     "evolve",
     "evolve_two_mode",
     "lz_probability",

@@ -5,9 +5,9 @@ arrays it computed, handed over as named columns, and metadata carrying the
 resolved configuration, the package version, and any accuracy warnings.
 evolve and multicross share one driven run, _driven, which launches band 1,
 keeps the trace columns asked for and lists the power plateaus with their
-two-mode predictions.  Sweep points are independent computations and run in
-min(jobs, rates) processes, the calling one included, when that is above 1:
-each process takes the next point, costliest first, until none is left
+two-mode predictions.  Sweep points are independent computations: once every
+rate's grid is checked they run costliest first in min(jobs, rates) processes,
+the calling one included, each taking the next point until none is left
 (_fan_out).  Output rows keep grid order either way.
 Analytic reference columns always come from the twomode module.
 
@@ -141,12 +141,12 @@ def _send_share(queue: list, counter, send) -> None:
     send.send(share)
 
 
-def _fan_out(jobs: list, workers: int) -> list:
-    """_sweep_point of every job over workers processes, this one included, in job order.
+def _fan_out(queue: list, workers: int) -> dict:
+    """{index: point} of queue's (index, job) entries over workers processes, this one included.
 
     The workers - 1 children share a counter with this process; each process
-    draws the next index from it until the jobs run out, costliest first
-    (their grid steps), so a process slowed by the host takes fewer points.
+    draws the next entry from it until the queue runs out, so with the
+    queue costliest first a process slowed by the host takes fewer points.
     A child's exception is raised here with its type; a child that dies
     without sending raises ChildProcessError.  Every child is joined before
     this returns or raises.
@@ -154,8 +154,6 @@ def _fan_out(jobs: list, workers: int) -> list:
     # imported here, so a run in one process does not load multiprocessing
     import multiprocessing
 
-    costs = [_lattice_grid(drive, integrator)[0] for _, drive, integrator in jobs]
-    queue = sorted(enumerate(jobs), key=lambda entry: -costs[entry[0]])
     counter = multiprocessing.Value("q", 0)
     children, pipes, shares = [], [], []
     try:
@@ -192,7 +190,7 @@ def _fan_out(jobs: list, workers: int) -> list:
                 f"a sweep process exited with code {child.exitcode} before sending its points"
             )
         points.update(share)
-    return [points[i] for i in range(len(jobs))]
+    return points
 
 
 def run_sweep(cfg: ExperimentConfig) -> ResultTable:
@@ -207,12 +205,15 @@ def run_sweep(cfg: ExperimentConfig) -> ResultTable:
         (cfg.lattice, DriveParams(float(rate), sweep["q_start"], sweep["q_stop"]), cfg.integrator)
         for rate in rates
     ]
+    # every rate's grid is checked before any point marches; costliest first
+    steps = [_lattice_grid(drive, cfg.integrator)[0] for _, drive, _ in jobs]
+    queue = sorted(enumerate(jobs), key=lambda entry: -steps[entry[0]])
     workers = min(cfg.doc["jobs"], len(jobs))
     if workers > 1:
-        points = _fan_out(jobs, workers)
+        points = _fan_out(queue, workers)
     else:
-        points = [_sweep_point(job) for job in jobs]
-    numeric, halving = np.array(points).T
+        points = {i: _sweep_point(job) for i, job in queue}
+    numeric, halving = np.array([points[i] for i in range(len(jobs))]).T
     error = np.abs(numeric - analytic)
     metadata = _base_metadata(cfg)
     metadata["max_abs_error"] = float(error.max())

@@ -29,9 +29,9 @@ or sample count.  It returns arrays with the band index last: energies
 (Q, N), right and left vectors (Q, N, N) with columns as bands, and
 degeneracy flags (Q, N).  It is the one place that scales a band vector:
 each right vector has unit power, sum |right_l|^2 = 1, and its left vector
-is paired to it, left . right = 1 (no complex conjugate).  eigensystem and
-band_energies are views of it, and so are the state preparation and band
-projection of the dynamics module.
+is paired to it, left . right = 1 (no complex conjugate).  band_energies
+is a view of it, and so are the state preparation and band projection of
+the dynamics module.
 """
 
 from __future__ import annotations
@@ -89,23 +89,6 @@ class LatticeParams:
     @property
     def mode_indices(self) -> np.ndarray:
         return np.arange(-self.l_max, self.l_max + 1)
-
-
-@dataclass(frozen=True)
-class BandEigenpair:
-    """One band at one Bloch momentum with biorthogonal partner vectors.
-
-    H right = energy * right and H^T left = energy * left, with right of
-    unit power and left . right = 1.  With a real spectrum and v_imag = 0
-    the two vectors coincide.  Pairs flagged degenerate sit within
-    DEGENERACY_TOL of a neighbour (or were impossible to pair up) and their
-    vectors should not be trusted.
-    """
-
-    energy: complex
-    right: np.ndarray
-    left: np.ndarray
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -246,20 +229,15 @@ def band_arrays(params: LatticeParams, q, solver: str = "auto", bands=None) -> B
     return BandArrays(*(np.concatenate(parts) for parts in zip(*blocks)))
 
 
-def eigensystem(params: LatticeParams, q: float, solver: str = "auto") -> list[BandEigenpair]:
-    """All 2*l_max+1 eigenpairs at q, sorted by Re energy (then Im); solver as in band_arrays."""
-    b = band_arrays(params, q, solver)
-    return [
-        BandEigenpair(complex(energy), right, left, bool(degenerate))
-        for energy, right, left, degenerate in zip(
-            b.energies[0], b.right[0].T, b.left[0].T, b.degenerate[0]
-        )
-    ]
-
-
 def band_energies(params: LatticeParams, q: float, solver: str = "auto") -> np.ndarray:
     """Sorted eigenvalues at q only (cheaper than full eigenpairs); solver as in band_arrays."""
     return band_arrays(params, q, solver, bands=()).energies[0]
+
+
+# Kept as a name only, until the benchmark tracer moves to band_arrays (ROADMAP
+# item 5): perfbench/tracing.py wraps it, perfbench/test_perfbench.py reads it
+# and tests/test_api.py::test_benchmark_surface_resolves pins it.
+eigensystem = band_arrays
 
 
 def phase_of(params: LatticeParams, energies: np.ndarray) -> tuple[str, float]:

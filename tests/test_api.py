@@ -21,7 +21,6 @@ from ptlattice.results import ResultTable, load_csv
 
 EXPECTED = {
     "__version__",
-    "BandEigenpair",
     "ConfigError",
     "DegenerateBandError",
     "DriveParams",
@@ -36,7 +35,6 @@ EXPECTED = {
     "amplification_ratio",
     "build_hamiltonian",
     "critical_survival",
-    "eigensystem",
     "evolve",
     "evolve_two_mode",
     "lz_probability",

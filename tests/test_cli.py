@@ -199,6 +199,22 @@ class TestConfig:
         assert "MAX_GRID_STEPS" in capsys.readouterr().err
         assert no_march == []
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_grid_above_the_largest_exits_2(self, tmp_path, capsys, no_march, jobs):
+        # the 0.3 point alone fits, but its two descending neighbours need
+        # about 1e151 and 1e300 grid steps: no point marches, whatever jobs is
+        doc = dict(sweep_doc(), jobs=jobs)
+        doc["lattice"]["l_max"] = 6
+        doc["sweep"].update(rate_min=0.3, rate_max=1e-300, count=3)
+        with pytest.raises(ParameterError, match="MAX_GRID_STEPS"):
+            run_sweep(parse_config(doc))
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == 2
+        assert "MAX_GRID_STEPS" in capsys.readouterr().err
+        assert no_march == []
+        assert not (tmp_path / "s.csv").exists()
+
     def test_evolve_overflow_exits_2_without_output(self, tmp_path, capsys):
         # deep in the broken phase the beam grows past the float range; the
         # run fails with no numpy warning (warnings are errors under pytest)
@@ -425,6 +441,50 @@ class TestRunners:
                 run_sweep(parse_config(doc))
         assert waited.value <= 1
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("via_cli", [False, True], ids=["api", "cli"])
+    def test_sweep_child_that_dies_is_reported(self, monkeypatch, tmp_path, capfd, via_cli):
+        # the child exits on its first point without sending it; the caller
+        # computes its own points only once the child has died, so the child
+        # always takes one, and the sweep fails instead of losing that point
+        caller, real = os.getpid(), experiments.transition_probability
+        died = multiprocessing.Value("i", 0)
+
+        def dying(lattice, drive, step=None, refine=1):
+            if os.getpid() != caller:
+                died.value = 1
+                os._exit(3)
+            deadline = time.monotonic() + 60
+            while not died.value and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return real(lattice, drive, step, refine)
+
+        monkeypatch.setattr(experiments, "transition_probability", dying)
+        doc = dict(sweep_doc(), jobs=2)
+        if via_cli:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            err = capfd.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("ptlattice: error: ")
+            assert "exited with code 3" in err[0]
+            assert not (tmp_path / "o.csv").exists()
+        else:
+            with pytest.raises(ChildProcessError, match="exited with code 3"):
+                run_sweep(parse_config(doc))
+        assert died.value == 1
+        assert multiprocessing.active_children() == []
+
+    def test_linear_spacing_is_linspace(self):
+        doc = sweep_doc()
+        doc["lattice"]["l_max"] = 6
+        doc["sweep"].update(spacing="linear", count=4)
+        rows = []
+        for jobs in (1, 2):
+            table = run_sweep(parse_config(dict(doc, jobs=jobs)))
+            np.testing.assert_array_equal(table.column("rate"), np.linspace(0.1, 0.3, 4))
+            rows.append(table.rows)
+        assert rows[0] == rows[1]
 
     def test_run_multicross_plateau_metadata(self):
         doc = {

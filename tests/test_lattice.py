@@ -10,7 +10,6 @@ from ptlattice import (
     ParameterError,
     PhaseError,
     build_hamiltonian,
-    eigensystem,
 )
 from ptlattice.lattice import band_arrays, band_energies, phase_of
 
@@ -88,8 +87,8 @@ class TestSymmetrize:
         h = build_hamiltonian(params, 0.3)
         np.testing.assert_array_equal(h, h.T)
         np.testing.assert_allclose(np.diag(h, 1), 0.2)
-        for p in eigensystem(params, 0.3, solver="symmetric"):
-            np.testing.assert_allclose(p.right, p.left)
+        b = band_arrays(params, 0.3, solver="symmetric")
+        np.testing.assert_allclose(b.right[0], b.left[0])
         np.testing.assert_allclose(band_energies(params, 0.3, solver="symmetric").real,
                                    np.linalg.eigvalsh(h))
 
@@ -111,15 +110,12 @@ class TestSymmetrize:
 
     def test_gauge_weights_reconstruct_operator(self):
         params = LatticeParams(0.2, 0.1, 5)
-        pairs = eigensystem(params, 0.7, solver="symmetric")
-        right = np.array([p.right for p in pairs]).T
-        left = np.array([p.left for p in pairs]).T
-        energies = np.array([p.energy for p in pairs])
-        recovered = right @ np.diag(energies) @ left.T
+        b = band_arrays(params, 0.7, solver="symmetric")
+        recovered = b.right[0] @ np.diag(b.energies[0]) @ b.left[0].T
         np.testing.assert_allclose(recovered, build_hamiltonian(params, 0.7), atol=1e-12)
 
     def test_phase_error_outside_unbroken(self):
-        for solve in (eigensystem, band_energies):
+        for solve in (band_arrays, band_energies):
             with pytest.raises(PhaseError):
                 solve(LatticeParams(0.2, 0.25), 0.0, solver="symmetric")
             with pytest.raises(PhaseError):
@@ -133,52 +129,51 @@ class TestSymmetrize:
     def test_no_overflow_near_criticality_at_large_basis(self):
         # the gauge weights span r**(+-l_max/2) with r = 2.5e-7, far beyond
         # the float range at l_max 80; the solve must stay finite and silent
-        pairs = eigensystem(LatticeParams(0.2, 0.2 - 1e-7, 80), 0.0)
-        for p in pairs:
-            assert np.all(np.isfinite(p.right)) and np.all(np.isfinite(p.left))
-        ground = pairs[0]
-        assert not ground.degenerate
-        assert np.dot(ground.left, ground.right) == pytest.approx(1.0, abs=1e-8)
-        assert np.linalg.norm(ground.right) == pytest.approx(1.0, rel=1e-9)
+        b = band_arrays(LatticeParams(0.2, 0.2 - 1e-7, 80), 0.0)
+        assert np.all(np.isfinite(b.right[0])) and np.all(np.isfinite(b.left[0]))
+        right, left = b.right[0][:, 0], b.left[0][:, 0]
+        assert not b.degenerate[0][0]
+        assert np.dot(left, right) == pytest.approx(1.0, abs=1e-8)
+        assert np.linalg.norm(right) == pytest.approx(1.0, rel=1e-9)
         small = band_energies(LatticeParams(0.2, 0.2 - 1e-7, 12), 0.0)
-        assert ground.energy == pytest.approx(small[0], abs=1e-12)
+        assert b.energies[0][0] == pytest.approx(small[0], abs=1e-12)
 
 
 class TestEigensystem:
     def test_triangular_critical_point(self):
-        pairs = eigensystem(LatticeParams(0.2, 0.2), 0.0)
-        got = np.array([p.energy for p in pairs])
+        b = band_arrays(LatticeParams(0.2, 0.2), 0.0)
+        got = b.energies[0]
         expected = np.sort((2.0 * np.arange(-12, 13)) ** 2)
         np.testing.assert_array_equal(got.real, expected)
         np.testing.assert_array_equal(got.imag, 0.0)
         # the duplicated levels are flagged, the isolated ground level is not
-        assert not pairs[0].degenerate
-        assert pairs[1].degenerate and pairs[2].degenerate
+        degenerate = b.degenerate[0]
+        assert not degenerate[0]
+        assert degenerate[1] and degenerate[2]
 
     @pytest.mark.parametrize("v_imag", [0.0, 0.15])
     def test_zone_edge_gap(self, v_imag):
         # degenerate two-mode perturbation theory: gap = 2 sqrt(v1^2 - v2^2)
-        pairs = eigensystem(LatticeParams(0.2, v_imag), 1.0)
-        gap = (pairs[1].energy - pairs[0].energy).real
+        energies = band_arrays(LatticeParams(0.2, v_imag), 1.0).energies[0]
+        gap = (energies[1] - energies[0]).real
         assert gap == pytest.approx(2.0 * math.sqrt(0.2**2 - v_imag**2), rel=0.01)
 
     def test_biorthonormal_pairs(self):
         params = LatticeParams(0.2, 0.15)
-        pairs = eigensystem(params, 0.7)
+        b = band_arrays(params, 0.7)
         h = build_hamiltonian(params, 0.7)
-        v = np.array([p.right for p in pairs]).T
-        w = np.array([p.left for p in pairs]).T
+        v, w = b.right[0], b.left[0]
         gram = w.T @ v
-        np.testing.assert_allclose(gram, np.eye(len(pairs)), atol=1e-8)
-        for p in pairs:
-            assert np.linalg.norm(h @ p.right - p.energy * p.right) < 1e-8
-            assert np.linalg.norm(h.T @ p.left - p.energy * p.left) < 1e-8
-            assert np.linalg.norm(p.right) == pytest.approx(1.0, rel=1e-9)
+        np.testing.assert_allclose(gram, np.eye(params.size), atol=1e-8)
+        for energy, right, left in zip(b.energies[0], v.T, w.T):
+            assert np.linalg.norm(h @ right - energy * right) < 1e-8
+            assert np.linalg.norm(h.T @ left - energy * left) < 1e-8
+            assert np.linalg.norm(right) == pytest.approx(1.0, rel=1e-9)
 
     def test_hermitian_limit_left_equals_right(self):
-        pairs = eigensystem(LatticeParams(0.2, 0.0), 0.4)
-        for p in pairs:
-            assert np.linalg.norm(p.right - p.left) < 1e-9
+        b = band_arrays(LatticeParams(0.2, 0.0), 0.4)
+        for right, left in zip(b.right[0].T, b.left[0].T):
+            assert np.linalg.norm(right - left) < 1e-9
 
     def test_general_solver_agrees_in_unbroken_phase(self):
         params = LatticeParams(0.2, 0.15)
@@ -186,7 +181,7 @@ class TestEigensystem:
         gen = band_energies(params, 0.3, solver="general")
         np.testing.assert_allclose(sym, gen, atol=1e-9)
 
-    @pytest.mark.parametrize("solve", [eigensystem, band_energies])
+    @pytest.mark.parametrize("solve", [band_arrays, band_energies])
     def test_unknown_solver_rejected(self, solve):
         with pytest.raises(ParameterError, match="bogus"):
             solve(LatticeParams(0.2, 0.15), 0.3, solver="bogus")
@@ -259,14 +254,11 @@ class TestBandStructure:
         energies = energies_on(params, grid)
         for iq, q in enumerate(grid):
             np.testing.assert_allclose(energies[iq], band_energies(params, q), atol=1e-12)
-            pairs = eigensystem(params, q)
-            np.testing.assert_allclose(stacked.energies[iq], [p.energy for p in pairs],
-                                       atol=1e-12)
-            np.testing.assert_allclose(stacked.right[iq], np.array([p.right for p in pairs]).T,
-                                       atol=1e-12)
-            np.testing.assert_allclose(stacked.left[iq], np.array([p.left for p in pairs]).T,
-                                       atol=1e-12)
-            assert list(stacked.degenerate[iq]) == [p.degenerate for p in pairs]
+            single = band_arrays(params, q)
+            np.testing.assert_allclose(stacked.energies[iq], single.energies[0], atol=1e-12)
+            np.testing.assert_allclose(stacked.right[iq], single.right[0], atol=1e-12)
+            np.testing.assert_allclose(stacked.left[iq], single.left[0], atol=1e-12)
+            np.testing.assert_array_equal(stacked.degenerate[iq], single.degenerate[0])
 
     @pytest.mark.parametrize(
         "v_imag, l_max",
