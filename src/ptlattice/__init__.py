@@ -24,7 +24,6 @@ from .lattice import LatticeParams, build_hamiltonian
 from .twomode import (
     TwoModeParams,
     TwoModeTrace,
-    amplification_ratio,
     critical_survival,
     evolve_two_mode,
     lz_probability,
@@ -45,7 +44,6 @@ __all__ = [
     "PhaseError",
     "TwoModeParams",
     "TwoModeTrace",
-    "amplification_ratio",
     "build_hamiltonian",
     "critical_survival",
     "evolve",

@@ -25,6 +25,7 @@ from .config import ExperimentConfig
 from .dynamics import (
     POWER_HALVING_TOL,
     DriveParams,
+    _crossings_between,
     _lattice_grid,
     evolve,
     plateau_averages,
@@ -79,14 +80,18 @@ def run_bands(cfg: ExperimentConfig) -> ResultTable:
 
 def _driven(cfg: ExperimentConfig, columns: tuple[str, ...]) -> tuple[ResultTable, list]:
     """Drive band 1: a table of the trace's columns, and its plateaus with two-mode predictions."""
+    # first, so that a prediction beyond the float range raises before the march
+    two = TwoModeParams.from_lattice(cfg.lattice, cfg.drive.rate)
+    crossings = _crossings_between(cfg.drive.q_start, cfg.drive.q_stop)
+    predicted = {n: multicross_power(two.coupling, two.skew, two.rate, n)
+                 for n in range(1, crossings + 1)}
     state = prepare_band_state(cfg.lattice, cfg.drive.q_start, 1)
     trace = evolve(state, cfg.lattice, cfg.drive, cfg.integrator)
-    two = TwoModeParams.from_lattice(cfg.lattice, cfg.drive.rate)
     plateaus = []
     for n, mean_power in plateau_averages(trace).items():
         entry = {"crossings": n, "mean_power": mean_power}
-        if n >= 1 and abs(two.skew) < two.coupling:
-            entry["predicted_power"] = multicross_power(two.coupling, two.skew, two.rate, n)
+        if n in predicted:
+            entry["predicted_power"] = predicted[n]
         plateaus.append(entry)
     table = ResultTable({k: getattr(trace, k) for k in columns}, _traced_metadata(cfg, trace))
     return table, plateaus
@@ -198,7 +203,6 @@ def run_sweep(cfg: ExperimentConfig) -> ResultTable:
     sweep = cfg.doc["sweep"]
     spaced = np.geomspace if sweep["spacing"] == "log" else np.linspace
     rates = spaced(sweep["rate_min"], sweep["rate_max"], sweep["count"])
-    # the closed form raises outside the real-gap regime, before any propagation
     twos = [TwoModeParams.from_lattice(cfg.lattice, rate) for rate in rates.tolist()]
     analytic = np.array([lz_probability(two.coupling, two.skew, two.rate) for two in twos])
     jobs = [
@@ -238,11 +242,10 @@ def run_twomode(cfg: ExperimentConfig) -> ResultTable:
     tail1, tail2 = trace.tail_intensities()
     metadata["tail_intensities"] = {"a1_sq": tail1, "a2_sq": tail2}
     two = cfg.twomode
-    if abs(two.skew) < two.coupling:
-        metadata["analytic"] = {
-            "transition": lz_probability(two.coupling, two.skew, two.rate),
-            "survival": lz_survival(two.coupling, two.skew, two.rate),
-        }
+    metadata["analytic"] = {
+        "transition": lz_probability(two.coupling, two.skew, two.rate),
+        "survival": lz_survival(two.coupling, two.skew, two.rate),
+    }
     columns = {"t": trace.t, "a1_sq": a1_sq, "a2_sq": a2_sq, "power": a1_sq + a2_sq}
     return ResultTable(columns, metadata)
 

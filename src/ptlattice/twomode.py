@@ -13,17 +13,20 @@ one from their arguments, so every formula here sees rate > 0.
 
 Component 2 is the lower level for t -> -inf and component 1 for t -> +inf,
 so a sweep prepared in the ground level starts as (0, 1).  After the
-crossing the intensities approach
+crossing the intensities approach, with x = pi (coupling^2 - skew^2)/(2 rate),
 
-    |a2|^2 -> P = exp(-pi (coupling^2 - skew^2) / (2 rate))      (transition)
-    |a1|^2 -> amplification_ratio * (1 - P)                      (survival)
+    |a2|^2 -> P = exp(-x)                                        (transition)
+    |a1|^2 -> (coupling + skew)^2 pi/(2 rate) phi(x)             (survival)
 
-where amplification_ratio = (coupling + skew)/(coupling - skew).  These are
-relative intensities: total power is not conserved for skew != 0.  In the
-vanishing-gap limit skew -> +coupling the survival tends to the finite value
-2*pi*coupling^2/rate while skew -> -coupling empties the ground level
-completely.  evolve_two_mode integrates the system directly and is the
-independent numerical check of every formula here.
+where phi(x) = (1 - exp(-x))/x, phi(0) = 1.  Both are analytic in
+coupling^2 - skew^2.  For |skew| < coupling the survival is
+(coupling + skew)/(coupling - skew) * (1 - P); at skew = +coupling it is
+2*pi*coupling^2/rate (critical_survival), at -coupling 0.  Past the
+exceptional point, |skew| > coupling, x < 0 and P > 1: the ratio and 1 - P
+are both negative, and phi > 0 keeps the survival positive.  These are
+relative intensities: power is not conserved for skew != 0, and a value
+beyond the float range raises ParameterError.  evolve_two_mode integrates
+the system directly and is the independent check of every formula here.
 
 Its scheme is the lattice propagator's (dynamics module): the diagonal is
 integrated exactly, the constant coupling C enters through the same
@@ -43,6 +46,7 @@ the diagonal phase advance per step, not by stability.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -106,46 +110,51 @@ class TwoModeTrace:
         return tuple(float(np.mean(np.abs(a[-n:]) ** 2)) for a in (self.a1, self.a2))
 
 
-def amplification_ratio(coupling: float, skew: float) -> float:
-    """Survival amplification (coupling + skew)/(coupling - skew)."""
-    if skew == coupling:
-        raise ParameterError("amplification ratio is singular at skew == coupling")
-    return (coupling + skew) / (coupling - skew)
+def _in_float_range(formula):
+    """formula, raising ParameterError where its value overflows or is not finite."""
+    @functools.wraps(formula)
+    def checked(*args, **kwargs):
+        try:
+            value = formula(*args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+        inputs = args + tuple(kwargs.values())
+        raise ParameterError(f"{formula.__name__}{inputs} leaves the float range")
+    return checked
 
 
 def _exponent(coupling: float, skew: float, rate: float) -> tuple[TwoModeParams, float]:
-    """The checked TwoModeParams and pi (coupling^2 - skew^2)/(2|rate|)."""
+    """The checked TwoModeParams and x = pi (coupling^2 - skew^2)/(2|rate|), < 0 past the EP."""
     p = TwoModeParams(coupling, skew, rate)
-    if abs(p.skew) >= p.coupling:
-        raise ParameterError("transition formulas require |skew| < coupling (real gap)")
     return p, math.pi * (p.coupling * p.coupling - p.skew * p.skew) / (2.0 * p.rate)
 
 
+@_in_float_range
 def lz_probability(coupling: float, skew: float, rate: float) -> float:
-    """Asymptotic transition intensity exp(-pi (coupling^2 - skew^2)/(2|rate|))."""
+    """Asymptotic transition intensity P = exp(-x); rate < 0 flips the skew."""
     return math.exp(-_exponent(coupling, skew, rate)[1])
 
 
+@_in_float_range
 def lz_survival(coupling: float, skew: float, rate: float) -> float:
-    """Asymptotic ground intensity amplification_ratio * (1 - P); rate < 0 flips the skew."""
-    p, exponent = _exponent(coupling, skew, rate)
-    # expm1 keeps 1 - P accurate when the gap is tiny and P is close to 1
-    return amplification_ratio(p.coupling, p.skew) * -math.expm1(-exponent)
+    """Asymptotic ground intensity (c + s)^2 pi/(2|rate|) phi(x), c = coupling, s = skew."""
+    p, x = _exponent(coupling, skew, rate)
+    phi = -math.expm1(-x) / x if x else 1.0  # expm1 keeps phi accurate as x -> 0
+    return (p.coupling + p.skew) ** 2 * math.pi / (2.0 * p.rate) * phi
 
 
 def critical_survival(coupling: float, rate: float) -> float:
-    """Ground intensity left per crossing at skew = +coupling, 2 pi c^2/rate; 0 for rate < 0."""
-    p = TwoModeParams(coupling, coupling, rate)
-    if p.skew < 0:  # the reversed sweep has skew = -coupling: the ground level empties
-        return 0.0
-    return 2.0 * math.pi * p.coupling * p.coupling / p.rate
+    """lz_survival at skew = +coupling, 2 pi c^2/rate; 0 for rate < 0 (skew = -coupling)."""
+    return lz_survival(coupling, coupling, rate)
 
 
+@_in_float_range
 def multicross_power(coupling: float, skew: float, rate: float, crossings: int) -> float:
-    """Total power after the given number of consecutive avoided crossings.
+    """Total power after n isolated crossings, S**n + P * sum(S**i for i < n).
 
-    survival = lz_survival, P = lz_probability:
-    power = survival**n + P * sum(survival**i for i in range(n)); n = 0 gives 1.
+    S is lz_survival and P lz_probability; n = 0 gives 1.
     """
     if not _is_integer(crossings) or crossings < 0:
         raise ParameterError("crossings must be a non-negative integer")

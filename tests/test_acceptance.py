@@ -274,8 +274,6 @@ def test_criterion_7_two_mode_oracle_suite():
     checked = 0
     for coupling in (0.2, 0.4):
         for skew in (-0.3, 0.0, 0.3):
-            if abs(skew) >= coupling:
-                continue  # imaginary two-level gap: outside the formulas' domain
             for rate in (0.05, 0.12, 0.5):
                 trace = evolve_two_mode(TwoModeParams(coupling, skew, rate))
                 got1, got2 = trace.tail_intensities()

@@ -32,7 +32,6 @@ EXPECTED = {
     "PhaseError",
     "TwoModeParams",
     "TwoModeTrace",
-    "amplification_ratio",
     "build_hamiltonian",
     "critical_survival",
     "evolve",

@@ -19,6 +19,7 @@ from ptlattice.errors import ConfigError, ParameterError
 from ptlattice.lattice import band_arrays
 from ptlattice.experiments import run_bands, run_evolve, run_multicross, run_sweep, run_twomode
 from ptlattice.results import _BLOCK_ROWS, ResultTable, load_csv
+from ptlattice.twomode import critical_survival, lz_probability, multicross_power
 
 
 def bands_doc(**overrides):
@@ -229,6 +230,45 @@ class TestConfig:
         assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "float range" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+
+    def test_sweep_closed_form_overflow_exits_2_before_any_point(self, tmp_path, capsys,
+                                                                   no_march):
+        # exp(942) at rate 1e-3: the analytic column is computed before any point marches
+        doc = sweep_doc()
+        doc["lattice"]["v_imag"] = 0.8
+        doc["sweep"]["rate_min"] = 1e-3
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ptlattice: error: ")
+        assert "leaves the float range" in err[0]
+        assert no_march == []
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_multicross_prediction_overflow_exits_2_before_the_march(self, tmp_path, capsys,
+                                                                     request):
+        # far past the exceptional point the two-mode P = exp(785) leaves the
+        # float range while the lattice's power peaks at 3.8e250: the run fails
+        # on its plateau predictions before any step marches, and writes nothing
+        doc = {
+            "kind": "multicross",
+            "lattice": {"v_real": 0.2, "v_imag": 10.0, "l_max": 6},
+            "drive": {"rate": 0.2, "q_start": 0.0, "q_stop": 3.9},
+        }
+        cfg = parse_config(doc)
+        trace = dynamics.evolve(dynamics.prepare_band_state(cfg.lattice, 0.0, 1), cfg.lattice,
+                                cfg.drive)
+        assert np.all(np.isfinite(trace.power)) and trace.power.max() < 1e300
+        no_march = request.getfixturevalue("no_march")
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc))
+        assert main(["multicross", "--config", str(path), "--out", str(tmp_path / "m")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ptlattice: error: ")
+        assert "leaves the float range" in err[0]
+        assert no_march == []
+        assert not (tmp_path / "m.csv").exists()
 
     def test_zero_jobs_flag_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bands.json"
@@ -508,18 +548,35 @@ class TestRunners:
         with pytest.raises(ConfigError, match="at least two"):
             parse_config(doc)
 
-    @pytest.mark.parametrize("v_imag", [0.2, 0.25])
-    def test_sweep_outside_real_gap_fails_before_propagating(self, v_imag, monkeypatch):
-        # the closed form has no value at |skew| >= coupling: the sweep must
-        # say so before it spends any propagation on the numeric column
-        calls = []
-        monkeypatch.setattr(experiments, "transition_probability",
-                            lambda *args: calls.append(args) or 0.0)
+    @pytest.mark.parametrize("v_imag", [0.2, 0.25, 0.3, -0.25])
+    def test_sweep_past_the_exceptional_point_follows_the_closed_form(self, v_imag, tmp_path):
+        # at and past |v_imag| = v_real the continued closed form is the
+        # analytic column, and the lattice follows it (measured worst +1.83%,
+        # at v_imag 0.3 and rate 0.03)
         doc = sweep_doc()
-        doc["lattice"]["v_imag"] = v_imag
-        with pytest.raises(ParameterError, match="real gap"):
-            run_sweep(parse_config(doc))
-        assert calls == []
+        doc["lattice"].update(v_imag=v_imag, l_max=12)
+        doc["sweep"].update(rate_min=0.03, rate_max=0.3, count=3)
+        path = tmp_path / "ep.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+        table = load_csv(tmp_path / "s.csv")
+        for rate, numeric, analytic in zip(*map(table.column, ("rate", "p_numeric", "p_analytic"))):
+            assert analytic == lz_probability(0.4, 2 * v_imag, 4 * rate)
+            assert numeric == pytest.approx(analytic, rel=0.02)
+
+    def test_multicross_at_the_exceptional_point_predicts_every_plateau(self):
+        doc = {
+            "kind": "multicross",
+            "lattice": {"v_real": 0.2, "v_imag": 0.2},
+            "drive": {"rate": 0.1, "q_start": 0.0, "q_stop": 3.9},
+        }
+        plateaus = run_multicross(parse_config(doc)).metadata["plateaus"]
+        assert [p["crossings"] for p in plateaus] == [0, 1, 2]
+        for p in plateaus[1:]:
+            predicted = multicross_power(0.4, 0.4, 0.4, p["crossings"])
+            assert p["predicted_power"] == predicted
+            assert p["mean_power"] == pytest.approx(predicted, rel=0.1)
+        assert plateaus[1]["predicted_power"] == 1.0 + critical_survival(0.4, 0.4)
 
     def test_run_twomode_metadata(self):
         doc = {
@@ -534,6 +591,11 @@ class TestRunners:
         )
         rows = np.array(table.rows)
         np.testing.assert_allclose(rows[:, 3], rows[:, 1] + rows[:, 2], atol=1e-12)
+
+    def test_run_twomode_at_matched_amplitudes_records_the_analytic_limits(self):
+        doc = {"kind": "twomode", "twomode": {"coupling": 0.4, "skew": 0.4, "rate": 0.12}}
+        analytic = run_twomode(parse_config(doc)).metadata["analytic"]
+        assert analytic == {"transition": 1.0, "survival": critical_survival(0.4, 0.12)}
 
     def test_run_twomode_integrator_passes_through(self):
         doc = {

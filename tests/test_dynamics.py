@@ -276,6 +276,27 @@ class TestCriticalCascade:
         assert np.linalg.norm(trace.final_state.amplitudes - final) <= 1e-10 * np.linalg.norm(final)
 
 
+class TestHermitianGauge:
+    @pytest.mark.parametrize("v_imag, l_max, rate", [(0.15, 8, 0.03), (0.19, 6, 0.1),
+                                                     (-0.1, 8, -0.03)])
+    def test_unbroken_run_is_a_hermitian_run_seen_through_the_gauge(self, v_imag, l_max, rate):
+        # D = diag(r^(l/2)) takes H to the Hermitian lattice of coupling
+        # sqrt(v_real^2 - v_imag^2) and does not depend on q, so a driven
+        # state is D b with b the Hermitian run from D^-1 a(0); r^l_max stays
+        # within 2.8e-10 to 6.6e3 here.  Measured: final states within 3.5e-14
+        # relative, and b's power within 1.7e-12 of its launch
+        params = LatticeParams(0.2, v_imag, l_max)
+        hermitian = LatticeParams(math.sqrt(0.2**2 - v_imag**2), 0.0, l_max)
+        r = (0.2 - v_imag) / (0.2 + v_imag)
+        d = r ** (np.arange(-l_max, l_max + 1) / 2.0)
+        drive = DriveParams(rate, 0.0, math.copysign(3.9, rate))
+        state = prepare_band_state(params, 0.0, 1)
+        a = evolve(state, params, drive).final_state.amplitudes
+        b = evolve(ModeVector(state.amplitudes / d, 0.0), hermitian, drive)
+        assert np.linalg.norm(a - d * b.final_state.amplitudes) <= 1e-12 * np.linalg.norm(a)
+        assert np.max(np.abs(b.power / b.power[0] - 1.0)) <= 1e-10
+
+
 class TestPowerAndProjection:
     def test_biorthonormal_projection(self):
         params = LatticeParams(0.2, 0.15)
@@ -574,6 +595,20 @@ class TestEvolve:
         two = (2 * 0.2, 2 * v_imag, 4 * rate)
         assert trace.band1_prob[-1] == pytest.approx(lz_survival(*two), rel=0.02)
         assert trace.band2_prob[-1] == pytest.approx(lz_probability(*two), rel=0.02)
+
+    @pytest.mark.parametrize("rate, v_imag", [(0.03, 0.15), (0.03, 0.22), (0.03, 0.25),
+                                              (0.03, 0.3), (0.1, 0.25), (0.1, 0.3), (0.03, -0.25)])
+    def test_occupations_follow_the_continued_forms_past_the_exceptional_point(self, rate,
+                                                                                v_imag):
+        # one unbroken point and six with |v_imag| > v_real, where band 1 keeps
+        # the continued survival and band 2 the transition P > 1 (measured
+        # within 1.15% and 1.83%)
+        params = LatticeParams(0.2, v_imag, 12)
+        trace = evolve(prepare_band_state(params, 0.0, 1), params, DriveParams(rate, 0.0, 1.8))
+        two = (2 * 0.2, 2 * v_imag, 4 * rate)
+        assert trace.band1_prob[-1] == pytest.approx(lz_survival(*two), rel=0.02)
+        assert trace.band2_prob[-1] == pytest.approx(lz_probability(*two), rel=0.02)
+        assert trace.metadata["projection_failures"] == 0
 
     def test_grid_above_the_largest_is_rejected(self):
         # checked on the unrounded step count, so one that overflows is caught too

@@ -9,7 +9,6 @@ from ptlattice import (
     IntegratorConfig,
     ParameterError,
     TwoModeParams,
-    amplification_ratio,
     critical_survival,
     evolve_two_mode,
     lz_probability,
@@ -21,17 +20,6 @@ from ptlattice import dynamics
 from ptlattice.dynamics import _expm
 from ptlattice.lattice import LatticeParams
 from ptlattice.twomode import _CHUNK, _TABLE, ground_state
-
-
-class TestAmplificationRatio:
-    def test_values(self):
-        assert amplification_ratio(0.4, 0.0) == 1.0
-        assert amplification_ratio(0.4, 0.2) == pytest.approx(3.0, rel=1e-14)
-        assert amplification_ratio(0.4, -0.2) == pytest.approx(1.0 / 3.0, rel=1e-14)
-
-    def test_singular_at_matched_amplitudes(self):
-        with pytest.raises(ParameterError):
-            amplification_ratio(0.4, 0.4)
 
 
 class TestTransitionFormulas:
@@ -50,11 +38,12 @@ class TestTransitionFormulas:
 
     def test_domain_errors(self):
         with pytest.raises(ParameterError):
-            lz_probability(0.4, 0.4, 0.12)
-        with pytest.raises(ParameterError):
-            lz_probability(0.4, -0.5, 0.12)
-        with pytest.raises(ParameterError):
             lz_probability(0.4, 0.0, 0.0)
+
+    def test_closed_gap_is_a_full_transition(self):
+        # x = 0 at |skew| = coupling: nothing rejects the exceptional point
+        assert lz_probability(0.4, 0.4, 0.12) == 1.0
+        assert lz_probability(0.4, -0.4, 0.12) == 1.0
 
     def test_reduces_to_classic_form_exactly(self):
         for coupling, rate in ((0.4, 0.12), (0.2, 0.05), (0.7, 2.0)):
@@ -95,10 +84,17 @@ class TestSurvival:
         assert lz_survival(0.4, 0.0, 0.12) == pytest.approx(1.0 - p, rel=1e-14)
 
     def test_skewed_value(self):
-        # 7 * (1 - 0.3999956...) computed from the two factors directly
-        expected = amplification_ratio(0.4, 0.3) * (1.0 - lz_probability(0.4, 0.3, 0.12))
-        assert lz_survival(0.4, 0.3, 0.12) == pytest.approx(expected, rel=1e-12)
+        # 7 * (1 - 0.3999956...)
         assert lz_survival(0.4, 0.3, 0.12) == pytest.approx(4.2, abs=2e-4)
+
+    @pytest.mark.parametrize("skew, rate", [(0.0, 0.12), (0.15, 0.12), (0.3, 0.12), (-0.3, 0.12),
+                                            (0.2, 1e-12), (0.3, -0.12)])
+    def test_real_gap_value_is_the_ratio_times_one_minus_p(self, skew, rate):
+        # the continued form (c + s)^2 pi/(2 rate) phi(x) is (c + s)/(c - s) (1 - P)
+        # wherever the ratio is defined; a negative rate flips the skew
+        s = math.copysign(1.0, rate) * skew
+        expected = (0.4 + s) / (0.4 - s) * (1.0 - lz_probability(0.4, skew, rate))
+        assert lz_survival(0.4, skew, rate) == pytest.approx(expected, rel=1e-14)
 
     def test_adiabatic_limit_is_amplification_ratio(self):
         assert lz_survival(0.4, 0.2, 1e-12) == pytest.approx(3.0, rel=1e-12)
@@ -127,9 +123,56 @@ class TestCriticalLimits:
             assert critical_survival(coupling, rate) == 0.0
 
 
+class TestPastTheExceptionalPoint:
+    @pytest.mark.parametrize("coupling, skew, rate", [(0.4, 0.5, 0.12), (0.4, -0.6, 0.12),
+                                                      (0.2, 0.3, 0.05), (0.0, 0.3, 0.5)])
+    def test_broken_phase_continues_the_real_gap_forms(self, coupling, skew, rate):
+        # x < 0: P > 1, and the ratio and 1 - P are both negative
+        x = math.pi * (coupling**2 - skew**2) / (2.0 * rate)
+        p = lz_probability(coupling, skew, rate)
+        assert x < 0.0 and p == math.exp(-x) > 1.0
+        expected = (coupling + skew) / (coupling - skew) * (1.0 - p)
+        assert lz_survival(coupling, skew, rate) == pytest.approx(expected, rel=1e-13)
+        assert lz_survival(coupling, skew, rate) > 0.0
+
+    def test_critical_survival_is_the_continued_form_at_closed_gap(self):
+        for coupling, rate in ((0.4, 0.12), (0.2, 0.004), (0.4, -0.12)):
+            assert critical_survival(coupling, rate) == lz_survival(coupling, coupling, rate)
+
+    def test_continuation_is_smooth_through_the_exceptional_point(self):
+        # survival and P are analytic in coupling^2 - skew^2: no jump at skew = coupling
+        for eps in (1e-6, 1e-9):
+            for f in (lz_probability, lz_survival):
+                below, at, above = (f(0.4, 0.4 + d, 0.12) for d in (-eps, 0.0, eps))
+                assert below < at < above
+                assert above - at == pytest.approx(at - below, rel=1e-2)
+
+    @pytest.mark.parametrize("call", [
+        lambda: multicross_power(0.4, 0.39, 1e-4, 300),  # 79.0**300
+        lambda: lz_probability(0.4, 1.6, 0.004),  # exp(942)
+        lambda: lz_survival(0.4, 1.6, 0.004),  # expm1(942)
+        lambda: lz_survival(coupling=0.4, skew=1.6, rate=0.004),
+        # the factor (c + s)^2 pi/(2 rate) overflows though the survival is about 7 and 19
+        lambda: lz_survival(0.4, 0.3, 5e-324),
+        lambda: lz_survival(1e154, 9e153, 1.0),
+        # S = P - 1 and P = exp(709.5) are finite, but S + P sums to inf
+        lambda: multicross_power(0.0, 1.0, math.pi / 1419.0, 1),
+    ])
+    def test_values_beyond_the_float_range_raise(self, call):
+        with pytest.raises(ParameterError, match="leaves the float range"):
+            call()
+
+    def test_sum_overflow_case_has_finite_terms(self):
+        rate = math.pi / 1419.0
+        p = lz_probability(0.0, 1.0, rate)
+        assert p > 1e308 and lz_survival(0.0, 1.0, rate) == pytest.approx(p - 1.0, rel=1e-12)
+
+
 class TestMulticross:
     def test_zero_crossings_is_unity(self):
         assert multicross_power(0.4, 0.3, 0.12, 0) == 1.0
+        # even where S and P leave the float range: no crossing, no change
+        assert multicross_power(0.4, 1.6, 0.004, 0) == 1.0
 
     def test_single_crossing_identity_exact(self):
         for skew in (0.0, 0.15, 0.3, -0.3):
@@ -193,6 +236,15 @@ class TestEvolution:
         assert tail2 == pytest.approx(lz_probability(0.4, -0.3, 0.12), rel=0.02)
         # the closed forms take the reversed rate as it is
         assert tail1 == pytest.approx(lz_survival(0.4, 0.3, -0.12), rel=0.02)
+
+    @pytest.mark.parametrize("coupling", [0.2, 0.4])
+    @pytest.mark.parametrize("skew", [0.44, 0.5, 0.6, -0.5])
+    def test_broken_phase_tails_follow_the_continued_forms(self, coupling, skew):
+        # past the exceptional point, at the default step; measured worst 8.5e-4
+        for rate in (0.05, 0.12, 0.5):
+            tail1, tail2 = evolve_two_mode(TwoModeParams(coupling, skew, rate)).tail_intensities()
+            assert tail1 == pytest.approx(lz_survival(coupling, skew, rate), rel=2e-3)
+            assert tail2 == pytest.approx(lz_probability(coupling, skew, rate), rel=2e-3)
 
     def test_reversed_critical_run_empties_the_ground_level(self):
         trace = evolve_two_mode(TwoModeParams(0.4, 0.4, -0.12))
