@@ -177,9 +177,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
 
 def load_config(source) -> ExperimentConfig:
-    """Parse the JSON config file at source, or the bundled preset named source (fig3, ...)."""
+    """Parse the JSON config file at source, else the bundled preset named source (fig3, ...)."""
     path = Path(source)
-    if not path.exists():
+    if not path.is_file():
         presets = resources.files("ptlattice").joinpath("presets")
         found = [p for p in (presets / str(source), presets / f"{source}.json") if p.is_file()]
         if not found:

@@ -180,8 +180,8 @@ def _check_state(state: ModeVector, params: LatticeParams) -> None:
 
 
 @contextmanager
-def _overflow_raises():
-    """Turn a numpy overflow or invalid value into ParameterError.
+def _overflow_raises(remedy: str = "shorten the drive or lower |v_imag|"):
+    """Turn a numpy overflow or invalid value into ParameterError that ends with remedy.
 
     A long drive deep in the broken phase amplifies the beam past the float
     range; the run then fails before any row is written instead of
@@ -192,9 +192,13 @@ def _overflow_raises():
             yield
     except FloatingPointError as exc:
         raise ParameterError(
-            f"the beam's amplitudes leave the float range ({exc}); "
-            "shorten the drive or lower |v_imag|"
+            f"the beam's amplitudes leave the float range ({exc}); {remedy}"
         ) from exc
+
+
+def _halving_warnings(what: str, diff: float, tol: float = POWER_HALVING_TOL) -> list[str]:
+    """The step-halving verdict of every run: one warning if halving changed what by diff > tol."""
+    return [f"step too large: halving it changes {what} by {diff:.3e}"] if diff > tol else []
 
 
 def _one_band(params: LatticeParams, q: float, band: int) -> tuple[np.ndarray, np.ndarray]:
@@ -433,10 +437,7 @@ def evolve(
         power_diff = abs(float(rho[-1]) - float(np.sum(np.abs(y_half) ** 2)))
         metadata["final_state_halving_diff"] = state_diff
         metadata["final_power_halving_diff"] = power_diff
-        if power_diff > POWER_HALVING_TOL:
-            metadata["warnings"].append(
-                f"step too large: halving it changes the final power by {power_diff:.3e}"
-            )
+        metadata["warnings"] = _halving_warnings("the final power", power_diff)
     return EvolutionTrace(
         z=zs,
         q=qs,

@@ -3,17 +3,18 @@
 Each runner takes a parsed ExperimentConfig and produces a ResultTable: the
 arrays it computed, handed over as named columns, and metadata carrying the
 resolved configuration, the package version, and any accuracy warnings.
-evolve and multicross share one driven run, _driven, which launches band 1,
-keeps the trace columns asked for and lists the power plateaus with their
-two-mode predictions.  Sweep points are independent computations: once every
-rate's grid is checked they run costliest first in min(jobs, rates) processes,
-the calling one included, each taking the next point until none is left
-(_fan_out).  Output rows keep grid order either way.
+evolve and multicross differ only in the columns they keep of one driven
+run, _driven, which launches band 1 and records the final power and the
+power plateaus with their two-mode predictions.  Sweep points are
+independent computations: once every rate's grid is checked they run
+costliest first in min(jobs, rates) processes, the calling one included,
+each taking the next point until none is left (_fan_out).  Output rows
+keep grid order either way.
 Analytic reference columns always come from the twomode module.
 
 CHARTS declares each kind's SVG once: title, x column (also the x-axis
 label), y label, log-x, and its lines as (legend, column, dashed).  Bands
-add one line per band and multicross one dashed line per predicted plateau.
+add one line per band, the driven kinds a dashed line per predicted plateau.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .dynamics import (
-    POWER_HALVING_TOL,
     DriveParams,
     _crossings_between,
+    _halving_warnings,
     _lattice_grid,
+    _overflow_raises,
     evolve,
     plateau_averages,
     prepare_band_state,
@@ -36,6 +38,7 @@ from .lattice import band_arrays, phase_of
 from .results import ResultTable
 from .svgplot import Series, render_line_chart
 from .twomode import (
+    _OVERFLOW_REMEDY,
     TwoModeParams,
     evolve_two_mode,
     lz_probability,
@@ -78,8 +81,8 @@ def run_bands(cfg: ExperimentConfig) -> ResultTable:
     return ResultTable(columns, metadata)
 
 
-def _driven(cfg: ExperimentConfig, columns: tuple[str, ...]) -> tuple[ResultTable, list]:
-    """Drive band 1: a table of the trace's columns, and its plateaus with two-mode predictions."""
+def _driven(cfg: ExperimentConfig, columns: tuple[str, ...]) -> ResultTable:
+    """Drive band 1: the trace's columns, final power and plateaus with two-mode predictions."""
     # first, so that a prediction beyond the float range raises before the march
     two = TwoModeParams.from_lattice(cfg.lattice, cfg.drive.rate)
     crossings = _crossings_between(cfg.drive.q_start, cfg.drive.q_stop)
@@ -93,24 +96,19 @@ def _driven(cfg: ExperimentConfig, columns: tuple[str, ...]) -> tuple[ResultTabl
         if n in predicted:
             entry["predicted_power"] = predicted[n]
         plateaus.append(entry)
-    table = ResultTable({k: getattr(trace, k) for k in columns}, _traced_metadata(cfg, trace))
-    return table, plateaus
+    metadata = _traced_metadata(cfg, trace)
+    metadata.update(final_power=float(trace.power[-1]), plateaus=plateaus)
+    return ResultTable({k: getattr(trace, k) for k in columns}, metadata)
 
 
 def run_evolve(cfg: ExperimentConfig) -> ResultTable:
     """One driven run: columns (z, q, power, band1_prob, band2_prob)."""
-    table, plateaus = _driven(cfg, ("z", "q", "power", "band1_prob", "band2_prob"))
-    table.metadata["final_power"] = float(table.column("power")[-1])
-    if plateaus and "predicted_power" in plateaus[-1]:
-        table.metadata["predicted_terminal_power"] = plateaus[-1]["predicted_power"]
-    return table
+    return _driven(cfg, ("z", "q", "power", "band1_prob", "band2_prob"))
 
 
 def run_multicross(cfg: ExperimentConfig) -> ResultTable:
-    """Staircase run over >= 2 crossings: columns (z, q, power), plateau summary in metadata."""
-    table, plateaus = _driven(cfg, ("z", "q", "power"))
-    table.metadata["plateaus"] = plateaus
-    return table
+    """Staircase run over >= 2 crossings: columns (z, q, power)."""
+    return _driven(cfg, ("z", "q", "power"))
 
 
 def _sweep_point(job) -> tuple[float, float]:
@@ -224,9 +222,9 @@ def run_sweep(cfg: ExperimentConfig) -> ResultTable:
     if cfg.integrator.convergence_check:
         metadata["max_probability_halving_diff"] = float(halving.max())
         metadata["warnings"] = [
-            f"rate {rate:.6g}: step too large: halving it changes P by {diff:.3e}"
+            f"rate {rate:.6g}: {warning}"
             for rate, diff in zip(rates.tolist(), halving.tolist())
-            if diff > POWER_HALVING_TOL
+            for warning in _halving_warnings("P", diff)
         ]
     columns = {"rate": rates, "p_numeric": numeric, "p_analytic": analytic, "abs_error": error}
     return ResultTable(columns, metadata)
@@ -237,7 +235,9 @@ def run_twomode(cfg: ExperimentConfig) -> ResultTable:
     t_max = cfg.doc["t_max"]
     span = None if t_max is None else (-t_max, t_max)
     trace = evolve_two_mode(cfg.twomode, t_span=span, config=cfg.integrator)
-    a1_sq, a2_sq = np.abs(trace.a1) ** 2, np.abs(trace.a2) ** 2
+    with _overflow_raises(_OVERFLOW_REMEDY):
+        a1_sq, a2_sq = np.abs(trace.a1) ** 2, np.abs(trace.a2) ** 2
+        power = a1_sq + a2_sq
     metadata = _traced_metadata(cfg, trace)
     tail1, tail2 = trace.tail_intensities()
     metadata["tail_intensities"] = {"a1_sq": tail1, "a2_sq": tail2}
@@ -246,7 +246,7 @@ def run_twomode(cfg: ExperimentConfig) -> ResultTable:
         "transition": lz_probability(two.coupling, two.skew, two.rate),
         "survival": lz_survival(two.coupling, two.skew, two.rate),
     }
-    columns = {"t": trace.t, "a1_sq": a1_sq, "a2_sq": a2_sq, "power": a1_sq + a2_sq}
+    columns = {"t": trace.t, "a1_sq": a1_sq, "a2_sq": a2_sq, "power": power}
     return ResultTable(columns, metadata)
 
 

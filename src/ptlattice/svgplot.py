@@ -118,6 +118,7 @@ def render_line_chart(
 
     xs = np.concatenate([x for _, x, _ in cleaned])
     ys = np.concatenate([y for _, _, y in cleaned])
+    x_min, x_max = float(xs.min()), float(xs.max())
     if x_log:
         xs = np.log10(xs)
     (x_lo, x_hi), (y_lo, y_hi) = (_widen(float(v.min()), float(v.max())) for v in (xs, ys))
@@ -150,12 +151,14 @@ def render_line_chart(
         'fill="none" stroke="black"/>'
     )
 
-    x_ticks = []
     if x_log:  # decades, where the range holds one
         decades = range(math.floor(x_lo), math.ceil(x_hi) + 1)
         x_ticks = [d for d in decades if x_lo - 1e-9 <= d <= x_hi + 1e-9]
         x_tick_labels = [f"1e{d}" for d in x_ticks]
-    if not x_ticks:
+        if not x_ticks:  # values in the data's range at their log10 (one value's axis has a decade)
+            values = _nice_ticks(x_min, x_max)
+            x_ticks, x_tick_labels = [math.log10(v) for v in values], _labels(values)
+    else:
         x_ticks = _nice_ticks(x_lo, x_hi)
         x_tick_labels = _labels(x_ticks)
     for t, label in zip(x_ticks, x_tick_labels):

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, _grid, _march, _table
+from .dynamics import IntegratorConfig, _grid, _halving_warnings, _march, _overflow_raises, _table
 from .errors import ParameterError
 from .lattice import LatticeParams, _is_integer
 
@@ -64,6 +64,8 @@ _TABLE = _table([0.39216144400731413928, 0.33259913678935943860, -0.706246172557
 _CHUNK = 1024
 # trailing share of a trace's samples that tail_intensities averages over
 _TAIL_FRACTION = 0.05
+# the advice of a run past the exceptional point that leaves the float range
+_OVERFLOW_REMEDY = "lower |skew| or raise the rate"
 
 
 @dataclass(frozen=True)
@@ -100,11 +102,13 @@ class TwoModeTrace:
     a2: np.ndarray
     metadata: dict = field(default_factory=dict)
 
+    @_overflow_raises(_OVERFLOW_REMEDY)
     def tail_intensities(self) -> tuple[float, float]:
         """Mean |a1|^2 and |a2|^2 over the trailing _TAIL_FRACTION of samples.
 
         Averaging suppresses the slowly decaying post-crossing oscillations,
-        so this is the asymptotic-intensity estimator.
+        so this is the asymptotic-intensity estimator.  An intensity beyond
+        the float range raises ParameterError.
         """
         n = max(1, int(round(_TAIL_FRACTION * self.t.size)))
         return tuple(float(np.mean(np.abs(a[-n:]) ** 2)) for a in (self.a1, self.a2))
@@ -214,6 +218,7 @@ def _prefix_products(p: np.ndarray) -> np.ndarray:
     return p
 
 
+@_overflow_raises(_OVERFLOW_REMEDY)
 def evolve_two_mode(
     params: TwoModeParams,
     t_span: tuple[float, float] | None = None,
@@ -228,9 +233,10 @@ def evolve_two_mode(
     advance per step), and a sample stride of ceil(steps/20000), so a
     default trace holds at most 20001 samples, the last one at t_span[1].
     An eps_max that underflows to 0 or a grid above dynamics.MAX_GRID_STEPS
-    raises ParameterError.  Grid point i is sampled at t_span[0] + i*dt.
-    With config.convergence_check the run is repeated with twice the steps;
-    a change of the final intensities above 1e-4 adds an accuracy warning.
+    raises ParameterError, as do amplitudes that leave the float range.
+    Grid point i is sampled at t_span[0] + i*dt.  With
+    config.convergence_check the run is repeated with twice the steps; a
+    change of the final intensities above 1e-4 adds an accuracy warning.
     """
     if t_span is None:
         t_max = max(300.0, 20.0 / math.sqrt(params.rate))
@@ -269,8 +275,5 @@ def evolve_two_mode(
         _, finer = run(2)
         diff = float(np.sum(np.abs(np.abs(amps[:, -1]) ** 2 - np.abs(finer[:, -1]) ** 2)))
         trace.metadata["final_intensity_halving_diff"] = diff
-        if diff > 1e-4:
-            trace.metadata["warnings"].append(
-                f"step too large: halving it changes final intensities by {diff:.3e}"
-            )
+        trace.metadata["warnings"] = _halving_warnings("final intensities", diff, 1e-4)
     return trace

@@ -152,6 +152,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="neither a file nor a bundled preset"):
             load_config("no_such_preset")
 
+    def test_a_directory_does_not_hide_a_preset(self, tmp_path, monkeypatch, capsys):
+        # only a file wins over the preset of its name; a directory that is
+        # no preset is not found
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fig1a").mkdir()
+        (tmp_path / "runs").mkdir()
+        root = resources.files("ptlattice").joinpath("presets")
+        assert load_config("fig1a").doc == load_config(str(root.joinpath("fig1a.json"))).doc
+        assert main(["bands", "--config", "fig1a", "--out", "run"]) == 0
+        assert main(["bands", "--config", "runs", "--out", "run"]) == 2
+        assert "config not found: 'runs'" in capsys.readouterr().err
+
     def test_evolve_rejects_zero_rate(self):
         doc = {
             "kind": "evolve",
@@ -230,6 +242,21 @@ class TestConfig:
         assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "float range" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("skew", [1.6, 3.0], ids=["intensities", "march"])
+    def test_twomode_overflow_exits_2_without_output(self, tmp_path, capsys, skew):
+        # past the exceptional point P = exp(838) at skew 1.6: the amplitudes
+        # stay finite but their squares do not; at skew 3.0 the march itself
+        # leaves the float range.  One error line, no numpy warning, no CSV.
+        doc = {"kind": "twomode", "twomode": {"coupling": 0.4, "skew": skew, "rate": 0.0045}}
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc))
+        assert main(["twomode", "--config", str(path), "--out", str(tmp_path / "t")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ptlattice: error: ")
+        assert "leave the float range" in err[0] and err[0].endswith(twomode._OVERFLOW_REMEDY)
+        assert "v_imag" not in err[0]
+        assert not (tmp_path / "t.csv").exists()
 
     def test_sweep_closed_form_overflow_exits_2_before_any_point(self, tmp_path, capsys,
                                                                    no_march):
@@ -538,6 +565,25 @@ class TestRunners:
         assert plateaus[0]["mean_power"] == pytest.approx(1.0, abs=0.02)
         assert "predicted_power" in plateaus[1]
         assert plateaus[2]["mean_power"] > plateaus[1]["mean_power"]
+
+    def test_driven_kinds_report_the_same_plateaus_and_final_power(self):
+        doc = {
+            "kind": "multicross",
+            "lattice": {"v_real": 0.2, "v_imag": 0.1, "l_max": 4},
+            "drive": {"rate": 0.3, "q_start": 0.0, "q_stop": 3.9},
+            "integrator": {"step": 0.005},
+        }
+        multicross = run_multicross(parse_config(doc))
+        evolve = run_evolve(parse_config({**doc, "kind": "evolve"}))
+        plateaus = evolve.metadata["plateaus"]
+        assert plateaus == multicross.metadata["plateaus"]
+        assert [p["crossings"] for p in plateaus] == [0, 1, 2]
+        assert "predicted_power" not in plateaus[0]
+        for p in plateaus[1:]:
+            assert p["predicted_power"] == multicross_power(0.4, 0.2, 1.2, p["crossings"])
+        for table in (evolve, multicross):
+            assert table.metadata["final_power"] == table.rows[-1][2]
+            assert "predicted_terminal_power" not in table.metadata
 
     def test_run_multicross_needs_two_crossings(self):
         doc = {
@@ -874,6 +920,21 @@ class TestCharts:
         # the higher predicted plateau is drawn higher up, at a smaller pixel y
         heights = [float(line[0].split(",")[1]) for line in parts["dashed"]]
         assert (heights[0] > heights[1]) == (predicted[0] < predicted[1])
+
+    def test_fig3_chart_draws_its_plateau_theory_level(self, tmp_path, monkeypatch):
+        # the paper's fig. 3 drive crosses once: one dashed level at the
+        # two-mode prediction, 3 for the adiabatic gain
+        monkeypatch.chdir(tmp_path)
+        assert main(["evolve", "--config", "fig3", "--out", "run", "--svg"]) == 0
+        parts = chart_parts(tmp_path / "run.svg")
+        assert parts["legend"] == ["power", "plateau 1 theory"]
+        assert (len(parts["solid"]), len(parts["dashed"])) == (1, 1)
+        (x0, y0), (x1, y1) = (point.split(",") for point in parts["dashed"][0])
+        assert y0 == y1
+        power = parts["solid"][0]
+        assert (x0, x1) == (power[0].split(",")[0], power[-1].split(",")[0])
+        plateaus = load_csv(tmp_path / "run.csv").metadata["plateaus"]
+        assert plateaus[-1]["predicted_power"] == pytest.approx(3.0, rel=1e-12)
 
     def test_twomode_chart_draws_both_levels_and_power(self, tmp_path):
         doc = {

@@ -160,3 +160,25 @@ def test_tick_labels_tell_their_ticks_apart(tmp_path):
     out = render_line_chart(tmp_path / "unit.svg", [Series("y", x, x / 4)])
     assert y_tick_labels(out) == ["0", "0.2", "0.4", "0.6", "0.8", "1"]
     assert svgplot._labels([1.0, 1.0 + 1e-6, 2.5e-7]) == ["1", "1.000001", "2.5e-07"]
+
+
+def x_tick_labels(path):
+    root = ET.parse(path).getroot()
+    tick_y = str(svgplot.HEIGHT - svgplot.MARGIN_B + 18)
+    texts = root.iterfind("svg:text", NS)
+    return {t.text: float(t.get("x")) for t in texts if t.get("y") == tick_y}
+
+
+def test_log_axis_within_one_decade_is_labelled_in_rates(tmp_path):
+    # 0.15-0.3 holds no power of ten: the ticks are rates in the range, at their log10
+    rates = np.geomspace(0.15, 0.3, 7)
+    out = render_line_chart(tmp_path / "narrow.svg", [Series("p", rates, rates)], x_log=True)
+    ticks = x_tick_labels(out)
+    assert list(ticks) == ["0.15", "0.2", "0.25", "0.3"]
+    left, right = svgplot.MARGIN_L, svgplot.WIDTH - svgplot.MARGIN_R
+    for label, x in ticks.items():
+        share = math.log10(float(label) / 0.15) / math.log10(2.0)
+        assert x == pytest.approx(left + share * (right - left), abs=0.05)
+    # a range that holds a decade keeps its decade ticks
+    out = render_line_chart(tmp_path / "wide.svg", [Series("p", rates / 2, rates)], x_log=True)
+    assert list(x_tick_labels(out)) == ["1e-1"]

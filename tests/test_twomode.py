@@ -251,6 +251,13 @@ class TestEvolution:
         tail1, _ = trace.tail_intensities()
         assert tail1 == pytest.approx(critical_survival(0.4, -0.12), abs=1e-3)
 
+    def test_tails_beyond_the_float_range_raise(self):
+        # amplitudes of 1e200 are finite, their intensities are not
+        a = np.full(20, 1e200 + 0j)
+        trace = twomode.TwoModeTrace(np.arange(20.0), a, a)
+        with pytest.raises(ParameterError, match="leave the float range"):
+            trace.tail_intensities()
+
     def test_ground_state_is_instantaneous_eigenvector(self):
         params = TwoModeParams(0.4, 0.3, 0.12)
         t = -250.0
