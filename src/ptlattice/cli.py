@@ -3,13 +3,15 @@
     ptlattice <bands|evolve|sweep|multicross|twomode> --config FILE
               [--svg] [--jobs N] [--out PREFIX]
 
---config accepts a path or the name of a bundled preset (fig1a, fig4b, ...).
-Each run writes PREFIX.csv (CSV with a '#'-prefixed JSON metadata line) and,
-with --svg, PREFIX.svg.  Exit codes: 0 success, 2 configuration error or
-operating-system error (such as an output location that cannot be created
-or written), 3 numerical-accuracy failure (a run recorded accuracy
-warnings).  The output directory is created, and the output files are
-checked to be writable, before the run.
+--config accepts a path or the name of a bundled preset (fig1a, fig4b, ...),
+and the config describes the computation alone.  Each run writes PREFIX.csv
+(CSV with a '#'-prefixed JSON metadata line) and, with --svg, PREFIX.svg;
+PREFIX is --out, else the stem of --config (fig4b for runs/fig4b.json).
+No flag changes the CSV bytes; --jobs defaults to 1.  Exit codes:
+0 success, 2 configuration error or operating-system error (such as an
+output location that cannot be created or written), 3 numerical-accuracy
+failure (a run recorded accuracy warnings).  The output directory is
+created, and the output files are checked to be writable, before the run.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import KINDS, load_config, parse_config
+from .config import KINDS, load_config
 from .errors import ConfigError, DegenerateBandError, ParameterError, PhaseError
 from .experiments import RUNNERS, render_chart
 
@@ -36,9 +38,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind, help=f"run a {kind} experiment")
         p.add_argument("--config", required=True, help="JSON config file or preset name")
         p.add_argument("--svg", action="store_true", help="also write an SVG chart")
-        p.add_argument("--jobs", type=int, default=None,
+        p.add_argument("--jobs", type=int, default=1,
                        help="processes for sweep points, this one included")
-        p.add_argument("--out", default=None, help="output path prefix")
+        p.add_argument("--out", help="output path prefix (default: the config's file stem)")
     return parser
 
 
@@ -50,23 +52,25 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config kind {cfg.kind!r} does not match subcommand {args.kind!r}"
             )
-        # the flags given go through the config's own checks, as if in the file
-        flags = {"jobs": args.jobs, "svg": args.svg or None, "out": args.out or None}
-        cfg = parse_config(cfg.doc | {k: v for k, v in flags.items() if v is not None})
+        if args.jobs < 1:
+            raise ConfigError("jobs: expected a positive integer")
+        prefix = Path(args.config).stem if args.out is None else args.out
+        if not os.path.basename(prefix):
+            raise ConfigError(f"--out {prefix!r} names a directory, not an output path prefix")
         # an output directory that cannot be created, or an output file that
         # cannot be written there, fails before the run
-        prefix = cfg.doc["out"]
         csv_path, svg_path = Path(f"{prefix}.csv"), Path(f"{prefix}.svg")
         csv_path.parent.mkdir(parents=True, exist_ok=True)
-        for path in (csv_path, svg_path) if cfg.doc["svg"] else (csv_path,):
+        for path in (csv_path, svg_path) if args.svg else (csv_path,):
             if path.is_dir():
                 raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
             if not os.access(path if path.exists() else path.parent, os.W_OK):
                 raise PermissionError(errno.EACCES, "Permission denied", str(path))
-        table = RUNNERS[cfg.kind](cfg)
+        runner = RUNNERS[cfg.kind]
+        table = runner(cfg, jobs=args.jobs) if cfg.kind == "sweep" else runner(cfg)
         table.write_csv(csv_path)
         print(f"wrote {csv_path}")
-        if cfg.doc["svg"]:
+        if args.svg:
             render_chart(cfg, table, svg_path)
             print(f"wrote {svg_path}")
     except (ConfigError, ParameterError, PhaseError, DegenerateBandError, OSError) as exc:

@@ -65,12 +65,7 @@ _LATTICE, _DRIVE, _INTEGRATOR, _TWOMODE = (
     for cls in _TYPED.values()
 )
 
-_COMMON = {
-    "kind": (_string, _REQUIRED),
-    "jobs": (_count, 1),
-    "svg": (_boolean, False),
-    "out": (_optional(_string), None),
-}
+_COMMON = {"kind": (_string, _REQUIRED)}
 _DRIVEN = _COMMON | {
     "lattice": (_LATTICE, _REQUIRED),
     "drive": (_DRIVE, _REQUIRED),
@@ -153,7 +148,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
     doc = _walk(_SCHEMAS[kind], doc, "")
-    doc["out"] = doc["out"] or kind
 
     typed = {}
     for name, build in _TYPED.items():

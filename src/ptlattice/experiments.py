@@ -196,26 +196,26 @@ def _fan_out(queue: list, workers: int) -> dict:
     return points
 
 
-def run_sweep(cfg: ExperimentConfig) -> ResultTable:
+def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ResultTable:
     """Transition probability over a rate grid: rate, p_numeric, p_analytic, abs_error."""
     sweep = cfg.doc["sweep"]
     spaced = np.geomspace if sweep["spacing"] == "log" else np.linspace
     rates = spaced(sweep["rate_min"], sweep["rate_max"], sweep["count"])
     twos = [TwoModeParams.from_lattice(cfg.lattice, rate) for rate in rates.tolist()]
     analytic = np.array([lz_probability(two.coupling, two.skew, two.rate) for two in twos])
-    jobs = [
+    specs = [
         (cfg.lattice, DriveParams(float(rate), sweep["q_start"], sweep["q_stop"]), cfg.integrator)
         for rate in rates
     ]
     # every rate's grid is checked before any point marches; costliest first
-    steps = [_lattice_grid(drive, cfg.integrator)[0] for _, drive, _ in jobs]
-    queue = sorted(enumerate(jobs), key=lambda entry: -steps[entry[0]])
-    workers = min(cfg.doc["jobs"], len(jobs))
+    steps = [_lattice_grid(drive, cfg.integrator)[0] for _, drive, _ in specs]
+    queue = sorted(enumerate(specs), key=lambda entry: -steps[entry[0]])
+    workers = min(jobs, len(specs))
     if workers > 1:
         points = _fan_out(queue, workers)
     else:
-        points = {i: _sweep_point(job) for i, job in queue}
-    numeric, halving = np.array([points[i] for i in range(len(jobs))]).T
+        points = {i: _sweep_point(spec) for i, spec in queue}
+    numeric, halving = np.array([points[i] for i in range(len(specs))]).T
     error = np.abs(numeric - analytic)
     metadata = _base_metadata(cfg)
     metadata["max_abs_error"] = float(error.max())

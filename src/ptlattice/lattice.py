@@ -24,8 +24,9 @@ One function, band_arrays, solves the operator at a whole vector of momenta
 with stacked LAPACK calls: np.linalg.eigh on the symmetrized stack in the
 unbroken phase, np.linalg.eig plus the inverse (for the left vectors) at or
 beyond criticality.  The momenta go in blocks of at most _BLOCK matrix
-elements (419 momenta at l_max 12), which bounds memory whatever the grid
-or sample count.  It returns arrays with the band index last: energies
+elements (419 momenta at l_max 12), or of one momentum once a single
+matrix is larger (l_max 256 on), which bounds memory whatever the grid or
+sample count.  It returns arrays with the band index last: energies
 (Q, N), right and left vectors (Q, N, N) with columns as bands, and
 degeneracy flags (Q, N).  It is the one place that scales a band vector:
 each right vector has unit power, sum |right_l|^2 = 1, and its left vector
@@ -45,6 +46,10 @@ import numpy as np
 from .errors import ParameterError, PhaseError
 
 DEFAULT_L_MAX = 12
+# The largest truncation: at l_max 1000 (N = 2001 modes) one dense complex
+# N x N matrix takes 64 MB, and a driven run's coupling exponential holds
+# about eight of them (0.5 GB); l_max 10**7 would need petabytes.
+MAX_L_MAX = 1000
 
 # |Im energy| below this counts as real when classifying the phase.
 REALITY_TOL = 1e-9
@@ -52,8 +57,9 @@ REALITY_TOL = 1e-9
 CRITICAL_WINDOW = 1e-9
 # Eigenvalue spacing below this flags a (near-)degenerate pair.
 DEGENERACY_TOL = 1e-8
-# Momenta per stacked LAPACK call: each block's (Q, N, N) work arrays stay
-# below 2**18 elements (2 MB as float64), whatever the grid or sample count.
+# Momenta per stacked LAPACK call: max(1, _BLOCK // N**2), so each block's
+# (Q, N, N) work arrays stay within 2**18 elements (2 MB as float64) up to
+# l_max 255, and hold one N x N matrix beyond, whatever the grid size.
 _BLOCK = 2**18
 
 
@@ -79,8 +85,8 @@ class LatticeParams:
             raise ParameterError("v_real and v_imag must be finite")
         if self.v_real < 0:
             raise ParameterError("v_real must be non-negative")
-        if not _is_integer(self.l_max) or self.l_max < 4:
-            raise ParameterError("l_max must be an integer >= 4")
+        if not (_is_integer(self.l_max) and 4 <= self.l_max <= MAX_L_MAX):
+            raise ParameterError(f"l_max must be an integer in 4..{MAX_L_MAX} (MAX_L_MAX)")
 
     @property
     def size(self) -> int:

@@ -82,7 +82,7 @@ def test_criterion_1_adiabatic_gain_and_loss():
 def test_criterion_2_sweep_matches_closed_form(preset, sign):
     doc = load_config(preset).doc
     doc["lattice"]["v_imag"] *= sign
-    table = RUNNERS["sweep"](parse_config({**doc, "jobs": 2}))
+    table = RUNNERS["sweep"](parse_config(doc), jobs=2)
     worst = table.metadata["max_abs_error"]
     config = table.metadata["config"]
     sweep = config["sweep"]

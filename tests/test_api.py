@@ -112,12 +112,12 @@ def test_sweep_in_one_process_loads_no_multiprocessing():
     sweep = {"kind": "sweep", "lattice": {"v_real": 0.2, "v_imag": 0.0},
              "sweep": {"rate_min": 0.1, "rate_max": 0.3, "count": 2,
                        "q_start": 0.0, "q_stop": 1.8}}
-    one_rate = {**sweep, "sweep": {**sweep["sweep"], "count": 1}, "jobs": 2}
+    one_rate = {**sweep, "sweep": {**sweep["sweep"], "count": 1}}
     loaded = _modules_loaded_by(
         "from ptlattice.config import parse_config\n"
         "from ptlattice.experiments import run_sweep\n"
-        f"for doc in {[{**sweep, 'jobs': 1}, one_rate]!r}:\n"
-        "    run_sweep(parse_config(doc))"
+        f"for doc, jobs in {[(sweep, 1), (one_rate, 2)]!r}:\n"
+        "    run_sweep(parse_config(doc), jobs=jobs)"
     )
     assert "ptlattice.experiments" in loaded
     assert [m for m in loaded if m.split(".")[0] == "multiprocessing"] == []

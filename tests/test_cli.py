@@ -16,7 +16,7 @@ from ptlattice import dynamics, experiments, svgplot, twomode
 from ptlattice.cli import main
 from ptlattice.config import KINDS, load_config, parse_config
 from ptlattice.errors import ConfigError, ParameterError
-from ptlattice.lattice import band_arrays
+from ptlattice.lattice import MAX_L_MAX, band_arrays
 from ptlattice.experiments import run_bands, run_evolve, run_multicross, run_sweep, run_twomode
 from ptlattice.results import _BLOCK_ROWS, ResultTable, load_csv
 from ptlattice.twomode import critical_survival, lz_probability, multicross_power
@@ -83,9 +83,6 @@ class TestConfig:
 
     def test_resolved_includes_defaults(self):
         doc = parse_config(bands_doc()).doc
-        assert doc["jobs"] == 1
-        assert doc["svg"] is False
-        assert doc["out"] == "bands"
         assert doc["lattice"]["l_max"] == 12
         # sections read off their dataclasses keep the fields' order and defaults
         two = parse_config(twomode_doc()).doc
@@ -95,7 +92,7 @@ class TestConfig:
     @pytest.mark.parametrize("make, path, value", [
         (bands_doc, ("q_grid", "count"), True),
         (bands_doc, ("band_count",), True),
-        (bands_doc, ("jobs",), True),
+        (bands_doc, ("lattice", "v_imag"), True),
         (bands_doc, ("lattice", "l_max"), True),
         (evolve_doc, ("integrator", "sample_stride"), True),
         (sweep_doc, ("sweep", "count"), True),
@@ -164,6 +161,20 @@ class TestConfig:
         assert main(["bands", "--config", "runs", "--out", "run"]) == 2
         assert "config not found: 'runs'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("l_max", [MAX_L_MAX + 1, 10**7])
+    def test_l_max_above_the_ceiling_exits_2(self, tmp_path, capsys, l_max):
+        # refused when parsed, before any (N, N) matrix of N = 2 * l_max + 1 modes
+        doc = bands_doc()
+        doc["lattice"]["l_max"] = l_max
+        with pytest.raises(ConfigError, match=r"lattice: l_max .*\(MAX_L_MAX\)"):
+            parse_config(doc)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["bands", "--config", str(path), "--out", str(tmp_path / "b")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ptlattice: error: ") and "MAX_L_MAX" in err
+        assert not (tmp_path / "b.csv").exists()
+
     def test_evolve_rejects_zero_rate(self):
         doc = {
             "kind": "evolve",
@@ -216,14 +227,15 @@ class TestConfig:
     def test_sweep_grid_above_the_largest_exits_2(self, tmp_path, capsys, no_march, jobs):
         # the 0.3 point alone fits, but its two descending neighbours need
         # about 1e151 and 1e300 grid steps: no point marches, whatever jobs is
-        doc = dict(sweep_doc(), jobs=jobs)
+        doc = sweep_doc()
         doc["lattice"]["l_max"] = 6
         doc["sweep"].update(rate_min=0.3, rate_max=1e-300, count=3)
         with pytest.raises(ParameterError, match="MAX_GRID_STEPS"):
-            run_sweep(parse_config(doc))
+            run_sweep(parse_config(doc), jobs=jobs)
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps(doc))
-        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == 2
+        assert main(["sweep", "--config", str(path), "--jobs", str(jobs),
+                     "--out", str(tmp_path / "s")]) == 2
         assert "MAX_GRID_STEPS" in capsys.readouterr().err
         assert no_march == []
         assert not (tmp_path / "s.csv").exists()
@@ -436,10 +448,9 @@ class TestRunners:
             "lattice": {"v_real": 0.2, "v_imag": 0.15},
             "sweep": {"rate_min": 0.05, "rate_max": 0.3, "count": 3,
                       "q_start": 0.0, "q_stop": 1.8},
-            "jobs": 2,
         }
-        table = run_sweep(parse_config(doc))
-        again = run_sweep(parse_config(doc))
+        table = run_sweep(parse_config(doc), jobs=2)
+        again = run_sweep(parse_config(doc), jobs=2)
         assert table.rows == again.rows
         assert list(table.column("rate")) == sorted(table.column("rate"))
         assert np.all(table.column("abs_error") <= 0.03)
@@ -454,7 +465,7 @@ class TestRunners:
             "sweep": {"rate_min": 0.03, "rate_max": 0.3, "count": 5, "spacing": "log",
                       "q_start": 0.0, "q_stop": 1.8},
         }
-        rows = [run_sweep(parse_config(dict(doc, jobs=jobs))).rows for jobs in (1, 2, 3)]
+        rows = [run_sweep(parse_config(doc), jobs=jobs).rows for jobs in (1, 2, 3)]
         assert rows[0] == rows[1] == rows[2]
         assert multiprocessing.active_children() == []
 
@@ -469,9 +480,9 @@ class TestRunners:
                 super().start()
 
         monkeypatch.setattr(multiprocessing, "Process", RecordingProcess)
-        doc = dict(sweep_doc(), jobs=jobs)
+        doc = sweep_doc()
         doc["sweep"]["count"] = count
-        table = run_sweep(parse_config(doc))
+        table = run_sweep(parse_config(doc), jobs=jobs)
         assert len(started) == children
         assert not any(child.is_alive() for child in started)
         assert len(table.rows) == count
@@ -496,16 +507,17 @@ class TestRunners:
             return real(lattice, drive, step, refine)
 
         monkeypatch.setattr(experiments, "transition_probability", failing)
-        doc = dict(sweep_doc(), jobs=2)
+        doc = sweep_doc()
         if via_cli:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(doc))
-            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            assert main(["sweep", "--config", str(cfg), "--jobs", "2",
+                         "--out", str(tmp_path / "o")]) == 2
             err = capfd.readouterr().err.splitlines()
             assert len(err) == 1 and re.fullmatch(r"ptlattice: error: rate [0-9.]+ fails", err[0])
         else:
             with pytest.raises(ParameterError, match=r"rate [0-9.]+ fails"):
-                run_sweep(parse_config(doc))
+                run_sweep(parse_config(doc), jobs=2)
         assert waited.value <= 1
         assert multiprocessing.active_children() == []
 
@@ -527,18 +539,19 @@ class TestRunners:
             return real(lattice, drive, step, refine)
 
         monkeypatch.setattr(experiments, "transition_probability", dying)
-        doc = dict(sweep_doc(), jobs=2)
+        doc = sweep_doc()
         if via_cli:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(doc))
-            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            assert main(["sweep", "--config", str(cfg), "--jobs", "2",
+                         "--out", str(tmp_path / "o")]) == 2
             err = capfd.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("ptlattice: error: ")
             assert "exited with code 3" in err[0]
             assert not (tmp_path / "o.csv").exists()
         else:
             with pytest.raises(ChildProcessError, match="exited with code 3"):
-                run_sweep(parse_config(doc))
+                run_sweep(parse_config(doc), jobs=2)
         assert died.value == 1
         assert multiprocessing.active_children() == []
 
@@ -548,7 +561,7 @@ class TestRunners:
         doc["sweep"].update(spacing="linear", count=4)
         rows = []
         for jobs in (1, 2):
-            table = run_sweep(parse_config(dict(doc, jobs=jobs)))
+            table = run_sweep(parse_config(doc), jobs=jobs)
             np.testing.assert_array_equal(table.column("rate"), np.linspace(0.1, 0.3, 4))
             rows.append(table.rows)
         assert rows[0] == rows[1]
@@ -687,7 +700,7 @@ class TestCli:
                 "drive": {"rate": 0.3, "q_start": 0.0, "q_stop": 3.9},
                 "integrator": {"step": 0.005},
             },
-            dict(sweep_doc(), jobs=2),
+            sweep_doc(),
             {
                 "kind": "twomode",
                 "twomode": {"coupling": 0.4, "skew": 0.1, "rate": 0.12},
@@ -697,16 +710,16 @@ class TestCli:
         ids=lambda doc: doc["kind"],
     )
     def test_deterministic_output_bytes(self, tmp_path, doc):
+        # the run options are not part of the output: whole files, the
+        # metadata line included, match across prefixes and process counts
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        a, b = tmp_path / "a", tmp_path / "b"
-        for out in (a, b):
-            assert main([doc["kind"], "--config", str(cfg), "--out", str(out), "--svg"]) == 0
-        a_bytes = a.with_suffix(".csv").read_bytes()
-        b_bytes = b.with_suffix(".csv").read_bytes()
-        # metadata echoes the out prefix; compare data payloads
-        assert a_bytes.split(b"\n", 1)[1] == b_bytes.split(b"\n", 1)[1]
-        assert a.with_suffix(".svg").read_bytes() == b.with_suffix(".svg").read_bytes()
+        a, b = tmp_path / "a", tmp_path / "d" / "b"
+        for out, jobs in ((a, "1"), (b, "2")):
+            assert main([doc["kind"], "--config", str(cfg), "--out", str(out), "--svg",
+                         "--jobs", jobs]) == 0
+        for suffix in (".csv", ".svg"):
+            assert a.with_suffix(suffix).read_bytes() == b.with_suffix(suffix).read_bytes()
 
     def test_unusable_out_exits_2_before_the_run(self, tmp_path, monkeypatch, capsys):
         # the output directory would have to replace a regular file
@@ -744,6 +757,41 @@ class TestCli:
         cfg.write_text(json.dumps(bands_doc(bogus=1)))
         assert main(["bands", "--config", str(cfg)]) == 2
         assert "unknown field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("out", "x"), ("jobs", 2), ("svg", True)])
+    def test_run_option_in_config_exits_2(self, tmp_path, capsys, field, value):
+        # run options are command-line flags only; the config holds the computation
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bands_doc(**{field: value})))
+        assert main(["bands", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ptlattice: error: ") and len(err.splitlines()) == 1
+        assert f"unknown field(s) [{field!r}]" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_default_prefix_is_the_config_stem(self, tmp_path, monkeypatch):
+        # a config file's stem, wherever the file lives, and a preset's name
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfgs").mkdir()
+        cfg = tmp_path / "cfgs" / "my_bands.json"
+        cfg.write_text(json.dumps(bands_doc()))
+        assert main(["bands", "--config", str(cfg)]) == 0
+        assert main(["twomode", "--config", "twomode", "--svg"]) == 0
+        assert main(["bands", "--config", "fig1a.json"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == [
+            "fig1a.csv", "my_bands.csv", "twomode.csv", "twomode.svg"]
+
+    @pytest.mark.parametrize("out", ["sub" + os.sep, ""], ids=["separator", "empty"])
+    def test_out_without_a_file_name_exits_2(self, tmp_path, monkeypatch, capsys, out):
+        # "sub/" would write the hidden file sub/.csv
+        monkeypatch.chdir(tmp_path)
+        runs = []
+        monkeypatch.setitem(experiments.RUNNERS, "twomode", runs.append)
+        assert main(["twomode", "--config", "twomode", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ptlattice: error: ") and len(err.splitlines()) == 1
+        assert runs == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_kind_mismatch_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -839,7 +887,7 @@ class TestCli:
         cfg = load_config(name)
         assert main([cfg.kind, "--config", name, "--out", "run"]) == 0
         table = load_csv(tmp_path / "run.csv")
-        assert table.metadata["config"] == {**cfg.doc, "out": "run"}
+        assert table.metadata["config"] == cfg.doc
 
 
 NS = "{http://www.w3.org/2000/svg}"

@@ -11,7 +11,7 @@ from ptlattice import (
     PhaseError,
     build_hamiltonian,
 )
-from ptlattice.lattice import band_arrays, band_energies, phase_of
+from ptlattice.lattice import MAX_L_MAX, band_arrays, band_energies, phase_of
 
 
 def dense_oracle(v_real, v_imag, l_max, q):
@@ -65,6 +65,10 @@ class TestHamiltonian:
             LatticeParams(0.2, 0.0, l_max=3)
         with pytest.raises(ParameterError):
             LatticeParams(0.2, 0.1, 4.0)
+        # constructing the parameters allocates nothing, at the ceiling or above it
+        assert LatticeParams(0.2, 0.1, MAX_L_MAX).size == 2 * MAX_L_MAX + 1
+        with pytest.raises(ParameterError, match="MAX_L_MAX"):
+            LatticeParams(0.2, 0.1, MAX_L_MAX + 1)
 
     @pytest.mark.parametrize("v_real, v_imag", [(math.nan, 0.1), (math.inf, 0.1),
                                                 (0.2, math.nan), (0.2, -math.inf)])
