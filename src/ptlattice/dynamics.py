@@ -24,17 +24,21 @@ Kahan & Li's sixth-order s9odr6a, with the same _table, and shares _march,
 _expm and IntegratorConfig.
 
 The diagonal phase of mode l over a sub-step of width w from qa to qb is
-w (4l^2 + 2l s + c), s = qa + qb, c = (qa^2 + qa qb + qb^2)/3.  Within a
-run every folded sub-step keeps its width and its s grows by 2 rate h per
-table step of length h, so its phase factor is the product of three exact
-exponentials: a table over the steps of a chunk, built once per run, an
-anchor in l, once per chunk, and the scalar exp(-i w c), once per kick.
-The half sub-step that opens a sample interval and the one that closes it
-take their per-mode exponentials directly.  No factor is a recurrence: each
-is an exponential of its own exact argument, not a product of earlier
-factors.  Rounding still enters at every kick: fig3's final power moves by
-up to 1.2e-10 relative between runs at n, 2n and 4n grid steps
-(BENCH_23.json, fig3_power_floor).
+w (4l^2 + 2l s + c), s = qa + qb, c = (qa^2 + qa qb + qb^2)/3.  The part
+w c, the same for every mode, telescopes to (zb - za) c over a sample
+interval from za to zb (qa, qb its end momenta): one scalar per interval.
+Within a run every folded sub-step keeps its width and its s grows by
+2 rate h per table step of length h, so the rest of each factor is a table
+over the steps of a chunk, built once per run, times an anchor in l, once
+per chunk, written into one phase buffer whose row views are taken once per
+run.  A kick is then two numpy calls on preallocated arrays, about 1.2 us at
+l_max 6 and 1.4 us at l_max 12 (2 CPUs).  The half sub-step that opens a
+sample interval and the one that closes it take their per-mode
+exponentials directly.  No factor is a recurrence: each is an exponential
+of its own exact argument, not a product of earlier factors.  Rounding
+still enters at every kick: fig3's final power moves by up to 1.2e-10
+relative between runs at n, 2n and 4n grid steps (BENCH_23.json,
+fig3_power_floor).
 
 A run of either model is a grid of n = ceil(duration/step) steps, sampled
 every stride of them.  The two-level model takes one table step per grid
@@ -65,8 +69,8 @@ from .errors import DegenerateBandError, ParameterError
 from .lattice import LatticeParams, _is_integer, band_arrays, build_hamiltonian
 
 POWER_HALVING_TOL = 1e-6
-# The finest grid a run may take, hours of lattice propagation at about
-# 5 us a grid step; a rate near 0 that needs more fails before any step.
+# The finest grid a run may take, 40 minutes at l_max 6-12 and 2.2-2.6 us
+# a grid step; a rate near 0 that needs more fails before any step.
 MAX_GRID_STEPS = 10**9
 
 
@@ -100,9 +104,9 @@ _GRID_STEPS = 8
 _FOLDED = _TABLE[2]
 _FOLDED_WIDTHS = np.diff(_FOLDED)[:-1]
 _TABLE_COLUMNS = [min(j, _SUBSTEPS - j) for j in range(_SUBSTEPS)]
-# steps whose phases are computed at once; bounds the memory of the phase
-# buffer and of the per-run phase table, which is sized to the run
-_CHUNK = 256
+# table steps whose phases are computed at once, which bounds the phase
+# buffer and the per-run table, (_CHUNK, 15, N) each; 64 beat 128 and 256
+_CHUNK = 64
 
 
 @dataclass
@@ -348,45 +352,50 @@ def _integrate(
     coupling = ham - np.diag(np.diag(ham))
     y = a0.astype(complex)
 
-    def direct(w, s, c):
-        """Phase factors exp(-i w (4l^2 + 2l s + c)), one row per sub-step."""
-        return np.exp(-1j * w[:, None] * (two_l * (two_l + s[:, None]) + c[:, None]))
+    def direct(w, s):
+        """Phase factors exp(-i w 2l (2l + s)), one row per sub-step."""
+        return np.exp(-1j * w[:, None] * two_l * (two_l + s[:, None]))
 
-    samples = [(0.0, q0, y)]
+    samples = [(0.0, q0, y.copy())]
     march = _march(coupling, n_steps, stride or n_steps, _GRID_STEPS, _TABLE, refine, dz, _CHUNK)
-    table_h = None
+    table_h, t, z_open, multiply = None, np.empty_like(y), 0.0, np.multiply
     for kicks, h, z, widths, first, ends in march:
         # (2l + q(z))^2 is quadratic in z: its integral over a sub-step is
-        # w (4l^2 + 2l s + c) in terms of the end values (module docstring)
+        # w (4l^2 + 2l s) plus a part free of l that sums to one scalar per
+        # sample interval (module docstring)
         qz = q0 + rate * z
-        qa, qb = qz[:, :-1], qz[:, 1:]
-        sub = np.stack((widths, qa + qb, (qa * qa + qa * qb + qb * qb) / 3.0))
+        s = qz[:, :-1] + qz[:, 1:]
         w = h * _FOLDED_WIDTHS
         if h != table_h:  # a later run of the same h is a shorter remainder
             k = np.arange(len(z))[:, None, None]
             table = np.exp(-2j * rate * h * k * (w[:_SUBSTEPS // 2 + 1, None] * two_l))
             table = table[:, _TABLE_COLUMNS]
             table_h, buffer = h, np.empty_like(table)
-        s0 = sub[1, 0, :-1].copy()
+            rows = [list(row) for row in buffer]
+        s0 = s[0, :-1].copy()
         if first[0]:  # the chunk's first step starts an interval: fold its column 0
             s0[0] += rate * h * _FOLDED[0]
         anchor = np.exp(-1j * w[:, None] * two_l * (two_l + s0[:, None]))
-        phases = np.multiply(table[:len(z)], anchor, out=buffer[:len(z)])
-        phases *= np.exp(-1j * widths[:, :-1] * sub[2, :, :-1])[:, :, None]
+        np.multiply(table[:len(z)], anchor, out=buffer[:len(z)])
         # column 0 of an interval's first step spans half a sub-step from its
         # start, and the closing column runs from the last kick to an
-        # interval's end
-        phases[first, 0] = direct(*sub[:, first, 0])
-        last = iter(direct(*sub[:, ends > 0, -1]))
+        # interval's end, where the interval's scalar phase joins it
+        buffer[np.flatnonzero(first), 0] = direct(widths[first, 0], s[first, 0])
+        zs = np.append(z_open, z[ends > 0, -1])
+        z_open, qa, qb = zs[-1], q0 + rate * zs[:-1], q0 + rate * zs[1:]
+        scalar = np.exp(-1j / 3.0 * np.diff(zs) * (qa * qa + qa * qb + qb * qb))
+        last = iter(direct(widths[ends > 0, -1], s[ends > 0, -1]) * scalar[:, None])
         dots = [u.dot for u in kicks]
-        for row, i in zip(phases, ends.tolist()):
+        for row, i in zip(rows, ends.tolist()):
+            # outs given positionally to a local multiply: 6-7% less a kick
             for p, dot in zip(row, dots):
-                y = dot(y * p)
+                multiply(y, p, t)
+                dot(t, y)
             if i:
-                y = y * next(last)
+                y *= next(last)
                 if i < n_steps:
-                    samples.append((i * dz, q0 + rate * i * dz, y))
-    samples.append((drive.duration, drive.q_stop, y))
+                    samples.append((i * dz, q0 + rate * i * dz, y.copy()))
+    samples.append((drive.duration, drive.q_stop, y.copy()))
     return y, samples
 
 

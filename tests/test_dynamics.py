@@ -218,12 +218,51 @@ class TestPhaseTables:
             assert (n_steps, stride) == (9720, 5)
         else:
             n_steps = 603
+        assert_samples_match_direct(params, drive, n_steps, stride, refine)
+
+    # one sample interval of _CHUNK + 6 table steps, twice as many at refine
+    # 2, runs across chunk boundaries: the buffer of phase rows is rewritten
+    # under it and its scalar phase joins only at its end
+    @pytest.mark.parametrize("rate", [0.05, -0.05])
+    @pytest.mark.parametrize("refine", [1, 2])
+    def test_an_interval_across_chunks(self, rate, refine):
+        n_steps = dynamics._GRID_STEPS * (dynamics._CHUNK + 5) + 3
+        drive = DriveParams(rate, 0.0, math.copysign(1.8, rate))
+        assert_samples_match_direct(LatticeParams(0.2, 0.15, 40), drive, n_steps, None, refine)
+
+    # the staircase workload's grid: 200 intervals of 65 grid steps, nine
+    # table steps each, so that most chunks end inside one
+    @pytest.mark.parametrize("rate", [0.03, -0.03])
+    def test_staircase_grid(self, rate):
+        drive = DriveParams(rate, 0.0, math.copysign(3.9, rate))
+        n_steps, _ = dynamics._lattice_grid(drive, IntegratorConfig(step=0.01))
+        assert (n_steps, -(-65 // dynamics._GRID_STEPS)) == (13000, 9)
+        assert_samples_match_direct(LatticeParams(0.2, 0.2 - 1e-7, 6), drive, n_steps, 65, 1)
+
+    def test_samples_and_launch_stay_private(self):
+        # intervals of one table step, 64 samples a chunk: each sample is a
+        # copy of the state the kicks then overwrite in place
+        params = LatticeParams(0.2, 0.15, 6)
         a0 = prepare_band_state(params, 0.0, 1).amplitudes
-        _, samples = _integrate(a0, params, drive, n_steps, stride, refine)
-        want = direct_samples(a0, params, drive, n_steps, stride, refine)
-        assert len(samples) == len(want) > 1
-        for (_, _, got), ref in zip(samples, want):
-            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        launch = a0.copy()
+        y, samples = _integrate(a0, params, DriveParams(0.05, 0.0, 1.8), 560, 8)
+        np.testing.assert_array_equal(a0, launch)
+        states = [a for _, _, a in samples]
+        assert len(states) == 71
+        for i, a in enumerate(states):
+            assert not np.shares_memory(a, y)
+            assert not any(np.shares_memory(a, b) for b in states[i + 1:])
+        assert np.array_equal(states[-1], y) and not np.array_equal(states[-2], y)
+
+
+def assert_samples_match_direct(params, drive, n_steps, stride, refine):
+    """_integrate's samples of a band-1 launch within 1e-12 of direct_samples."""
+    a0 = prepare_band_state(params, drive.q_start, 1).amplitudes
+    _, samples = _integrate(a0, params, drive, n_steps, stride, refine)
+    want = direct_samples(a0, params, drive, n_steps, stride, refine)
+    assert len(samples) == len(want) > 1
+    for (_, _, got), ref in zip(samples, want):
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def cascade(a0, params, drive, z):
