@@ -11,17 +11,19 @@ conserved only for v_imag = 0; each sweep through an odd-integer momentum is
 an interband transition that can amplify or attenuate the beam.
 
 Propagation is the split-step (beam-propagation) method in the mode basis:
-the diagonal is integrated exactly, since q is linear in z, and the constant
-coupling V is applied through its exponential expm(-i w V h), computed once
-per run and weight by scaling and squaring a Taylor series, evaluated by
-Paterson-Stockmeyer, which needs no eigenbasis (at v_imag = v_real the
-coupling is a Jordan block).  A palindromic table of weights composes
-Strang sub-steps into one table step (_table).  The lattice's is Kahan &
-Li's fifteen sub-steps s15odr8, one eighth-order step of fifteen coupling
-kicks; within a run each step's last diagonal phase folds into the next
-step's first.  The twomode module's two-level kernel builds its own table,
-Kahan & Li's sixth-order s9odr6a, with the same _table, and shares _march,
-_expm and IntegratorConfig.
+the diagonal is integrated exactly, since q is linear in z, and the
+constant coupling V is applied through its exponential expm(-i w V h),
+computed once per run, weight and step length by scaling and squaring a
+Taylor series, evaluated by Paterson-Stockmeyer, which needs no eigenbasis
+(at v_imag = v_real the coupling is a Jordan block); _expm takes the
+distinct weights of one step length as one stack, bitwise equal to one call
+per matrix.  A palindromic table of weights composes Strang sub-steps into
+one table step (_table).  The lattice's is Kahan & Li's fifteen sub-steps
+s15odr8, one eighth-order step of fifteen coupling kicks; within a run each
+step's last diagonal phase folds into the next step's first.  The twomode
+module's two-level kernel builds its own table, Kahan & Li's sixth-order
+s9odr6a, with the same _table, and shares _march, _expm and
+IntegratorConfig.
 
 The diagonal phase of mode l over a sub-step of width w from qa to qb is
 w (4l^2 + 2l s + c), s = qa + qb, c = (qa^2 + qa qb + qb^2)/3.  The part
@@ -36,9 +38,14 @@ l_max 6 and 1.4 us at l_max 12 (2 CPUs).  The half sub-step that opens a
 sample interval and the one that closes it take their per-mode
 exponentials directly.  No factor is a recurrence: each is an exponential
 of its own exact argument, not a product of earlier factors.  Rounding
-still enters at every kick: fig3's final power moves by up to 1.2e-10
+still adds up on a long drive: fig3's final power moves by up to 1.2e-10
 relative between runs at n, 2n and 4n grid steps (BENCH_23.json,
-fig3_power_floor).
+fig3_power_floor).  The cause is the rounding of the double kick matrices
+U, at most 16 distinct ones (eight weights, two step lengths) applied about
+5e5 times on fig3, so that their errors add coherently; neither the
+state's precision nor the phase tables matter.  Kicks stored as E = U - I,
+y <- y + E y, remove that error at 40-50% more _integrate time (ROADMAP
+item 15).
 
 A run of either model is a grid of n = ceil(duration/step) steps, sampled
 every stride of them.  The two-level model takes one table step per grid
@@ -52,9 +59,10 @@ the grid with exactly twice the table steps in every interval.
 
 Band occupations are biorthogonal projections onto the band eigenvectors of
 lattice.band_arrays.  evolve projects all of its samples with one call of
-it; prepare_band_state, project_onto_band and transition_probability, which
-projects a sweep point's end state onto band 2 at q_stop, are its
-one-momentum views.
+it, or none with project=False, as a multicross run, which writes no band
+column, asks; prepare_band_state, project_onto_band and
+transition_probability, which projects a sweep point's end state onto band
+2 at q_stop, are its one-momentum views.
 """
 
 from __future__ import annotations
@@ -252,31 +260,36 @@ def _lattice_grid(drive: DriveParams, config: IntegratorConfig) -> tuple[int, in
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring of a degree-18 Taylor series.
+    """Matrix exponential of each matrix of a (..., n, n) stack, by scaling and squaring.
 
-    a is halved until its 1-norm is at most 0.5, where the series' truncation
-    error is below 0.5**19/19! ~ 2e-23, and the sum is squared back.  The
-    polynomial is evaluated by Paterson-Stockmeyer: from a^2, a^3 and a^4,
-    a Horner scheme in a^4 over blocks of four terms, seven matrix products.
-    Each block adds its identity term last, so the sum's diagonal, near 1
-    for a small a, is rounded once, as in a Horner scheme in a.
+    Each matrix is halved until its 1-norm is at most 0.5, where the degree-18
+    Taylor series' truncation error is below 0.5**19/19! ~ 2e-23, and the sum
+    is squared back.  The polynomial is evaluated by Paterson-Stockmeyer:
+    from a^2, a^3 and a^4, a Horner scheme in a^4 over blocks of four terms,
+    seven matrix products.  Each block adds its identity term last, so the
+    sum's diagonal, near 1 for a small a, is rounded once, as in a Horner
+    scheme in a.  Each matrix of the stack is scaled and squared back by its
+    own count, so its result is bitwise that of a call on it alone.
     """
-    norm = np.linalg.norm(a, 1)
-    squarings = math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0
-    a = a / 2.0**squarings
-    n = a.shape[0]
-    a2 = a @ a
-    a4 = a2 @ a2
-    powers = np.stack((a, a2, a2 @ a)).reshape(3, n * n)
+    n = a.shape[-1]
+    b = a.reshape(-1, n, n)
+    norms = np.linalg.norm(b, 1, axis=(1, 2)).tolist()
+    squarings = np.array([math.ceil(math.log2(x / 0.5)) if x > 0.5 else 0 for x in norms])
+    b = b / 2.0 ** squarings[:, None, None]
+    b2 = b @ b
+    b4 = b2 @ b2
+    powers = np.stack((b, b2, b2 @ b), axis=1).reshape(len(b), 3, n * n)
+    diagonal = np.arange(n)
     for start in (16, 12, 8, 4, 0):
-        # the terms a^k/k! for start < k < start + 4, k <= 18, then k = start
+        # the terms b^k/k! for start < k < start + 4, k <= 18, then k = start
         coeffs = [1.0 / math.factorial(k) for k in range(start + 1, min(start + 4, 19))]
-        block = (np.array(coeffs) @ powers[:len(coeffs)]).reshape(n, n)
-        result = block + a4 @ result if start < 16 else block
-        result.flat[::n + 1] += 1.0 / math.factorial(start)
-    for _ in range(squarings):
-        result = result @ result
-    return result
+        block = (np.array(coeffs) @ powers[:, :len(coeffs)]).reshape(b.shape)
+        result = block + b4 @ result if start < 16 else block
+        result[:, diagonal, diagonal] += 1.0 / math.factorial(start)
+    for k in range(squarings.max()):
+        more = squarings > k
+        result[more] = result[more] @ result[more]
+    return result.reshape(a.shape)
 
 
 def _grid(duration: float, step: float, stride: int | None, samples: int) -> tuple[int, int]:
@@ -302,21 +315,26 @@ def _march(coupling: np.ndarray, n_steps: int, stride: int, span: int, table: tu
     folded nodes) from _table: a sample interval of L grid steps
     takes ceil(L/span) equal table steps, refine times as many for a
     convergence rerun: at most two step lengths, for the whole intervals and
-    the remainder, and one _expm per distinct weight and step length.  A step
-    inside an interval starts from the last kick of the step before, which
-    folds that step's last phase into its own first; a step that ends an
-    interval ends at the interval's end.  Yields per chunk the steps' kicks,
-    their phase nodes as offsets from the grid's start and the spacings
-    between them, one row per step, and the grid point each step ends on, 0
-    for a step inside an interval, with the run's table-step length h and
-    which steps start an interval: (kicks, h, nodes, spacings, first, ends).
+    the remainder, and one stacked _expm per step length over the distinct
+    weights.  A step inside an interval starts from the last kick of the
+    step before, which folds that step's last phase into its own first; a
+    step that ends an interval ends at the interval's end.  Yields per chunk
+    the steps' kicks, their phase nodes as offsets from the grid's start and
+    the spacings between them, one row per step, and the grid point each
+    step ends on, 0 for a step inside an interval, with the run's table-step
+    length h and which steps start an interval: (kicks, h, nodes, spacings,
+    first, ends).
     """
     whole, rest = divmod(n_steps, stride)
     runs = [(count, length, refine * -(-length // span))
             for count, length in ((whole, stride), (1, rest)) if count and length]
     steps = {length * dz / m for _, length, m in runs}
     weights, nodes, folded = table
-    exps = {(w, h): _expm(-1j * w * h * coupling) for w in set(weights) for h in steps}
+    distinct = sorted(set(weights))
+    exps = {}
+    for h in steps:
+        stacked = _expm(np.stack([-1j * w * h * coupling for w in distinct]))
+        exps.update(((w, h), u) for w, u in zip(distinct, stacked))
     i0 = 0  # grid point of the run's start
     for count, length, m in runs:
         h = length * dz / m
@@ -404,6 +422,7 @@ def evolve(
     params: LatticeParams,
     drive: DriveParams,
     config: IntegratorConfig = IntegratorConfig(),
+    project: bool = True,
 ) -> EvolutionTrace:
     """Propagate a state through the drive and sample (z, q, power, bands 1-2).
 
@@ -412,12 +431,13 @@ def evolve(
     ceil(n/2000), at most 2001 samples, the last at q_stop.
     With convergence_check enabled the run is repeated with twice the steps and
     the final-state and final-power differences go into the metadata; a power
-    difference above 1e-6 adds an accuracy warning.  All samples are
-    projected onto bands 1 and 2 with one band_arrays call; a sample whose
-    band is degenerate gets NaN in that band's column and is counted in
-    metadata["projection_failures"].  A state that is not params.size finite
-    amplitudes, or a beam amplified past the float range, raises
-    ParameterError.
+    difference above 1e-6 adds an accuracy warning.  With project, all
+    samples are projected onto bands 1 and 2 with one band_arrays call; a
+    sample whose band is degenerate gets NaN in that band's column and is
+    counted in metadata["projection_failures"].  Without it both band
+    columns are empty and the metadata has no projection_failures.  A state
+    that is not params.size finite amplitudes, or a beam amplified past the
+    float range, raises ParameterError.
     """
     if abs(state.q_ref - drive.q_start) > 1e-9:
         raise ParameterError("state q_ref must match the drive's q_start")
@@ -429,17 +449,14 @@ def evolve(
     zs, qs, amplitudes = (np.array(column) for column in zip(*samples))
     with _overflow_raises():
         rho = np.sum(np.abs(amplitudes) ** 2, axis=1)
-    bands = band_arrays(params, qs, bands=(1, 2))
-    c = np.einsum("qlb,ql->qb", bands.left, amplitudes)
-    p1, p2 = np.where(bands.degenerate, math.nan, np.abs(c) ** 2).T
-
-    metadata = {
-        "step": drive.duration / n_steps,
-        "steps": n_steps,
-        "sample_stride": stride,
-        "projection_failures": int(bands.degenerate.sum()),
-        "warnings": [],
-    }
+    metadata = {"step": drive.duration / n_steps, "steps": n_steps, "sample_stride": stride,
+                "warnings": []}
+    p1 = p2 = np.empty(0)
+    if project:
+        bands = band_arrays(params, qs, bands=(1, 2))
+        c = np.einsum("qlb,ql->qb", bands.left, amplitudes)
+        p1, p2 = np.where(bands.degenerate, math.nan, np.abs(c) ** 2).T
+        metadata["projection_failures"] = int(bands.degenerate.sum())
     if config.convergence_check:
         y_half, _ = _integrate(state.amplitudes, params, drive, n_steps, stride, refine=2)
         state_diff = float(np.linalg.norm(y - y_half))
@@ -501,12 +518,11 @@ def plateau_averages(trace: EvolutionTrace) -> dict[int, float]:
     from every odd integer, which excludes the oscillatory transition
     regions around the Bragg points.
     """
-    q_start = trace.q[0]
-    means: dict[int, list] = {}
-    for q, rho in zip(trace.q, trace.power):
-        nearest_odd = 2.0 * round((q - 1.0) / 2.0) + 1.0
-        if abs(q - nearest_odd) <= 0.5:
-            continue
-        n = _crossings_between(q_start, q)
-        means.setdefault(n, []).append(rho)
-    return {n: float(np.mean(vals)) for n, vals in sorted(means.items())}
+    q = trace.q
+    nearest_odd = 2.0 * np.round((q - 1.0) / 2.0) + 1.0
+    flat = np.abs(q - nearest_odd) > 0.5
+    # _crossings_between(q[0], q) of every sample
+    lo, hi = np.minimum(q[0], q), np.maximum(q[0], q)
+    crossings = np.maximum(0, np.ceil((hi - 1.0) / 2.0) - np.floor((lo - 1.0) / 2.0) - 1)
+    return {int(n): float(np.mean(trace.power[flat & (crossings == n)]))
+            for n in np.unique(crossings[flat])}

@@ -89,7 +89,8 @@ def _driven(cfg: ExperimentConfig, columns: tuple[str, ...]) -> ResultTable:
     predicted = {n: multicross_power(two.coupling, two.skew, two.rate, n)
                  for n in range(1, crossings + 1)}
     state = prepare_band_state(cfg.lattice, cfg.drive.q_start, 1)
-    trace = evolve(state, cfg.lattice, cfg.drive, cfg.integrator)
+    trace = evolve(state, cfg.lattice, cfg.drive, cfg.integrator,
+                   project="band1_prob" in columns)
     plateaus = []
     for n, mean_power in plateau_averages(trace).items():
         entry = {"crossings": n, "mean_power": mean_power}

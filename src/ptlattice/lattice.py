@@ -22,17 +22,18 @@ which is what guarantees the real spectrum and gives a robust solver.
 
 One function, band_arrays, solves the operator at a whole vector of momenta
 with stacked LAPACK calls: np.linalg.eigh on the symmetrized stack in the
-unbroken phase, np.linalg.eig plus the inverse (for the left vectors) at or
-beyond criticality.  The momenta go in blocks of at most _BLOCK matrix
-elements (419 momenta at l_max 12), or of one momentum once a single
-matrix is larger (l_max 256 on), which bounds memory whatever the grid or
-sample count.  It returns arrays with the band index last: energies
-(Q, N), right and left vectors (Q, N, N) with columns as bands, and
-degeneracy flags (Q, N).  It is the one place that scales a band vector:
-each right vector has unit power, sum |right_l|^2 = 1, and its left vector
-is paired to it, left . right = 1 (no complex conjugate).  band_energies
-is a view of it, and so are the state preparation and band projection of
-the dynamics module.
+unbroken phase, np.linalg.eig at or beyond criticality, with the left
+vectors of the bands asked for solved from the transposed eigenvector
+matrix (np.linalg.solve, not the full inverse).  The momenta go in blocks
+of at most _BLOCK matrix elements (419 momenta at l_max 12), or of one
+momentum once a single matrix is larger (l_max 256 on), which bounds memory
+whatever the grid or sample count.  It returns arrays with the band index
+last: energies (Q, N), right and left vectors (Q, N, N) with columns as
+bands, and degeneracy flags (Q, N).  It is the one place that scales a band
+vector: each right vector has unit power, sum |right_l|^2 = 1, and its left
+vector is paired to it, left . right = 1 (no complex conjugate).
+band_energies is a view of it, and so are the state preparation and band
+projection of the dynamics module.
 """
 
 from __future__ import annotations
@@ -188,12 +189,13 @@ def _solve_block(
         order = np.lexsort((energies.imag, energies.real))
         energies = np.take_along_axis(energies, order, -1)
         v = np.take_along_axis(v, order[:, None, :], -1)
+        # the left vectors are the rows cols of v^-1: v^T x = e_k for each k
         try:
-            w = np.linalg.inv(v)
+            left = np.linalg.solve(v.swapaxes(-1, -2), np.eye(params.size)[:, cols])
         except np.linalg.LinAlgError:
-            w = np.linalg.pinv(v)
+            left = np.linalg.pinv(v).swapaxes(-1, -2)[:, :, cols]
             unpaired = np.linalg.slogdet(v)[0] == 0
-        right, left = v[:, :, cols], w.swapaxes(-1, -2)[:, :, cols]
+        right = v[:, :, cols]
 
     # the one scaling of a band vector: unit-power right, left . right = 1;
     # a vanishing overlap leaves the pair unpaired (degenerate) and its left

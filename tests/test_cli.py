@@ -598,6 +598,33 @@ class TestRunners:
             assert table.metadata["final_power"] == table.rows[-1][2]
             assert "predicted_terminal_power" not in table.metadata
 
+    def test_multicross_solves_bands_only_at_its_launch(self, monkeypatch, tmp_path):
+        # multicross writes no band column, so it projects no sample: the
+        # one band_arrays call prepares the launch, and its rows are the
+        # z, q and power cells the evolve runner writes for the same drive
+        momenta = []
+
+        def spy(params, q, *args, **kwargs):
+            momenta.append(np.atleast_1d(q).tolist())
+            return band_arrays(params, q, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "band_arrays", spy)
+        doc = {
+            "kind": "multicross",
+            "lattice": {"v_real": 0.2, "v_imag": 0.15, "l_max": 4},
+            "drive": {"rate": -0.3, "q_start": 0.0, "q_stop": -3.9},
+            "integrator": {"step": 0.005},
+        }
+        multicross = run_multicross(parse_config(doc))
+        assert momenta == [[0.0]]
+        assert "projection_failures" not in multicross.metadata["integration"]
+        evolve = run_evolve(parse_config({**doc, "kind": "evolve"}))
+        assert momenta[1] == [0.0] and len(momenta[2]) == len(evolve.rows) > 100
+        assert evolve.metadata["integration"]["projection_failures"] == 0
+        lines = [table.write_csv(tmp_path / f"{name}.csv").read_text().splitlines()[2:]
+                 for name, table in (("multicross", multicross), ("evolve", evolve))]
+        assert lines[0] == [",".join(line.split(",")[:3]) for line in lines[1]]
+
     def test_run_multicross_needs_two_crossings(self):
         doc = {
             "kind": "multicross",

@@ -171,6 +171,21 @@ class TestKernelStep:
                 assert err <= 1e-13, (l_max, dz, w, err)
 
 
+    def test_stacked_exponential_is_each_matrix_alone(self):
+        # one stack mixes matrices of different squaring counts (dz from 1e-3
+        # to 10); each result is bitwise that of its own call
+        weights = sorted(set(dynamics._TABLE[0]) | set(twomode._TABLE[0]))
+        for v_imag, l_max in ((0.15, 4), (0.2, 12), (0.3, 40)):
+            h = build_hamiltonian(LatticeParams(0.2, v_imag, l_max), 0.0)
+            coupling = h - np.diag(np.diag(h))
+            a = np.array([-1j * w * dz * coupling for dz in (1e-3, 0.1, 1.0, 10.0)
+                          for w in weights])
+            stacked = _expm(a.reshape(4, len(weights), *coupling.shape))
+            assert stacked.shape == (4, len(weights)) + coupling.shape
+            for a_i, u in zip(a, stacked.reshape(a.shape)):
+                assert np.array_equal(_expm(a_i), u), (v_imag, l_max)
+
+
 def direct_samples(a0, params, drive, n_steps, stride, refine):
     """The states _integrate samples, each phase factor exponentiated on its own.
 
@@ -334,6 +349,37 @@ class TestHermitianGauge:
         b = evolve(ModeVector(state.amplitudes / d, 0.0), hermitian, drive)
         assert np.linalg.norm(a - d * b.final_state.amplitudes) <= 1e-12 * np.linalg.norm(a)
         assert np.max(np.abs(b.power / b.power[0] - 1.0)) <= 1e-10
+
+
+class TestMirrorIdentity:
+    # (v_imag, tolerances on the power, relative at every sample; on band 1,
+    # relative; on the mirrored final state up to a global phase).  Measured
+    # at step 0.0075: 4.2e-14, 1.7e-13, 3.1e-14 (unbroken); 6.6e-11, 3.3e-11,
+    # 6.1e-7 (criterion 3's reverse drive, whose launch vectors next to the
+    # EP are ill-conditioned); 6.1e-14, 1.1e-11, 5.2e-15 (broken)
+    @pytest.mark.parametrize("v_imag, power_tol, band_tol, state_tol", [
+        (0.15, 1e-12, 1e-11, 1e-12),
+        (0.2 - 1e-7, 1e-9, 1e-9, 1e-5),
+        (0.25, 1e-12, 1e-9, 1e-12),
+    ])
+    def test_reverse_drive_is_the_mirrored_forward_drive(self, v_imag, power_tol, band_tol,
+                                                         state_tol):
+        # mirroring the modes, l -> -l, keeps (2l + q)^2 under q -> -q and
+        # transposes the coupling, which flips v_imag: the drive 0 -> -3.9 at
+        # v_imag is the drive 0 -> 3.9 at -v_imag, mode by mode mirrored
+        config = IntegratorConfig(step=0.0075)
+        rev, fwd = (
+            evolve(prepare_band_state(params, 0.0, 1), params, drive, config)
+            for params, drive in ((LatticeParams(0.2, v_imag), DriveParams(-0.03, 0.0, -3.9)),
+                                  (LatticeParams(0.2, -v_imag), DriveParams(0.03, 0.0, 3.9)))
+        )
+        assert np.array_equal(rev.z, fwd.z) and np.array_equal(rev.q, -fwd.q)
+        np.testing.assert_allclose(rev.power, fwd.power, rtol=power_tol, atol=0)
+        np.testing.assert_allclose(rev.band1_prob, fwd.band1_prob, rtol=band_tol, atol=0)
+        mirrored, final = rev.final_state.amplitudes[::-1], fwd.final_state.amplitudes
+        phase = np.vdot(final, mirrored)
+        error = np.linalg.norm(mirrored - phase / abs(phase) * final) / np.linalg.norm(final)
+        assert error <= state_tol
 
 
 class TestPowerAndProjection:
@@ -512,20 +558,40 @@ class TestEvolve:
         assert ends[-1] == ends_finer[-1] == 23
 
     def test_kicks_once_per_weight_and_step_length(self, monkeypatch):
-        calls = []
+        stacks = []
 
         def spy(a):
-            calls.append(a)
+            stacks.append(a)
             return expm(a)
 
         expm = dynamics._expm
         monkeypatch.setattr(dynamics, "_expm", spy)
         # 3600 grid steps sampled every 7: intervals of 7 and a remainder of 2
-        # grid steps, two step lengths; a palindrome of fifteen has eight weights
+        # grid steps, two step lengths; a palindrome of fifteen has eight
+        # weights, exponentiated in one stack per step length
         params, drive = LatticeParams(0.2, 0.15, 4), DriveParams(0.05, 0.0, 1.8)
         cfg = IntegratorConfig(step=0.01, sample_stride=7)
         evolve(prepare_band_state(params, 0.0, 1), params, drive, cfg)
-        assert len(calls) == 2 * 8
+        assert [a.shape for a in stacks] == [(8, 9, 9)] * 2
+        assert len({a.tobytes() for a in np.concatenate(stacks)}) == 2 * 8
+
+    def test_unprojected_run_keeps_its_grid_and_power(self):
+        # what a multicross run asks for: no band columns, no projection
+        # count, the same samples, steps and power
+        params, drive = LatticeParams(0.2, 0.2, 4), DriveParams(0.1, 0.0, 1.0)
+        cfg = IntegratorConfig(step=0.01, sample_stride=100)
+        state = prepare_band_state(params, 0.0, 1)
+        projected = evolve(state, params, drive, cfg)
+        bare = evolve(state, params, drive, cfg, project=False)
+        assert bare.band1_prob.shape == bare.band2_prob.shape == (0,)
+        assert bare.band1_prob.dtype == float
+        assert "projection_failures" not in bare.metadata
+        assert bare.metadata == {k: v for k, v in projected.metadata.items()
+                                 if k != "projection_failures"}
+        assert bare.metadata["steps"] == 1000
+        for name in ("z", "q", "power"):
+            assert getattr(bare, name).tobytes() == getattr(projected, name).tobytes()
+        assert np.array_equal(bare.final_state.amplitudes, projected.final_state.amplitudes)
 
     def test_degenerate_projection_is_counted(self):
         # at the critical point the operator is triangular with eigenvalues
@@ -745,3 +811,23 @@ class TestPlateaus:
         assert means[0] == pytest.approx(1.0, abs=0.02)
         # power grows at every crossing for positive skew and positive rate
         assert means[1] > means[0] and means[2] > means[1]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_means_follow_the_per_sample_rule(self, sign):
+        # each sample on its own: more than 0.5 from every odd integer, its
+        # plateau the odd integers passed since q[0]; samples at exactly
+        # 0.5 from one (q = 0.5, 1.5, 2.5, 3.5) are excluded
+        q = sign * np.arange(79) / 20.0
+        power = np.random.default_rng(5).uniform(0.5, 2.0, q.size)
+        trace = dynamics.EvolutionTrace(q / 0.03, q, power, np.empty(0), np.empty(0),
+                                        None)
+        members: dict[int, list] = {}
+        for q_i, p_i in zip(q.tolist(), power):
+            nearest_odd = 2.0 * round((q_i - 1.0) / 2.0) + 1.0
+            if abs(q_i - nearest_odd) > 0.5:
+                members.setdefault(_crossings_between(q[0], q_i), []).append(p_i)
+        means = plateau_averages(trace)
+        assert list(means) == [0, 1, 2]
+        assert means == {n: float(np.mean(v)) for n, v in sorted(members.items())}
+        # 21 samples of each window [0.5, 1.5] and [2.5, 3.5] are left out
+        assert sum(map(len, members.values())) == 79 - 2 * 21
