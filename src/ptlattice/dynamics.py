@@ -11,19 +11,17 @@ conserved only for v_imag = 0; each sweep through an odd-integer momentum is
 an interband transition that can amplify or attenuate the beam.
 
 Propagation is the split-step (beam-propagation) method in the mode basis:
-the diagonal is integrated exactly, since q is linear in z, and the
-constant coupling V is applied through its exponential expm(-i w V h),
-computed once per run, weight and step length by scaling and squaring a
-Taylor series, evaluated by Paterson-Stockmeyer, which needs no eigenbasis
-(at v_imag = v_real the coupling is a Jordan block); _expm takes the
-distinct weights of one step length as one stack, bitwise equal to one call
-per matrix.  A palindromic table of weights composes Strang sub-steps into
-one table step (_table).  The lattice's is Kahan & Li's fifteen sub-steps
-s15odr8, one eighth-order step of fifteen coupling kicks; within a run each
-step's last diagonal phase folds into the next step's first.  The twomode
-module's two-level kernel builds its own table, Kahan & Li's sixth-order
-s9odr6a, with the same _table, and shares _march, _expm and
-IntegratorConfig.
+the diagonal is integrated exactly, since q is linear in z, and the constant
+coupling V is applied through its exponential expm(-i w V h), computed once
+per run and weight by scaling and squaring a Taylor series, evaluated by
+Paterson-Stockmeyer, which needs no eigenbasis (at v_imag = v_real the
+coupling is a Jordan block).  A palindromic table of weights composes
+Strang sub-steps into one table step (_table).  The lattice's is Kahan &
+Li's fifteen sub-steps s15odr8, one eighth-order step of fifteen coupling
+kicks; within a run each step's last diagonal phase folds into the next
+step's first.  The twomode module's two-level kernel builds its own table,
+Kahan & Li's sixth-order s9odr6a, with the same _table, and shares _march,
+_expm and IntegratorConfig.
 
 The diagonal phase of mode l over a sub-step of width w from qa to qb is
 w (4l^2 + 2l s + c), s = qa + qb, c = (qa^2 + qa qb + qb^2)/3.  The part
@@ -59,10 +57,10 @@ the grid with exactly twice the table steps in every interval.
 
 Band occupations are biorthogonal projections onto the band eigenvectors of
 lattice.band_arrays.  evolve projects all of its samples with one call of
-it, or none with project=False, as a multicross run, which writes no band
-column, asks; prepare_band_state, project_onto_band and
-transition_probability, which projects a sweep point's end state onto band
-2 at q_stop, are its one-momentum views.
+it, or none with project=False (a multicross run, which writes no band
+column); prepare_band_state, project_onto_band and transition_probability,
+which projects a sweep point's end state onto band 2 at q_stop, are its
+one-momentum views.
 """
 
 from __future__ import annotations
@@ -260,36 +258,31 @@ def _lattice_grid(drive: DriveParams, config: IntegratorConfig) -> tuple[int, in
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of each matrix of a (..., n, n) stack, by scaling and squaring.
+    """Matrix exponential by scaling and squaring of a degree-18 Taylor series.
 
-    Each matrix is halved until its 1-norm is at most 0.5, where the degree-18
-    Taylor series' truncation error is below 0.5**19/19! ~ 2e-23, and the sum
-    is squared back.  The polynomial is evaluated by Paterson-Stockmeyer:
-    from a^2, a^3 and a^4, a Horner scheme in a^4 over blocks of four terms,
-    seven matrix products.  Each block adds its identity term last, so the
-    sum's diagonal, near 1 for a small a, is rounded once, as in a Horner
-    scheme in a.  Each matrix of the stack is scaled and squared back by its
-    own count, so its result is bitwise that of a call on it alone.
+    a is halved until its 1-norm is at most 0.5, where the series' truncation
+    error is below 0.5**19/19! ~ 2e-23, and the sum is squared back.  The
+    polynomial is evaluated by Paterson-Stockmeyer: from a^2, a^3 and a^4,
+    a Horner scheme in a^4 over blocks of four terms, seven matrix products.
+    Each block adds its identity term last, so the sum's diagonal, near 1
+    for a small a, is rounded once, as in a Horner scheme in a.
     """
-    n = a.shape[-1]
-    b = a.reshape(-1, n, n)
-    norms = np.linalg.norm(b, 1, axis=(1, 2)).tolist()
-    squarings = np.array([math.ceil(math.log2(x / 0.5)) if x > 0.5 else 0 for x in norms])
-    b = b / 2.0 ** squarings[:, None, None]
-    b2 = b @ b
-    b4 = b2 @ b2
-    powers = np.stack((b, b2, b2 @ b), axis=1).reshape(len(b), 3, n * n)
-    diagonal = np.arange(n)
+    norm = np.linalg.norm(a, 1)
+    squarings = math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0
+    a = a / 2.0**squarings
+    n = a.shape[0]
+    a2 = a @ a
+    a4 = a2 @ a2
+    powers = np.stack((a, a2, a2 @ a)).reshape(3, n * n)
     for start in (16, 12, 8, 4, 0):
-        # the terms b^k/k! for start < k < start + 4, k <= 18, then k = start
+        # the terms a^k/k! for start < k < start + 4, k <= 18, then k = start
         coeffs = [1.0 / math.factorial(k) for k in range(start + 1, min(start + 4, 19))]
-        block = (np.array(coeffs) @ powers[:, :len(coeffs)]).reshape(b.shape)
-        result = block + b4 @ result if start < 16 else block
-        result[:, diagonal, diagonal] += 1.0 / math.factorial(start)
-    for k in range(squarings.max()):
-        more = squarings > k
-        result[more] = result[more] @ result[more]
-    return result.reshape(a.shape)
+        block = (np.array(coeffs) @ powers[:len(coeffs)]).reshape(n, n)
+        result = block + a4 @ result if start < 16 else block
+        result.flat[::n + 1] += 1.0 / math.factorial(start)
+    for _ in range(squarings):
+        result = result @ result
+    return result
 
 
 def _grid(duration: float, step: float, stride: int | None, samples: int) -> tuple[int, int]:
@@ -315,26 +308,21 @@ def _march(coupling: np.ndarray, n_steps: int, stride: int, span: int, table: tu
     folded nodes) from _table: a sample interval of L grid steps
     takes ceil(L/span) equal table steps, refine times as many for a
     convergence rerun: at most two step lengths, for the whole intervals and
-    the remainder, and one stacked _expm per step length over the distinct
-    weights.  A step inside an interval starts from the last kick of the
-    step before, which folds that step's last phase into its own first; a
-    step that ends an interval ends at the interval's end.  Yields per chunk
-    the steps' kicks, their phase nodes as offsets from the grid's start and
-    the spacings between them, one row per step, and the grid point each
-    step ends on, 0 for a step inside an interval, with the run's table-step
-    length h and which steps start an interval: (kicks, h, nodes, spacings,
-    first, ends).
+    the remainder, and one _expm per distinct weight and step length.  A step
+    inside an interval starts from the last kick of the step before, which
+    folds that step's last phase into its own first; a step that ends an
+    interval ends at the interval's end.  Yields per chunk the steps' kicks,
+    their phase nodes as offsets from the grid's start and the spacings
+    between them, one row per step, and the grid point each step ends on, 0
+    for a step inside an interval, with the run's table-step length h and
+    which steps start an interval: (kicks, h, nodes, spacings, first, ends).
     """
     whole, rest = divmod(n_steps, stride)
     runs = [(count, length, refine * -(-length // span))
             for count, length in ((whole, stride), (1, rest)) if count and length]
     steps = {length * dz / m for _, length, m in runs}
     weights, nodes, folded = table
-    distinct = sorted(set(weights))
-    exps = {}
-    for h in steps:
-        stacked = _expm(np.stack([-1j * w * h * coupling for w in distinct]))
-        exps.update(((w, h), u) for w, u in zip(distinct, stacked))
+    exps = {(w, h): _expm(-1j * w * h * coupling) for w in set(weights) for h in steps}
     i0 = 0  # grid point of the run's start
     for count, length, m in runs:
         h = length * dz / m
@@ -518,11 +506,12 @@ def plateau_averages(trace: EvolutionTrace) -> dict[int, float]:
     from every odd integer, which excludes the oscillatory transition
     regions around the Bragg points.
     """
-    q = trace.q
-    nearest_odd = 2.0 * np.round((q - 1.0) / 2.0) + 1.0
-    flat = np.abs(q - nearest_odd) > 0.5
-    # _crossings_between(q[0], q) of every sample
-    lo, hi = np.minimum(q[0], q), np.maximum(q[0], q)
-    crossings = np.maximum(0, np.ceil((hi - 1.0) / 2.0) - np.floor((lo - 1.0) / 2.0) - 1)
-    return {int(n): float(np.mean(trace.power[flat & (crossings == n)]))
-            for n in np.unique(crossings[flat])}
+    q_start = trace.q[0]
+    means: dict[int, list] = {}
+    for q, rho in zip(trace.q, trace.power):
+        nearest_odd = 2.0 * round((q - 1.0) / 2.0) + 1.0
+        if abs(q - nearest_odd) <= 0.5:
+            continue
+        n = _crossings_between(q_start, q)
+        means.setdefault(n, []).append(rho)
+    return {n: float(np.mean(vals)) for n, vals in sorted(means.items())}

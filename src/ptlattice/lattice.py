@@ -189,9 +189,11 @@ def _solve_block(
         order = np.lexsort((energies.imag, energies.real))
         energies = np.take_along_axis(energies, order, -1)
         v = np.take_along_axis(v, order[:, None, :], -1)
-        # the left vectors are the rows cols of v^-1: v^T x = e_k for each k
+        # the left vectors are the rows cols of v^-1: v^T x = e_k for each k;
+        # b keeps a's number of dimensions, which every numpy reads as a
+        # stack of matrices (numpy < 2 reads one dimension less as vectors)
         try:
-            left = np.linalg.solve(v.swapaxes(-1, -2), np.eye(params.size)[:, cols])
+            left = np.linalg.solve(v.swapaxes(-1, -2), np.eye(params.size)[None, :, cols])
         except np.linalg.LinAlgError:
             left = np.linalg.pinv(v).swapaxes(-1, -2)[:, :, cols]
             unpaired = np.linalg.slogdet(v)[0] == 0

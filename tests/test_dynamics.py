@@ -171,21 +171,6 @@ class TestKernelStep:
                 assert err <= 1e-13, (l_max, dz, w, err)
 
 
-    def test_stacked_exponential_is_each_matrix_alone(self):
-        # one stack mixes matrices of different squaring counts (dz from 1e-3
-        # to 10); each result is bitwise that of its own call
-        weights = sorted(set(dynamics._TABLE[0]) | set(twomode._TABLE[0]))
-        for v_imag, l_max in ((0.15, 4), (0.2, 12), (0.3, 40)):
-            h = build_hamiltonian(LatticeParams(0.2, v_imag, l_max), 0.0)
-            coupling = h - np.diag(np.diag(h))
-            a = np.array([-1j * w * dz * coupling for dz in (1e-3, 0.1, 1.0, 10.0)
-                          for w in weights])
-            stacked = _expm(a.reshape(4, len(weights), *coupling.shape))
-            assert stacked.shape == (4, len(weights)) + coupling.shape
-            for a_i, u in zip(a, stacked.reshape(a.shape)):
-                assert np.array_equal(_expm(a_i), u), (v_imag, l_max)
-
-
 def direct_samples(a0, params, drive, n_steps, stride, refine):
     """The states _integrate samples, each phase factor exponentiated on its own.
 
@@ -558,22 +543,20 @@ class TestEvolve:
         assert ends[-1] == ends_finer[-1] == 23
 
     def test_kicks_once_per_weight_and_step_length(self, monkeypatch):
-        stacks = []
+        calls = []
 
         def spy(a):
-            stacks.append(a)
+            calls.append(a)
             return expm(a)
 
         expm = dynamics._expm
         monkeypatch.setattr(dynamics, "_expm", spy)
         # 3600 grid steps sampled every 7: intervals of 7 and a remainder of 2
-        # grid steps, two step lengths; a palindrome of fifteen has eight
-        # weights, exponentiated in one stack per step length
+        # grid steps, two step lengths; a palindrome of fifteen has eight weights
         params, drive = LatticeParams(0.2, 0.15, 4), DriveParams(0.05, 0.0, 1.8)
         cfg = IntegratorConfig(step=0.01, sample_stride=7)
         evolve(prepare_band_state(params, 0.0, 1), params, drive, cfg)
-        assert [a.shape for a in stacks] == [(8, 9, 9)] * 2
-        assert len({a.tobytes() for a in np.concatenate(stacks)}) == 2 * 8
+        assert len(calls) == 2 * 8
 
     def test_unprojected_run_keeps_its_grid_and_power(self):
         # what a multicross run asks for: no band columns, no projection

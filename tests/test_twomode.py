@@ -472,21 +472,20 @@ class TestScanKernel:
         assert ends[ends > 0].tolist() == ends_finer[ends_finer > 0].tolist() == grid
 
     def test_expm_once_per_weight_and_step_length(self, monkeypatch):
-        stacks = []
+        calls = []
 
         def spy(a):
-            stacks.append(a)
+            calls.append(a)
             return expm(a)
 
         expm = dynamics._expm
         monkeypatch.setattr(dynamics, "_expm", spy)
         # 4000 grid steps sampled every 7: intervals of 7 and of 3 grid steps
         # both take table steps of one grid step, one step length for five
-        # distinct weights, exponentiated in one stack
+        # distinct weights
         config = IntegratorConfig(step=0.02, sample_stride=7)
         evolve_two_mode(TwoModeParams(0.4, 0.3, 0.12), t_span=self.SPAN, config=config)
-        assert [a.shape for a in stacks] == [(5, 2, 2)]
-        assert len({a.tobytes() for a in stacks[0]}) == 5
+        assert len(calls) == 5
 
 
 class TestCouplingExponential:
