@@ -183,6 +183,6 @@ def load_config(source) -> ExperimentConfig:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return parse_config(doc)

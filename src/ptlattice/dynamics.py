@@ -180,8 +180,10 @@ class EvolutionTrace:
     metadata: dict = field(default_factory=dict)
 
 
-def _check_state(state: ModeVector, params: LatticeParams) -> None:
-    """Raise ParameterError unless the state holds params.size finite amplitudes."""
+def _check_state(state: ModeVector, params: LatticeParams, q: float) -> None:
+    """Raise ParameterError unless the state holds params.size finite amplitudes at momentum q."""
+    if abs(state.q_ref - q) > 1e-9:
+        raise ParameterError(f"state carries q_ref={state.q_ref}, asked for q={q}")
     a = np.asarray(state.amplitudes)
     if a.shape != (params.size,) or a.dtype.kind not in "iufc" or not np.isfinite(a).all():
         raise ParameterError(
@@ -238,9 +240,7 @@ def project_onto_band(
     its own band with |c|^2 = 1 and onto any other band with |c|^2 = 0.
     With v_imag = 0 this is the ordinary overlap squared.
     """
-    if abs(q - state.q_ref) > 1e-9:
-        raise ParameterError(f"state carries q_ref={state.q_ref}, asked to project at q={q}")
-    _check_state(state, params)
+    _check_state(state, params, q)
     _, left = _one_band(params, q, band)
     c = complex(left @ state.amplitudes)
     return c, abs(c) ** 2
@@ -290,8 +290,12 @@ def _grid(duration: float, step: float, stride: int | None, samples: int) -> tup
 
     n is the fewest grid steps no longer than step, and the stride defaults
     to ceil(n/samples): at most samples + 1 samples, the last at the end.
-    An n above MAX_GRID_STEPS raises ParameterError.
+    A step that is not > 0 (a default step that rounds to 0 far out) or an
+    n above MAX_GRID_STEPS raises ParameterError.
     """
+    if not step > 0.0:
+        raise ParameterError(f"the grid step {step:.3g} is not positive: a default step "
+                             "rounds to 0 this far out; shorten the drive")
     steps = duration / step
     if not steps <= MAX_GRID_STEPS:
         raise ParameterError(f"the run needs {steps:.3g} grid steps, over MAX_GRID_STEPS")
@@ -381,8 +385,7 @@ def _integrate(
         s0 = s[0, :-1].copy()
         if first[0]:  # the chunk's first step starts an interval: fold its column 0
             s0[0] += rate * h * _FOLDED[0]
-        anchor = np.exp(-1j * w[:, None] * two_l * (two_l + s0[:, None]))
-        np.multiply(table[:len(z)], anchor, out=buffer[:len(z)])
+        np.multiply(table[:len(z)], direct(w, s0), out=buffer[:len(z)])
         # column 0 of an interval's first step spans half a sub-step from its
         # start, and the closing column runs from the last kick to an
         # interval's end, where the interval's scalar phase joins it
@@ -427,9 +430,7 @@ def evolve(
     that is not params.size finite amplitudes, or a beam amplified past the
     float range, raises ParameterError.
     """
-    if abs(state.q_ref - drive.q_start) > 1e-9:
-        raise ParameterError("state q_ref must match the drive's q_start")
-    _check_state(state, params)
+    _check_state(state, params, drive.q_start)
     n_steps, stride = _lattice_grid(drive, config)
 
     y, samples = _integrate(state.amplitudes, params, drive, n_steps, stride)

@@ -83,7 +83,9 @@ def run_bands(cfg: ExperimentConfig) -> ResultTable:
 
 def _driven(cfg: ExperimentConfig, columns: tuple[str, ...]) -> ResultTable:
     """Drive band 1: the trace's columns, final power and plateaus with two-mode predictions."""
-    # first, so that a prediction beyond the float range raises before the march
+    # the grid first, in microseconds, then the predictions, in time quadratic
+    # in the crossings: each raises before the march
+    _lattice_grid(cfg.drive, cfg.integrator)
     two = TwoModeParams.from_lattice(cfg.lattice, cfg.drive.rate)
     crossings = _crossings_between(cfg.drive.q_start, cfg.drive.q_stop)
     predicted = {n: multicross_power(two.coupling, two.skew, two.rate, n)

@@ -35,8 +35,6 @@ class Series:
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
-        return [lo]
     raw = (hi / 2 - lo / 2) / target * 2  # in halves: a span of two doubles may overflow
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
@@ -85,8 +83,6 @@ def _m4(px: np.ndarray, py: np.ndarray) -> np.ndarray:
     col = np.floor(px)
     first = np.r_[True, col[1:] != col[:-1]]
     keep = first | np.r_[first[1:], True]
-    if keep.all():  # no run of more than two points
-        return keep
     run = np.cumsum(first) - 1
     for extreme in (np.minimum, np.maximum):
         hit = np.flatnonzero(py == extreme.reduceat(py, np.flatnonzero(first))[run])
@@ -192,6 +188,8 @@ def render_line_chart(
             f'transform="rotate(-90 16 {y_mid})">{escape(y_label)}</text>'
         )
 
+    # the lines, then the legend drawn over them: an entry per line, in its style
+    legend, legend_y, x0 = [], MARGIN_T + 14, WIDTH - MARGIN_R - 150
     for i, (s, x, y) in enumerate(cleaned):
         color = PALETTE[i % len(PALETTE)]
         xp, yp = px(np.log10(x) if x_log else x), py(y)
@@ -201,19 +199,14 @@ def render_line_chart(
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>'
         )
-
-    legend_y = MARGIN_T + 14
-    for i, (s, _, _) in enumerate(cleaned):
-        color = PALETTE[i % len(PALETTE)]
-        dash = ' stroke-dasharray="6,4"' if s.dashed else ""
-        x0 = WIDTH - MARGIN_R - 150
-        parts.append(
+        legend.append(
             f'<line x1="{x0}" y1="{legend_y}" x2="{x0 + 24}" y2="{legend_y}" '
             f'stroke="{color}" stroke-width="1.5"{dash}/>'
         )
-        parts.append(f'<text x="{x0 + 30}" y="{legend_y + 4}">{escape(s.label)}</text>')
+        legend.append(f'<text x="{x0 + 30}" y="{legend_y + 4}">{escape(s.label)}</text>')
         legend_y += 16
 
+    parts += legend
     parts.append("</svg>")
     out = Path(path)
     out.write_text("\n".join(parts) + "\n", encoding="utf-8")

@@ -75,6 +75,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="kind"):
             parse_config({"kind": "nope"})
 
+    def test_root_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="config root: expected an object"):
+            parse_config([bands_doc()])
+
     def test_invalid_numbers_rejected(self):
         doc = bands_doc()
         doc["lattice"]["v_real"] = "0.2"
@@ -98,6 +102,8 @@ class TestConfig:
         (sweep_doc, ("sweep", "count"), True),
         (sweep_doc, ("sweep", "spacing"), "cubic"),
         (twomode_doc, ("integrator", "sample_stride"), 0),
+        (bands_doc, ("band_count",), 26),  # above the 25 modes of l_max 12
+        (evolve_doc, ("drive",), 1.0),  # a section that is not an object
     ])
     def test_mistyped_field_rejected(self, make, path, value):
         doc = make()
@@ -211,6 +217,47 @@ class TestConfig:
         path.write_text(json.dumps(doc))
         assert main(["twomode", "--config", str(path), "--out", str(tmp_path / "t")]) == 2
         assert "must not underflow to 0" in capsys.readouterr().err
+        assert no_march == []
+
+    @pytest.fixture
+    def no_prediction(self, monkeypatch):
+        """multicross_power raises: a driven run rejected first computes no prediction."""
+        def fail(*args):
+            raise AssertionError("multicross_power called")
+        monkeypatch.setattr(experiments, "multicross_power", fail)
+
+    @pytest.mark.parametrize("kind, doc", [
+        # rate * t_max / 2 overflows, so the default step 1.08/inf is 0
+        ("twomode", {"kind": "twomode", "twomode": {"coupling": 0.4, "skew": 0.3, "rate": 4.0},
+                     "t_max": 1.7e308}),
+        # q_max^2 overflows, so the default step 0.03/q_max^2 is 0; the run
+        # would otherwise first predict 5e159 plateaus
+        ("evolve", {"kind": "evolve", "lattice": {"v_real": 0.2, "v_imag": 0.0},
+                    "drive": {"rate": 1e150, "q_start": 0.0, "q_stop": 1e160}}),
+    ], ids=["twomode", "evolve"])
+    def test_step_rounding_to_0_exits_2(self, tmp_path, capsys, no_march, no_prediction,
+                                        kind, doc):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        assert main([kind, "--config", str(path), "--out", str(tmp_path / "f")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ptlattice: error: ")
+        assert "grid step 0 is not positive" in err[0]
+        assert no_march == []
+        assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["evolve", "multicross"])
+    def test_driven_grid_is_checked_before_the_predictions(self, tmp_path, capsys, no_march,
+                                                           no_prediction, kind):
+        # 10^4 crossings would take seconds to predict; the grid of 2.67e14
+        # steps is rejected first
+        doc = evolve_doc()
+        doc["kind"] = kind
+        doc["drive"].update(rate=1.0, q_stop=2e4)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        assert main([kind, "--config", str(path), "--out", str(tmp_path / "l")]) == 2
+        assert "needs 2.67e+14 grid steps" in capsys.readouterr().err
         assert no_march == []
 
     def test_evolve_grid_above_the_largest_exits_2(self, tmp_path, capsys, no_march):
@@ -375,6 +422,15 @@ class TestResultTable:
         path = tmp_path / "t.csv"
         path.write_text('# {"warnings":[]}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="column header row"):
+            load_csv(path)
+
+    def test_load_csv_reads_text_and_rejects_ragged_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('# {}\nname,n\nx,1\ny z,2\n', encoding="utf-8")
+        back = load_csv(path)
+        assert back.columns["name"].tolist() == ["x", "y z"] and back.rows[1] == ("y z", 2)
+        path.write_text('# {}\na,b\n1,2\n3\n', encoding="utf-8")
+        with pytest.raises(ValueError, match="column count"):
             load_csv(path)
 
     def test_rows_must_be_rectangular(self):
@@ -827,6 +883,27 @@ class TestCli:
 
     def test_missing_config_exits_2(self):
         assert main(["bands", "--config", "no_such_file.json"]) == 2
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read"),
+        (b'{"kind": "bands",', "invalid JSON"),
+        (b"\xff{}", "invalid JSON"),  # not UTF-8
+    ], ids=["unreadable", "truncated", "not_utf8"])
+    def test_unreadable_or_invalid_config_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                  content, message):
+        path = tmp_path / "cfg.json"
+        if content is None:
+            # a file that exists but cannot be read (a permission bit does not stop root)
+            path.write_text(json.dumps(bands_doc()))
+            def unreadable(self, *args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(self))
+            monkeypatch.setattr(type(path), "read_text", unreadable)
+        else:
+            path.write_bytes(content)
+        assert main(["bands", "--config", str(path), "--out", str(tmp_path / "b")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ptlattice: error: ") and message in err[0]
+        assert not (tmp_path / "b.csv").exists()
 
     def test_accuracy_failure_exits_3(self, tmp_path, capsys):
         doc = {

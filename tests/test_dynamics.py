@@ -196,10 +196,10 @@ def direct_samples(a0, params, drive, n_steps, stride, refine):
 
 
 class TestPhaseTables:
-    # 603 grid steps: strides 2, 6 and 7 leave a remainder interval (of 1, 3
-    # and 1 grid steps; at stride 6 of the same table-step length as the
-    # whole intervals), stride 1 starts an interval at every table step; the
-    # default stride of 9720 grid steps is 5
+    # 603 grid steps: strides 2, 6 and 7 leave a remainder interval of 1, 3
+    # and 1 grid steps, one table step shorter than the whole intervals' one
+    # (of 2, 6 and 7 grid steps); stride 1 starts an interval at every table
+    # step; the default stride of 9720 grid steps is 5
     @pytest.mark.parametrize("l_max, rate, stride, refine", [
         (40, 0.05, 1, 1),
         (40, -0.05, 2, 2),
@@ -219,6 +219,19 @@ class TestPhaseTables:
         else:
             n_steps = 603
         assert_samples_match_direct(params, drive, n_steps, stride, refine)
+
+    # 600 grid steps at stride 16: 37 intervals of two table steps of 8 grid
+    # steps and a remainder of 8, one table step of the same length (4 grid
+    # steps for both at refine 2), which marches on the whole run's phase
+    # table and kick exponentials
+    @pytest.mark.parametrize("refine", [1, 2])
+    def test_remainder_of_the_intervals_table_step(self, refine):
+        params, drive = LatticeParams(0.2, 0.15, 40), DriveParams(0.05, 0.0, 1.8)
+        ham = build_hamiltonian(params, 0.0)
+        march = dynamics._march(ham - np.diag(np.diag(ham)), 600, 16, dynamics._GRID_STEPS,
+                                dynamics._TABLE, refine, drive.duration / 600, dynamics._CHUNK)
+        assert len({h for _, h, *_ in march}) == 1
+        assert_samples_match_direct(params, drive, 600, 16, refine)
 
     # one sample interval of _CHUNK + 6 table steps, twice as many at refine
     # 2, runs across chunk boundaries: the buffer of phase rows is rewritten
@@ -390,7 +403,7 @@ class TestPowerAndProjection:
     def test_momentum_mismatch_rejected(self):
         params = LatticeParams(0.2, 0.0)
         state = prepare_band_state(params, 0.0, 1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"q_ref=0.0, asked for q=0.5"):
             project_onto_band(state, params, 0.5, 1)
 
     @pytest.mark.parametrize("amplitudes", BAD_AMPLITUDES)
@@ -705,6 +718,16 @@ class TestEvolve:
             with pytest.raises(ParameterError, match="MAX_GRID_STEPS"):
                 dynamics._grid(duration, step, None, 2000)
 
+    def test_step_rounding_to_0_is_rejected(self):
+        # q_max^2 = 1e320 overflows, so the default step 0.03/q_max^2 is 0
+        params = LatticeParams(0.2, 0.0)
+        drive = DriveParams(1e150, 0.0, 1e160)
+        assert default_step(drive) == 0.0
+        with pytest.raises(ParameterError, match="grid step 0 is not positive"):
+            evolve(prepare_band_state(params, 0.0, 1), params, drive)
+        with pytest.raises(ParameterError, match="not positive"):
+            dynamics._grid(1.0, -0.0, None, 2000)
+
     def test_zero_rate_rejected(self):
         params = LatticeParams(0.2, 0.0)
         state = prepare_band_state(params, 0.0, 1)
@@ -714,7 +737,7 @@ class TestEvolve:
     def test_q_ref_mismatch_rejected(self):
         params = LatticeParams(0.2, 0.0)
         state = prepare_band_state(params, 0.5, 1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"q_ref=0.5, asked for q=0.0"):
             evolve(state, params, DriveParams(0.1, 0.0, 1.0))
 
     @pytest.mark.parametrize("amplitudes", BAD_AMPLITUDES)

@@ -190,6 +190,38 @@ class TestEigensystem:
         with pytest.raises(ParameterError, match="bogus"):
             solve(LatticeParams(0.2, 0.15), 0.3, solver="bogus")
 
+    def test_left_vectors_by_pseudo_inverse(self, monkeypatch):
+        # the general path's fallback when the solve for the left vectors
+        # fails; momenta off q = 0, where a near-coalescing pair has left
+        # vectors of norm 7e4 that the two solves agree on only to 1e-9
+        params, q = LatticeParams(0.2, 0.25, 12), np.array([-0.9, -0.3, 0.3, 0.9])
+        solved = band_arrays(params, q)
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        fallback = band_arrays(params, q)
+        np.testing.assert_array_equal(fallback.right, solved.right)
+        np.testing.assert_array_equal(fallback.degenerate, solved.degenerate)
+        np.testing.assert_allclose(fallback.left, solved.left, rtol=0, atol=1e-10)
+
+    def test_singular_eigenvectors_leave_every_band_degenerate(self, monkeypatch):
+        # eig's vectors at the middle momentum replaced by unit columns, one
+        # repeated: 0/1 entries keep the LU exact, so v is exactly singular
+        # and that momentum's bands are unpaired
+        params, q = LatticeParams(0.2, 0.25, 12), np.array([-0.4, 0.3, 0.6])
+        eig, n = np.linalg.eig, params.size
+
+        def repeated(h):
+            energies, v = eig(h)
+            v[1] = np.eye(n)[:, [0] + list(range(n - 1))]
+            return energies, v
+        monkeypatch.setattr(np.linalg, "eig", repeated)
+        flagged = band_arrays(params, q).degenerate
+        monkeypatch.undo()
+        assert flagged[1].all()
+        np.testing.assert_array_equal(flagged[[0, 2]], band_arrays(params, q).degenerate[[0, 2]])
+
     def test_spectral_reality_random_draws(self):
         rng = np.random.default_rng(11)
         for _ in range(50):

@@ -182,3 +182,10 @@ def test_log_axis_within_one_decade_is_labelled_in_rates(tmp_path):
     # a range that holds a decade keeps its decade ticks
     out = render_line_chart(tmp_path / "wide.svg", [Series("p", rates / 2, rates)], x_log=True)
     assert list(x_tick_labels(out)) == ["1e-1"]
+
+
+def test_a_chart_with_no_finite_point_is_refused(tmp_path):
+    nan = Series("y", np.arange(3.0), np.full(3, math.nan))
+    with pytest.raises(ValueError, match="nothing to plot"):
+        render_line_chart(tmp_path / "none.svg", [nan])
+    assert not (tmp_path / "none.svg").exists()

@@ -361,6 +361,10 @@ class TestEvolution:
         with pytest.raises(ParameterError, match="rate must be non-zero"):
             TwoModeParams(0.4, 0.0, 0.0)
 
+    def test_negative_coupling_rejected(self):
+        with pytest.raises(ParameterError, match="coupling must be non-negative"):
+            TwoModeParams(-0.4, 0.0, 0.12)
+
     def test_sweep_starts_in_the_ground_level(self):
         # the first sample is the instantaneous ground level at t_span[0]
         params = TwoModeParams(0.4, 0.3, 0.12)
