@@ -155,18 +155,21 @@ def _fan_out(queue: list, workers: int) -> dict:
     queue costliest first a process slowed by the host takes fewer points.
     A child's exception is raised here with its type; a child that dies
     without sending raises ChildProcessError.  Every child is joined before
-    this returns or raises.
+    this returns or raises.  The children are forked, whatever the default
+    start method: they inherit the queue and the functions it runs without
+    importing the package again, so more than one job needs a platform
+    with fork.
     """
     # imported here, so a run in one process does not load multiprocessing
     import multiprocessing
 
-    counter = multiprocessing.Value("q", 0)
+    fork = multiprocessing.get_context("fork")
+    counter = fork.Value("q", 0)
     children, pipes, shares = [], [], []
     try:
         for _ in range(workers - 1):
-            recv, send = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(target=_send_share,
-                                            args=(queue, counter, send))
+            recv, send = fork.Pipe(duplex=False)
+            child = fork.Process(target=_send_share, args=(queue, counter, send))
             try:
                 child.start()
             finally:
@@ -280,9 +283,10 @@ def render_chart(cfg: ExperimentConfig, table: ResultTable, path) -> None:
     title, x_name, y_label, x_log, lines = CHARTS[cfg.kind]
     x = table.column(x_name)
     series = [Series(label, x, table.column(name), dashed) for label, name, dashed in lines]
-    if cfg.kind == "bands":
-        band, energy = table.column("band"), table.column("energy_re")
-        series = [Series(f"band {b}", x[band == b], energy[band == b]) for b in np.unique(band)]
+    if cfg.kind == "bands":  # rows run over the bands of each q (run_bands)
+        count, energy = cfg.doc["band_count"], table.column("energy_re")
+        series = [Series(f"band {b}", x[b - 1::count], energy[b - 1::count])
+                  for b in range(1, count + 1)]
     for entry in table.metadata.get("plateaus", []):
         if "predicted_power" in entry:
             level = np.full(2, entry["predicted_power"])

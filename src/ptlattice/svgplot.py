@@ -4,6 +4,18 @@ Just enough for the run outputs: several series over a shared x axis,
 optional log-x, dashed styling for analytic reference curves, a small
 legend.  Output is a single standalone .svg file; each line is drawn
 with at most four points per pixel column (M4 decimation).
+
+A line's points are written as "{:.2f}" writes each coordinate, but in
+whole-array operations (_points): the coordinates times 100, rounded by
+np.rint, split into a whole part and cents that index digit tables
+(0-999 padded on the left with NUL, .00-.99), one 8-byte cell a
+coordinate with its separator, the NUL padding then dropped.  This is
+exact where every coordinate is at or above +0.0 and rounds below
+1000.00: there v*100 is within 7.3e-12 (half its last-place unit) of
+its exact value, so it rounds as the exact value does unless it lies
+within 1e-9 of a half-integer.  A line with any coordinate outside that
+(pixel coordinates lie in 0-640, so in practice a near-tie) is formatted
+point by point instead.
 """
 
 from __future__ import annotations
@@ -22,6 +34,18 @@ escape = partial(html.escape, quote=False)
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
 
+# "{:.2f}" text of a coordinate as one 8-byte cell, a uint64: the whole part
+# 0-999 (bytes 0-2, NUL for each leading 0), the cents .00-.99 (bytes 3-5)
+# and the separator (byte 6) are OR-ed from three tables, on either byte order
+_DIGITS = np.arange(1000)[:, None] // [100, 10, 1]
+_ASCII = _DIGITS % 10 + ord("0")
+_CELLS = np.zeros((1102, 8), dtype=np.uint8)
+_CELLS[:1000, :3] = np.where((_DIGITS > 0) | [False, False, True], _ASCII, 0)
+_CELLS[1000:1100, 3] = ord(".")
+_CELLS[1000:1100, 4:6] = _ASCII[:100, 1:]
+_CELLS[1100:, 6] = (ord(","), ord(" "))
+_WHOLE, _CENTS, _SEPARATORS = np.split(_CELLS.view(np.uint64).ravel(), [1000, 1100])
+
 WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 40, 48
 
@@ -35,12 +59,11 @@ class Series:
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    raw = (hi / 2 - lo / 2) / target * 2  # in halves: a span of two doubles may overflow
+    # in halves: a span of two doubles may overflow; at least the smallest double
+    raw = max((hi / 2 - lo / 2) / target * 2, math.ulp(0.0))
     mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
+    # raw itself where mag, a subnormal power of ten, rounds too far down
+    step = next((mult * mag for mult in (1.0, 2.0, 5.0, 10.0) if raw <= mult * mag), raw)
     ticks = []
     t = math.ceil(lo / step) * step
     while t <= hi + 1e-12 * step:
@@ -72,6 +95,13 @@ def _labels(ticks: list[float]) -> list[str]:
     return labels
 
 
+def _starts(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries that differ from the one before them; the first always does."""
+    out = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=out[1:])
+    return out
+
+
 def _m4(px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Mask of the points a polyline needs at pixel resolution (M4 decimation).
 
@@ -80,15 +110,27 @@ def _m4(px: np.ndarray, py: np.ndarray) -> np.ndarray:
     order, so each column's drawn vertical extent is unchanged and a run of
     at most two points keeps all of them.
     """
-    col = np.floor(px)
-    first = np.r_[True, col[1:] != col[:-1]]
-    keep = first | np.r_[first[1:], True]
+    first = _starts(np.floor(px))
+    keep = np.ones(first.size, dtype=bool)  # the last point ends its run
+    np.logical_or(first[:-1], first[1:], out=keep[:-1])
     run = np.cumsum(first) - 1
     for extreme in (np.minimum, np.maximum):
         hit = np.flatnonzero(py == extreme.reduceat(py, np.flatnonzero(first))[run])
-        # the first hit in each run
-        keep[hit[np.r_[True, np.diff(run[hit]) != 0]]] = True
+        keep[hit[_starts(run[hit])]] = True  # the first hit in each run
     return keep
+
+
+def _points(x: np.ndarray, y: np.ndarray) -> str:
+    """Polyline points "x,y x,y ...", each coordinate as "{:.2f}" writes it (module docstring)."""
+    xy = np.column_stack((x, y))
+    scaled = xy * 100
+    rounded = np.rint(scaled)
+    if (np.signbit(xy).any() or not (rounded < 100_000).all()
+            or (np.abs(scaled - rounded) > 0.5 - 1e-9).any()):
+        return " ".join(map("{:.2f},{:.2f}".format, x.tolist(), y.tolist()))
+    whole, cents = np.divmod(rounded.astype(np.int64), 100)
+    cells = _WHOLE[whole] | _CENTS[cents] | _SEPARATORS
+    return cells.tobytes().translate(None, b"\0")[:-1].decode("ascii")
 
 
 def render_line_chart(
@@ -194,7 +236,7 @@ def render_line_chart(
         color = PALETTE[i % len(PALETTE)]
         xp, yp = px(np.log10(x) if x_log else x), py(y)
         keep = _m4(xp, yp)
-        pts = " ".join(map("{:.2f},{:.2f}".format, xp[keep].tolist(), yp[keep].tolist()))
+        pts = _points(xp[keep], yp[keep])
         dash = ' stroke-dasharray="6,4"' if s.dashed else ""
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>'

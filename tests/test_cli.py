@@ -529,13 +529,14 @@ class TestRunners:
     def test_sweep_starts_at_most_one_child_per_rate(self, monkeypatch, count, jobs, children):
         # the calling process computes points too, so jobs processes need jobs - 1 children
         started = []
+        fork = multiprocessing.get_context("fork")
 
-        class RecordingProcess(multiprocessing.Process):
+        class RecordingProcess(fork.Process):
             def start(self):
                 started.append(self)
                 super().start()
 
-        monkeypatch.setattr(multiprocessing, "Process", RecordingProcess)
+        monkeypatch.setattr(fork, "Process", RecordingProcess)
         doc = sweep_doc()
         doc["sweep"]["count"] = count
         table = run_sweep(parse_config(doc), jobs=jobs)
@@ -610,6 +611,33 @@ class TestRunners:
                 run_sweep(parse_config(doc), jobs=2)
         assert died.value == 1
         assert multiprocessing.active_children() == []
+
+    @pytest.fixture
+    def forkserver_default(self):
+        """multiprocessing's default start method set to forkserver, as on Python 3.14."""
+        previous = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("forkserver", force=True)
+        yield
+        multiprocessing.set_start_method(previous, force=True)
+
+    # the children still fork: they run the patched point functions below,
+    # which a forkserver child could not receive
+    def test_sweep_children_fork_under_a_forkserver_default(self, forkserver_default,
+                                                            monkeypatch):
+        self.test_sweep_starts_at_most_one_child_per_rate(monkeypatch, 2, 3, 1)
+
+    @pytest.mark.parametrize("via_cli", [False, True], ids=["api", "cli"])
+    def test_sweep_point_failure_under_a_forkserver_default(self, forkserver_default,
+                                                            monkeypatch, tmp_path, capfd,
+                                                            via_cli):
+        self.test_sweep_point_failure_reaches_the_caller(monkeypatch, tmp_path, capfd,
+                                                         "child", via_cli)
+
+    @pytest.mark.parametrize("via_cli", [False, True], ids=["api", "cli"])
+    def test_sweep_child_death_under_a_forkserver_default(self, forkserver_default,
+                                                          monkeypatch, tmp_path, capfd,
+                                                          via_cli):
+        self.test_sweep_child_that_dies_is_reported(monkeypatch, tmp_path, capfd, via_cli)
 
     def test_linear_spacing_is_linspace(self):
         doc = sweep_doc()
@@ -1031,6 +1059,18 @@ class TestCharts:
             "Band structure", "q", "energy")
         assert parts["legend"] == ["band 1", "band 2"]
         assert (len(parts["solid"]), len(parts["dashed"])) == (2, 0)
+
+    def test_bands_chart_takes_every_band_count_th_row_as_a_band(self, tmp_path):
+        # 3 of the 25 bands at l_max 12: the strided split draws what a band-column split does
+        cfg = parse_config(bands_doc(band_count=3))
+        table = run_bands(cfg)
+        experiments.render_chart(cfg, table, tmp_path / "strided.svg")
+        q, band, energy = (table.column(name) for name in ("q", "band", "energy_re"))
+        masked = [svgplot.Series(f"band {b}", q[band == b], energy[band == b])
+                  for b in np.unique(band)]
+        svgplot.render_line_chart(tmp_path / "masked.svg", masked, title="Band structure",
+                                  x_label="q", y_label="energy")
+        assert (tmp_path / "strided.svg").read_bytes() == (tmp_path / "masked.svg").read_bytes()
 
     def test_evolve_chart_draws_the_power(self, tmp_path):
         parts, _ = self.render(tmp_path, evolve_doc())

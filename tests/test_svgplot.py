@@ -65,6 +65,79 @@ def test_each_column_keeps_first_last_lowest_highest(n, grid):
     assert np.flatnonzero(keep).tolist() == m4_reference(x.tolist(), y.tolist())
 
 
+def m4_concatenating(px, py):
+    """_m4's mask as np.r_ concatenations write it."""
+    col = np.floor(px)
+    first = np.r_[True, col[1:] != col[:-1]]
+    keep = first | np.r_[first[1:], True]
+    run = np.cumsum(first) - 1
+    for extreme in (np.minimum, np.maximum):
+        hit = np.flatnonzero(py == extreme.reduceat(py, np.flatnonzero(first))[run])
+        keep[hit[np.r_[True, np.diff(run[hit]) != 0]]] = True
+    return keep
+
+
+def test_m4_matches_the_concatenating_expression():
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        # runs of 1-50 points per column, columns sometimes revisited, heights with ties
+        runs = rng.integers(1, 51, size=rng.integers(1, 30))
+        columns = np.cumsum(rng.integers(-1, 3, size=runs.size)) + 300
+        px = np.repeat(columns, runs) + rng.uniform(0.0, 1.0, runs.sum())
+        py = rng.integers(0, 4, runs.sum()) * 7.5 if trial % 2 else rng.normal(size=runs.sum())
+        np.testing.assert_array_equal(svgplot._m4(px, py), m4_concatenating(px, py))
+
+
+def formatted(x, y):
+    return " ".join(map("{:.2f},{:.2f}".format, x.tolist(), y.tolist()))
+
+
+def assert_points_match_format(values):
+    """_points with values as x and, reversed, as y, in one line and point by point."""
+    x = np.array(values, dtype=float)
+    y = x[::-1].copy()
+    assert svgplot._points(x, y) == formatted(x, y)
+    for a, b in zip(x[:, None], y[:, None]):
+        assert svgplot._points(a, b) == formatted(a, b)
+
+
+def test_points_match_format_on_random_pixels():
+    rng = np.random.default_rng(11)
+    x = np.concatenate([rng.uniform(0.0, 640.0, 20_000), rng.uniform(0.0, 1.0, 2_000),
+                        rng.uniform(0.0, 10.0, 2_000)])
+    y = rng.permutation(x)
+    assert svgplot._points(x, y) == formatted(x, y)
+
+
+def test_points_match_format_at_exact_ties():
+    # odd multiples of 1/8 are exact doubles whose cents end in a 5: "{:.2f}" rounds half to even
+    eighths = np.arange(1, 640 * 8, 2) / 8
+    assert_points_match_format(eighths[::37])
+    assert svgplot._points(eighths, eighths) == formatted(eighths, eighths)
+
+
+def test_points_match_format_one_double_from_a_tie():
+    ties = (np.arange(64_000) + 0.5) / 100  # the doubles nearest x.xx5
+    for values in (ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)):
+        assert svgplot._points(values, values[::-1]) == formatted(values, values[::-1])
+
+
+@pytest.mark.parametrize("edge", [0.0, -0.0, -1e-300, -0.004, 999.994, 999.995, 1000.0, 1e5])
+def test_points_match_format_at_the_ends_of_the_tables(edge):
+    assert_points_match_format([edge])
+    assert_points_match_format([12.34, edge, 0.5, 639.99])
+
+
+def test_a_line_off_the_tables_is_formatted_point_by_point(monkeypatch):
+    # with the whole-part table blanked, only a line formatted point by point stays right
+    monkeypatch.setattr(svgplot, "_WHOLE", np.zeros_like(svgplot._WHOLE))
+    x = np.array([64.0, 100.25, 623.5])
+    assert svgplot._points(x, x) != formatted(x, x)
+    for odd in (-0.0, 0.125, 1000.0, np.nextafter(0.125, 1.0)):
+        line = np.append(x, odd)
+        assert svgplot._points(line, x[[0, 1, 2, 0]]) == formatted(line, x[[0, 1, 2, 0]])
+
+
 def test_dense_chart_is_decimated(tmp_path, monkeypatch):
     t = np.linspace(-300.0, 300.0, 45_001)
     y = np.exp(-t * t / 1e4) * np.sin(3.0 * t)
@@ -182,6 +255,21 @@ def test_log_axis_within_one_decade_is_labelled_in_rates(tmp_path):
     # a range that holds a decade keeps its decade ticks
     out = render_line_chart(tmp_path / "wide.svg", [Series("p", rates / 2, rates)], x_log=True)
     assert list(x_tick_labels(out)) == ["1e-1"]
+
+
+def test_log_axis_over_a_few_subnormals_has_a_tick(tmp_path):
+    # the tick step in halves of 5e-324..1e-323 rounds to 0, and 10**-322 is
+    # a subnormal rounded below the step that 5.96e-319..6.02e-319 asks for
+    for lo, hi in [(5e-324, 1e-323), (5.95784e-319, 6.0175e-319)]:
+        series = [Series("y", np.array([lo, hi]), np.array([0.0, 1.0]))]
+        ticks = x_tick_labels(render_line_chart(tmp_path / "tiny.svg", series, x_log=True))
+        assert ticks and all(svgplot.MARGIN_L <= x <= svgplot.WIDTH - svgplot.MARGIN_R
+                             for x in ticks.values())
+    # a range that holds its decade keeps it, as before
+    series = [Series("y", np.array([1e-310, 2e-310]), np.array([0.0, 1.0]))]
+    out = render_line_chart(tmp_path / "decade.svg", series, x_log=True)
+    assert x_tick_labels(out) == {"1e-310": 64.0}
+    assert polylines(out) == [["64.00,378.96", "624.00,53.04"]]
 
 
 def test_a_chart_with_no_finite_point_is_refused(tmp_path):
