@@ -55,12 +55,17 @@ v_imag = 0 every factor is unitary, so power is conserved to roundoff at
 any step, which is limited by accuracy only.  The convergence check reruns
 the grid with exactly twice the table steps in every interval.
 
-Band occupations are biorthogonal projections onto the band eigenvectors of
-lattice.band_arrays.  evolve projects all of its samples with one call of
-it, or none with project=False (a multicross run, which writes no band
-column); prepare_band_state, project_onto_band and transition_probability,
-which projects a sweep point's end state onto band 2 at q_stop, are its
+Band occupations are biorthogonal projections |left . a|^2 onto the band
+eigenvectors of lattice.band_arrays, by one formula (_occupations).  evolve
+projects all of its samples with one call of band_arrays, or none with
+project=False (a multicross run, which writes no band column);
+prepare_band_state, project_onto_band and transition_probability, which
+projects a sweep point's end state onto band 2 at q_stop, are its
 one-momentum views.
+
+Public functions that compute numbers raise ParameterError where a value
+leaves the float range (the _overflow_raises decorator); the private
+helpers they call carry no guard.
 """
 
 from __future__ import annotations
@@ -223,12 +228,19 @@ def _one_band(params: LatticeParams, q: float, band: int) -> tuple[np.ndarray, n
     return solved.right[0, :, 0], solved.left[0, :, 0]
 
 
+def _occupations(left: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Band amplitudes c = left . a and occupations |c|^2, (Q, B) each, of states a (Q, N)."""
+    c = np.einsum("qlb,ql->qb", left, states)
+    return c, np.abs(c) ** 2
+
+
 def prepare_band_state(params: LatticeParams, q: float, band: int) -> ModeVector:
     """Unit-power right eigenvector of the requested band (lattice.band_arrays)."""
     right, _ = _one_band(params, q, band)
     return ModeVector(amplitudes=right, q_ref=q)
 
 
+@_overflow_raises()
 def project_onto_band(
     state: ModeVector, params: LatticeParams, q: float, band: int
 ) -> tuple[complex, float]:
@@ -238,12 +250,13 @@ def project_onto_band(
     vector in the biorthogonal expansion of the state (lattice.band_arrays
     pairs left . right = 1), so a freshly prepared band state projects onto
     its own band with |c|^2 = 1 and onto any other band with |c|^2 = 0.
-    With v_imag = 0 this is the ordinary overlap squared.
+    With v_imag = 0 this is the ordinary overlap squared.  An occupation
+    past the float range raises ParameterError.
     """
     _check_state(state, params, q)
     _, left = _one_band(params, q, band)
-    c = complex(left @ state.amplitudes)
-    return c, abs(c) ** 2
+    c, occupation = _occupations(left[None, :, None], [state.amplitudes])
+    return c.item(), occupation.item()
 
 
 def default_step(drive: DriveParams) -> float:
@@ -340,7 +353,6 @@ def _march(coupling: np.ndarray, n_steps: int, stride: int, span: int, table: tu
         i0 += count * length
 
 
-@_overflow_raises()
 def _integrate(
     a0: np.ndarray,
     params: LatticeParams,
@@ -353,7 +365,6 @@ def _integrate(
 
     The samples are the start, every stride-th grid point and the end; with
     no stride only the ends.  refine multiplies the table steps (_march).
-    An overflow raises ParameterError.
     """
     dz = drive.duration / n_steps
     rate, q0 = drive.rate, drive.q_start
@@ -408,6 +419,7 @@ def _integrate(
     return y, samples
 
 
+@_overflow_raises()
 def evolve(
     state: ModeVector,
     params: LatticeParams,
@@ -436,15 +448,13 @@ def evolve(
     y, samples = _integrate(state.amplitudes, params, drive, n_steps, stride)
 
     zs, qs, amplitudes = (np.array(column) for column in zip(*samples))
-    with _overflow_raises():
-        rho = np.sum(np.abs(amplitudes) ** 2, axis=1)
+    rho = np.sum(np.abs(amplitudes) ** 2, axis=1)
     metadata = {"step": drive.duration / n_steps, "steps": n_steps, "sample_stride": stride,
                 "warnings": []}
     p1 = p2 = np.empty(0)
     if project:
         bands = band_arrays(params, qs, bands=(1, 2))
-        c = np.einsum("qlb,ql->qb", bands.left, amplitudes)
-        p1, p2 = np.where(bands.degenerate, math.nan, np.abs(c) ** 2).T
+        p1, p2 = np.where(bands.degenerate, math.nan, _occupations(bands.left, amplitudes)[1]).T
         metadata["projection_failures"] = int(bands.degenerate.sum())
     if config.convergence_check:
         y_half, _ = _integrate(state.amplitudes, params, drive, n_steps, stride, refine=2)
@@ -471,6 +481,7 @@ def _crossings_between(q_from: float, q_to: float) -> int:
     return max(0, math.ceil((hi - 1.0) / 2.0) - math.floor((lo - 1.0) / 2.0) - 1)
 
 
+@_overflow_raises()
 def transition_probability(params: LatticeParams, drive: DriveParams,
                            step: float | None = None, refine: int = 1) -> float:
     """Occupation of the second band after sweeping through one Bragg point.
@@ -490,22 +501,21 @@ def transition_probability(params: LatticeParams, drive: DriveParams,
         raise ParameterError(f"refine must be an integer >= 1, got {refine}")
     if _crossings_between(drive.q_start, drive.q_stop) != 1:
         raise ParameterError("drive must cross exactly one odd-integer Bragg point")
-    right, _ = _one_band(params, drive.q_start, 1)
+    state = prepare_band_state(params, drive.q_start, 1)
     _, left = _one_band(params, drive.q_stop, 2)
     n_steps, _ = _lattice_grid(drive, IntegratorConfig(step=step))
-    y, _ = _integrate(right, params, drive, n_steps, refine=refine)
-    # evolve's einsum, so that P equals evolve's last band2_prob to the bit
-    with _overflow_raises():
-        c = np.einsum("qlb,ql->qb", left[None, :, None], y[None])
-        return (np.abs(c) ** 2).item()
+    y, _ = _integrate(state.amplitudes, params, drive, n_steps, refine=refine)
+    return _occupations(left[None, :, None], [y])[1].item()
 
 
+@_overflow_raises()
 def plateau_averages(trace: EvolutionTrace) -> dict[int, float]:
     """Mean power per plateau, keyed by the number of crossings passed.
 
     A sample belongs to a plateau when its momentum is more than 0.5 away
     from every odd integer, which excludes the oscillatory transition
-    regions around the Bragg points.
+    regions around the Bragg points.  A mean past the float range raises
+    ParameterError.
     """
     q_start = trace.q[0]
     means: dict[int, list] = {}

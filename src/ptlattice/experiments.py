@@ -40,10 +40,10 @@ from .svgplot import Series, render_line_chart
 from .twomode import (
     _OVERFLOW_REMEDY,
     TwoModeParams,
+    _multicross_powers,
     evolve_two_mode,
     lz_probability,
     lz_survival,
-    multicross_power,
 )
 
 
@@ -83,13 +83,13 @@ def run_bands(cfg: ExperimentConfig) -> ResultTable:
 
 def _driven(cfg: ExperimentConfig, columns: tuple[str, ...]) -> ResultTable:
     """Drive band 1: the trace's columns, final power and plateaus with two-mode predictions."""
-    # the grid first, in microseconds, then the predictions, in time quadratic
+    # the grid first, in microseconds, then the predictions, in time linear
     # in the crossings: each raises before the march
     _lattice_grid(cfg.drive, cfg.integrator)
     two = TwoModeParams.from_lattice(cfg.lattice, cfg.drive.rate)
     crossings = _crossings_between(cfg.drive.q_start, cfg.drive.q_stop)
-    predicted = {n: multicross_power(two.coupling, two.skew, two.rate, n)
-                 for n in range(1, crossings + 1)}
+    predicted = dict(enumerate(_multicross_powers(two.coupling, two.skew, two.rate, crossings),
+                               start=1))
     state = prepare_band_state(cfg.lattice, cfg.drive.q_start, 1)
     trace = evolve(state, cfg.lattice, cfg.drive, cfg.integrator,
                    project="band1_prob" in columns)

@@ -47,6 +47,7 @@ the diagonal phase advance per step, not by stability.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -115,17 +116,17 @@ class TwoModeTrace:
 
 
 def _in_float_range(formula):
-    """formula, raising ParameterError where its value overflows or is not finite."""
+    """formula, raising ParameterError where a value it returns overflows or is not finite."""
     @functools.wraps(formula)
     def checked(*args, **kwargs):
         try:
             value = formula(*args, **kwargs)
         except OverflowError:
             value = math.inf
-        if math.isfinite(value):
+        if np.isfinite(value).all():
             return value
         inputs = args + tuple(kwargs.values())
-        raise ParameterError(f"{formula.__name__}{inputs} leaves the float range")
+        raise ParameterError(f"{formula.__name__.lstrip('_')}{inputs} leaves the float range")
     return checked
 
 
@@ -155,18 +156,28 @@ def critical_survival(coupling: float, rate: float) -> float:
 
 
 @_in_float_range
+def _multicross_powers(coupling: float, skew: float, rate: float, crossings: int) -> list[float]:
+    """multicross_power for n = 1..crossings in one pass; no crossing evaluates no closed form.
+
+    Each partial sum adds the terms S**i for i < n one at a time in order of
+    i, so the pass costs time linear in crossings.
+    """
+    if not crossings:
+        return []
+    survival, transition = lz_survival(coupling, skew, rate), lz_probability(coupling, skew, rate)
+    partials = itertools.accumulate(survival**i for i in range(crossings))
+    return [survival**n + transition * partial for n, partial in enumerate(partials, 1)]
+
+
 def multicross_power(coupling: float, skew: float, rate: float, crossings: int) -> float:
     """Total power after n isolated crossings, S**n + P * sum(S**i for i < n).
 
-    S is lz_survival and P lz_probability; n = 0 gives 1.
+    S is lz_survival and P lz_probability; n = 0 gives 1.  It is the last
+    value of _multicross_powers.
     """
     if not _is_integer(crossings) or crossings < 0:
         raise ParameterError("crossings must be a non-negative integer")
-    if crossings == 0:
-        return 1.0
-    survival = lz_survival(coupling, skew, rate)
-    transition = lz_probability(coupling, skew, rate)
-    return survival**crossings + transition * sum(survival**i for i in range(crossings))
+    return _multicross_powers(coupling, skew, rate, crossings)[-1] if crossings else 1.0
 
 
 def ground_state(params: TwoModeParams, t: float) -> np.ndarray:

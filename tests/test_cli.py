@@ -221,10 +221,10 @@ class TestConfig:
 
     @pytest.fixture
     def no_prediction(self, monkeypatch):
-        """multicross_power raises: a driven run rejected first computes no prediction."""
+        """The predictions raise: a driven run rejected first computes none."""
         def fail(*args):
-            raise AssertionError("multicross_power called")
-        monkeypatch.setattr(experiments, "multicross_power", fail)
+            raise AssertionError("_multicross_powers called")
+        monkeypatch.setattr(experiments, "_multicross_powers", fail)
 
     @pytest.mark.parametrize("kind, doc", [
         # rate * t_max / 2 overflows, so the default step 1.08/inf is 0
@@ -249,8 +249,8 @@ class TestConfig:
     @pytest.mark.parametrize("kind", ["evolve", "multicross"])
     def test_driven_grid_is_checked_before_the_predictions(self, tmp_path, capsys, no_march,
                                                            no_prediction, kind):
-        # 10^4 crossings would take seconds to predict; the grid of 2.67e14
-        # steps is rejected first
+        # 10^4 crossings would take milliseconds to predict; the grid of
+        # 2.67e14 steps is rejected first
         doc = evolve_doc()
         doc["kind"] = kind
         doc["drive"].update(rate=1.0, q_stop=2e4)
@@ -681,6 +681,34 @@ class TestRunners:
         for table in (evolve, multicross):
             assert table.metadata["final_power"] == table.rows[-1][2]
             assert "predicted_terminal_power" not in table.metadata
+
+    def test_staircase_predictions_take_one_pass(self, monkeypatch):
+        # 1000 crossings: every plateau's prediction is multicross_power's to
+        # the bit, from one evaluation of the closed forms, not one a
+        # crossing.  Neither the march nor the plateau means matter here, so
+        # the march takes no step and every plateau gets a mean of 1
+        doc = {
+            "kind": "multicross",
+            "lattice": {"v_real": 0.2, "v_imag": 0.1, "l_max": 4},
+            "drive": {"rate": 1.0, "q_start": 0.0, "q_stop": 2000.5},
+            "integrator": {"step": 0.01},
+        }
+        monkeypatch.setattr(dynamics, "_march", lambda *args: iter(()))
+        monkeypatch.setattr(experiments, "plateau_averages",
+                            lambda trace: dict.fromkeys(range(1001), 1.0))
+        survivals, real = [], twomode.lz_survival
+        monkeypatch.setattr(twomode, "lz_survival",
+                            lambda *args: survivals.append(args) or real(*args))
+        plateaus = run_multicross(parse_config(doc)).metadata["plateaus"]
+        assert len(survivals) == 1
+        assert [p["crossings"] for p in plateaus] == list(range(1001))
+        assert "predicted_power" not in plateaus[0]
+        s, p = real(0.4, 0.2, 4.0), lz_probability(0.4, 0.2, 4.0)
+        for entry in plateaus[1:]:
+            n, predicted = entry["crossings"], entry["predicted_power"]
+            assert predicted == multicross_power(0.4, 0.2, 4.0, n)
+            assert predicted == pytest.approx(s**n + p * math.fsum(s**i for i in range(n)),
+                                              rel=1e-13)
 
     def test_multicross_solves_bands_only_at_its_launch(self, monkeypatch, tmp_path):
         # multicross writes no band column, so it projects no sample: the

@@ -384,8 +384,10 @@ class TestPowerAndProjection:
     def test_biorthonormal_projection(self):
         params = LatticeParams(0.2, 0.15)
         state = prepare_band_state(params, 0.3, 1)
-        _, p_same = project_onto_band(state, params, 0.3, 1)
+        c, p_same = project_onto_band(state, params, 0.3, 1)
         _, p_cross = project_onto_band(state, params, 0.3, 2)
+        assert type(c) is complex and type(p_same) is float
+        assert p_same == pytest.approx(abs(c) ** 2, rel=1e-15)
         assert abs(p_same - 1.0) < 1e-10
         assert p_cross < 1e-10
 
@@ -801,10 +803,46 @@ class TestTransitionProbability:
         assert _sweep_point(job) == (0.5, 0.0)
         assert calls == [(0.2, refine) for refine in refines]
 
-    def test_degenerate_final_momentum_raises(self):
-        # at criticality the bands touch at every odd integer, here q_stop = 3
+    def test_degenerate_final_momentum_raises(self, monkeypatch):
+        # at criticality the bands touch at every odd integer, here q_stop = 3;
+        # band 2 there is solved before the march
+        calls = []
+        monkeypatch.setattr(dynamics, "_integrate", lambda *args, **kw: calls.append(args))
         with pytest.raises(DegenerateBandError):
             transition_probability(LatticeParams(0.2, 0.2, 6), DriveParams(0.3, 0.0, 3.0))
+        assert calls == []
+
+
+class TestFloatRange:
+    """Each public function that computes numbers raises ParameterError past the float range.
+
+    The state is finite, 1.3e154 along conj(L) with L the band-2 left vector
+    at v_imag 0.19 and q 0 (|L| = 19.5), so its band-2 occupation is about
+    6e310.  Under the suite's RuntimeWarning-as-error filter a numpy
+    overflow that escaped the guard would fail as a warning instead.
+    """
+
+    PARAMS = LatticeParams(0.2, 0.19)
+
+    @pytest.fixture
+    def state(self):
+        left = band_arrays(self.PARAMS, 0.0, bands=[2]).left[0, :, 0]
+        return ModeVector(1.3e154 * np.conj(left) / np.linalg.norm(left), 0.0)
+
+    def test_evolve_projection(self, state):
+        with pytest.raises(ParameterError, match="leave the float range"):
+            evolve(state, self.PARAMS, DriveParams(1.0, 0.0, 1e-6), project=True)
+
+    def test_project_onto_band(self, state):
+        with pytest.raises(ParameterError, match="leave the float range"):
+            project_onto_band(state, self.PARAMS, 0.0, 2)
+
+    def test_plateau_mean(self):
+        # five finite powers whose sum passes 1.8e308, all on plateau 0
+        trace = dynamics.EvolutionTrace(np.zeros(5), np.zeros(5), np.full(5, 1e308),
+                                        np.empty(0), np.empty(0), None)
+        with pytest.raises(ParameterError, match="leave the float range"):
+            plateau_averages(trace)
 
 
 class TestPlateaus:
