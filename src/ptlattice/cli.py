@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import os
 import sys
 from pathlib import Path
@@ -27,7 +28,9 @@ from .errors import ConfigError, DegenerateBandError, ParameterError, PhaseError
 from .experiments import RUNNERS, render_chart
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="ptlattice",
         description="Complex-lattice band structures, driven interband transitions, "
@@ -55,7 +58,8 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ConfigError("jobs: expected a positive integer")
         prefix = Path(args.config).stem if args.out is None else args.out
-        if not os.path.basename(prefix):
+        # "sub/", ".", "..", "sub/." and "sub/.." would write hidden files
+        if os.path.basename(prefix) in ("", ".", ".."):
             raise ConfigError(f"--out {prefix!r} names a directory, not an output path prefix")
         # an output directory that cannot be created, or an output file that
         # cannot be written there, fails before the run

@@ -36,12 +36,28 @@ marched by the same dynamics._march over the same grid of sample intervals
 with the same IntegratorConfig.  The table is Kahan & Li's sixth-order
 s9odr6a, not the lattice's eighth-order s15odr8: a default run of up to
 20000 grid steps samples every one of them, so its table steps cannot span
-more grid steps, and nine kicks a step cost less than fifteen.  A chunk of steps
-is one complex (2, 2, steps) array of 2x2 step matrices, built with numpy
-from the kicks as dynamics._march yields them and turned in place into its
-prefix products (a doubling scan), which applied to the state carried into
-the chunk give its states, with no loop over steps; the step is bounded by
-the diagonal phase advance per step, not by stability.
+more grid steps, and nine kicks a step cost less than fifteen.
+
+Every matrix of the scheme is a pair (p, omega) of complex numbers,
+M = [[p, u omega], [-l conj(omega), conj(p)]] with u, l = (coupling +- skew)/2:
+a flow diag(z, conj z) is (z, 0), and a kick kappa I - i sigma C that
+dynamics._expm returns is (kappa, -i sigma), since C^2 = u l I and kappa,
+sigma are real.  The pairs are closed under products:
+
+    (p1, omega1) (p2, omega2) = (p1 p2 - u l omega1 conj(omega2),
+                                 p1 omega2 + omega1 conj(p2)).
+
+A chunk of steps is two complex arrays, the p and omega of its steps, built
+from the kicks as dynamics._march yields them and turned in place into
+their prefix products (a doubling scan), which applied to the state carried
+into the chunk give its states, with no loop over steps.  The flow phases
+z = exp(i rate w (t_a + t_b)/4) are built as the lattice kernel builds its
+own: within a run of equal steps h a folded column keeps its width w and
+its t_a + t_b grows by 2h a step, so its z is a table over a chunk's steps,
+built once per run, times an anchor, once per chunk.  Column 0 of an
+interval's first step and the flow that closes an interval take their
+exponentials directly.  The step is bounded by the diagonal phase advance
+per step, not by stability.
 """
 
 from __future__ import annotations
@@ -61,8 +77,14 @@ from .lattice import LatticeParams, _is_integer
 # two-level step
 _TABLE = _table([0.39216144400731413928, 0.33259913678935943860, -0.70624617255763935981,
                  0.08221359629355080023, 0.79854399093482996340])
-# steps whose matrices are built at once; bounds the matrix buffers' memory
+# steps whose pairs are built at once; bounds the pair and phase buffers' memory
 _CHUNK = 1024
+# the flow widths of a folded step's columns, each followed by a kick, as
+# fractions of the table step; columns 1 onwards are palindromic, so the
+# first five widths serve all nine
+_FOLDED = _TABLE[2]
+_COLUMNS = [min(j, 9 - j) for j in range(9)]
+_WIDTHS = np.diff(_FOLDED)[:5]
 # trailing share of a trace's samples that tail_intensities averages over
 _TAIL_FRACTION = 0.05
 # the advice of a run past the exceptional point that leaves the float range
@@ -195,38 +217,37 @@ def ground_state(params: TwoModeParams, t: float) -> np.ndarray:
     return np.array([a1 / norm, 1.0 / norm], dtype=complex)
 
 
-def _step_matrices(t: np.ndarray, widths: np.ndarray, ends: np.ndarray, rate: float,
-                   kicks: list) -> np.ndarray:
-    """Matrices of table steps with phase nodes t, shape (2, 2, steps).
+def _kick_pair(kick: np.ndarray, upper: float, lower: float) -> tuple[complex, complex]:
+    """(p, omega) of a kick [[p, upper omega], [-lower conj(omega), conj(p)]].
 
-    Each row of t and of their spacings is one step (dynamics._march): the
-    exact diagonal flow diag(z, conj z), z = exp(i rate (b^2 - a^2)/4), runs
-    between consecutive nodes a and b, and the 2x2 coupling kicks sit at the
-    inner nodes.  The flow from the last kick to the last node applies only
-    where the step ends a sample interval.
+    omega is fitted to both coupling entries by least squares, so it comes
+    from whichever is non-zero; with both 0 the kick is I and omega 0.
     """
-    z = np.exp(0.25j * rate * widths * (t[:, :-1] + t[:, 1:])).T
-    m = np.eye(2)[:, :, None]
-    for zi, kick in zip(z, kicks):
-        x = np.stack((zi, zi.conj()))[:, None] * m
-        m = kick[:, :1, None] * x[0] + kick[:, 1:, None] * x[1]
-    z = np.where(ends, z[-1], 1.0)
-    return np.stack((z, z.conj()))[:, None] * m
+    fit = upper * kick[0, 1] - lower * np.conj(kick[1, 0])
+    return kick[0, 0], fit / ((upper * upper + lower * lower) or 1.0)
 
 
-def _prefix_products(p: np.ndarray) -> np.ndarray:
-    """Prefix products p[..., j] @ ... @ p[..., 0] of 2x2 matrices (2, 2, len), in place.
+def _product(a: tuple, b: tuple, ul: float) -> tuple:
+    """The pair of the matrix product a b of pairs (p, omega), scalars or arrays (module docstring).
+
+    ul is the product u l of the coupling entries.
+    """
+    (pa, wa), (pb, wb) = a, b
+    return pa * pb - ul * wa * np.conj(wb), pa * wb + wa * np.conj(pb)
+
+
+def _prefix_products(p: np.ndarray, w: np.ndarray, ul: float) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix products of the pairs (p[j], w[j]), step j's matrix on the left, in place.
 
     A Hillis-Steele doubling scan: after the pass with offset d, column j
     holds the product of the min(j + 1, 2d) matrices ending at j.
     """
     d = 1
-    while d < p.shape[-1]:
-        a, b = p[..., d:], p[..., :-d]
+    while d < p.size:
         # the right side is evaluated in full before the overlapping write
-        p[..., d:] = a[:, :1] * b[0] + a[:, 1:] * b[1]
+        p[d:], w[d:] = _product((p[d:], w[d:]), (p[:-d], w[:-d]), ul)
         d *= 2
-    return p
+    return p, w
 
 
 @_overflow_raises(_OVERFLOW_REMEDY)
@@ -261,19 +282,49 @@ def evolve_two_mode(
     step = config.step if config.step is not None else min(0.06, 1.08 / eps_max)
     n_steps, stride = _grid(t1 - t0, step, config.sample_stride, 20000)
     dt = (t1 - t0) / n_steps
-    coupling = np.array([[0.0, params.coupling + params.skew],
-                         [params.coupling - params.skew, 0.0]]) / 2.0
+    upper, lower = (params.coupling + params.skew) / 2.0, (params.coupling - params.skew) / 2.0
+    ul, rate = upper * lower, params.rate
+    coupling = np.array([[0.0, upper], [lower, 0.0]])
+
+    def flow(width, s):
+        """The phase z of the flow over width whose end times sum to s."""
+        return np.exp(0.25j * rate * width * s)
 
     def run(refine: int):
         a = ground_state(params, t0)
         ts, amps = [[t0]], [a[:, None]]
         march = _march(coupling, n_steps, stride, 1, _TABLE, refine, dt, _CHUNK)
-        for kicks, _, t, widths, _, ends in march:
-            p = _prefix_products(_step_matrices(t0 + t, widths, ends, params.rate, kicks))
-            # states after the chunk's steps, from the state carried into it
-            b = p[:, 0] * a[0] + p[:, 1] * a[1]
-            take = (ends > 0) & (ends < n_steps)
-            ts.append(t0 + ends[take] * dt), amps.append(b[:, take])
+        table_h = None
+        for kicks, h, t, widths, first, ends in march:
+            if h != table_h:  # a later run of the same h is a shorter remainder
+                pairs = [_kick_pair(kick, upper, lower) for kick in kicks]
+                # z of a folded column over the steps of a chunk, times its anchor
+                table = flow(h * _WIDTHS[:, None], 2.0 * h * np.arange(len(t)))[_COLUMNS]
+                table_h = h
+            t = t0 + t
+            s = t[0, :-2] + t[0, 1:-1]
+            if first[0]:  # the chunk's first step opens an interval: its folded column 0
+                s[0] += h * _FOLDED[0]
+            z = table[:, :len(t)] * flow(h * _WIDTHS[_COLUMNS], s)[:, None]
+            # column 0 of an interval's first step spans half a sub-step from
+            # its start, and the closing flow runs from the last kick to an
+            # interval's end
+            z[0][first] = flow(widths[:, 0][first], (t[:, 0] + t[:, 1])[first])
+            # each step: per kick, its flow, which multiplies p and omega by z, then the kick
+            p, w = _product(pairs[0], (z[0], 0.0), ul)
+            for zj, kick in zip(z[1:], pairs[1:]):
+                p, w = _product(kick, (p * zj, w * zj), ul)
+            close = ends > 0
+            zc = flow(widths[:, -1][close], (t[:, -2] + t[:, -1])[close])
+            p[close], w[close] = p[close] * zc, w[close] * zc
+            p, w = _prefix_products(p, w, ul)
+            # states at the chunk's samples and its last step, from the state
+            # carried into it
+            take = close & (ends < n_steps)
+            i = np.append(np.flatnonzero(take), -1)
+            p, w = p[i], w[i]
+            b = np.stack((p * a[0] + upper * a[1] * w, a[1] * p.conj() - lower * a[0] * w.conj()))
+            ts.append(t0 + ends[take] * dt), amps.append(b[:, :-1])
             a = b[:, -1]
         ts.append([t1]), amps.append(a[:, None])
         return np.concatenate(ts), np.concatenate(amps, axis=1)

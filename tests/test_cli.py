@@ -1,18 +1,22 @@
 """Front end: configs, runners, CSV/SVG artifacts, exit codes, presets."""
 
+import argparse
 import json
 import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ptlattice import dynamics, experiments, svgplot, twomode
+from ptlattice import cli, dynamics, experiments, svgplot, twomode
 from ptlattice.cli import main
 from ptlattice.config import KINDS, load_config, parse_config
 from ptlattice.errors import ConfigError, ParameterError
@@ -920,9 +924,11 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == [
             "fig1a.csv", "my_bands.csv", "twomode.csv", "twomode.svg"]
 
-    @pytest.mark.parametrize("out", ["sub" + os.sep, ""], ids=["separator", "empty"])
+    @pytest.mark.parametrize("out", [
+        "sub" + os.sep, "", ".", "..", os.path.join("sub", "."), os.path.join("sub", ".."),
+    ], ids=["separator", "empty", "dot", "dotdot", "sub_dot", "sub_dotdot"])
     def test_out_without_a_file_name_exits_2(self, tmp_path, monkeypatch, capsys, out):
-        # "sub/" would write the hidden file sub/.csv
+        # "sub/" would write the hidden file sub/.csv, "." ..csv and "sub/.." sub/...csv
         monkeypatch.chdir(tmp_path)
         runs = []
         monkeypatch.setitem(experiments.RUNNERS, "twomode", runs.append)
@@ -939,6 +945,43 @@ class TestCli:
 
     def test_missing_config_exits_2(self):
         assert main(["bands", "--config", "no_such_file.json"]) == 2
+
+    def test_one_parser_serves_every_call(self, tmp_path, monkeypatch):
+        # built on the first call; a rejected command line leaves it working
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        cli.build_parser.cache_clear()
+        out = str(tmp_path / "two")
+        assert main(["twomode", "--config", "twomode", "--out", out]) == 0
+        with pytest.raises(SystemExit):
+            main(["twomode", "--no-such-flag"])
+        assert main(["twomode", "--config", "twomode", "--out", out]) == 0
+        assert built.count("ptlattice") == 1
+
+    @pytest.mark.parametrize("module", ["ptlattice", "ptlattice.cli"])
+    def test_python_m_ptlattice(self, tmp_path, module):
+        # each module entry point in a fresh interpreter: a run, then a missing config
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+
+        def run(*args):
+            return subprocess.run([sys.executable, "-m", module, "twomode", *args],
+                                  capture_output=True, text=True, cwd=tmp_path, env=env)
+
+        done = run("--config", "twomode", "--out", "run")
+        assert done.returncode == 0, done.stderr
+        assert load_csv(tmp_path / "run.csv").column("t").size > 0
+        failed = run("--config", "no_such_file.json")
+        assert failed.returncode == 2
+        assert failed.stderr.startswith("ptlattice: error: ")
+        assert len(failed.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read"),

@@ -432,10 +432,14 @@ class TestScanKernel:
     # 4000 grid steps of 0.02
     SPAN = (-40.0, 40.0)
 
-    @pytest.mark.parametrize("skew", [-0.3, 0.3, 0.4], ids=["loss", "gain", "critical"])
-    def test_matches_sequential_product(self, skew):
+    # skew = -coupling has no upper coupling, so each kick's omega comes from
+    # its lower entry; with no coupling at all both entries are 0
+    @pytest.mark.parametrize("coupling, skew", [
+        (0.4, -0.3), (0.4, 0.3), (0.4, 0.4), (0.4, -0.4), (0.4, 0.6), (0.0, 0.3), (0.0, 0.0),
+    ], ids=["loss", "gain", "critical", "anti_critical", "broken", "skew_only", "uncoupled"])
+    def test_matches_sequential_product(self, coupling, skew):
         # one table step per grid step: three full chunks and a partial one
-        params = TwoModeParams(0.4, skew, 0.12)
+        params = TwoModeParams(coupling, skew, 0.12)
         config = IntegratorConfig(step=0.02, sample_stride=1)
         trace = evolve_two_mode(params, t_span=self.SPAN, config=config)
         n_steps = trace.metadata["steps"]
@@ -455,6 +459,63 @@ class TestScanKernel:
         assert trace.t.tolist() == [self.SPAN[0] + i * dt for i in steps[:-1]] + [self.SPAN[1]]
         for got, want in zip((trace.a1, trace.a2), ref):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_folded_steps_of_the_convergence_rerun(self):
+        # intervals of 7 grid steps take 7 table steps, and 14 in the rerun,
+        # each but the first folded into the one before
+        params = TwoModeParams(0.4, 0.3, 0.12)
+        config = IntegratorConfig(step=0.02, sample_stride=7, convergence_check=True)
+        trace = evolve_two_mode(params, t_span=self.SPAN, config=config)
+        ref, _ = sequential_states(params, self.SPAN, 4000, 7)
+        finer, _ = sequential_states(params, self.SPAN, 8000, 8000)
+        for got, want in zip((trace.a1, trace.a2), ref):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # the rerun's final intensities, through their change from the run's
+        want = np.sum(np.abs(np.abs(ref[:, -1]) ** 2 - np.abs(finer[:, -1]) ** 2))
+        got = trace.metadata["final_intensity_halving_diff"]
+        assert abs(got - want) <= 1e-12 * np.max(np.abs(finer[:, -1]) ** 2)
+
+    def test_remainder_of_another_step_length(self, monkeypatch):
+        # 4000 grid steps sampled every 29: the remainder of 27 grid steps
+        # takes table steps 27 dt/27, one ulp off 29 dt/29
+        lengths = []
+        march = twomode._march
+
+        def spy(*args):
+            for chunk in march(*args):
+                lengths.append(chunk[1])
+                yield chunk
+
+        monkeypatch.setattr(twomode, "_march", spy)
+        params = TwoModeParams(0.4, 0.3, 0.12)
+        trace = evolve_two_mode(params, t_span=self.SPAN,
+                                config=IntegratorConfig(step=0.02, sample_stride=29))
+        assert len(set(lengths)) == 2
+        ref, _ = sequential_states(params, self.SPAN, 4000, 29)
+        for got, want in zip((trace.a1, trace.a2), ref):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("coupling, skew", [
+        (0.4, 0.3), (0.4, 0.6), (0.4, 0.4), (0.4, -0.4), (0.0, 0.3), (0.0, 0.0),
+    ])
+    def test_pair_product_is_the_matrix_product(self, coupling, skew):
+        rng = np.random.default_rng(5)
+        upper, lower = (coupling + skew) / 2.0, (coupling - skew) / 2.0
+
+        def matrix(p, w):
+            return np.array([[p, upper * w], [-lower * np.conj(w), np.conj(p)]])
+
+        # every kick is a pair, its omega read off whichever coupling entry is not 0
+        c = np.array([[0.0, upper], [lower, 0.0]])
+        for tau in (0.02, 1.0, 30.0):
+            kick = _expm(-1j * tau * c)
+            got = matrix(*twomode._kick_pair(kick, upper, lower))
+            assert np.max(np.abs(got - kick)) <= 1e-15 * np.max(np.abs(kick))
+        a, b = (rng.normal(size=(2, 50)) + 1j * rng.normal(size=(2, 50)) for _ in range(2))
+        p, w = twomode._product(a, b, upper * lower)
+        for j in range(50):
+            want = matrix(*a[:, j]) @ matrix(*b[:, j])
+            assert np.max(np.abs(matrix(p[j], w[j]) - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_convergence_rerun_uses_twice_the_steps(self, monkeypatch):
         # 4000 grid steps sampled every 22: 181 intervals of 22 grid steps
